@@ -93,31 +93,36 @@ def lr_count(
     above = [index.get((r - 1, c), -1) for r, c in cells]
     right = [index.get((r, c + 1), -1) for r, c in cells]
 
+    # values[t] is the value placed in cell t, 0 while the cell is empty;
+    # depth t walks forward on a placement and back when a cell runs out.
     counts = [0] * (nvals + 1)
     values = [0] * ncells
     found = 0
-
-    def fill(t: int) -> bool:
-        nonlocal found
-        if t == ncells:
-            found += 1
-            return bool(limit) and found >= limit
-        r_idx = right[t]
-        a_idx = above[t]
-        lo = values[a_idx] + 1 if a_idx >= 0 else 1
-        hi = values[r_idx] if r_idx >= 0 else nvals
-        for v in range(lo, hi + 1):
-            if counts[v] >= content[v - 1]:
-                continue
-            if v >= 2 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            values[t] = v
-            stop = fill(t + 1)
+    t = 0
+    while t >= 0:
+        v = values[t]
+        if v:
             counts[v] -= 1
-            if stop:
-                return True
-        return False
-
-    fill(0)
+        else:
+            a_idx = above[t]
+            v = values[a_idx] if a_idx >= 0 else 0
+        r_idx = right[t]
+        hi = values[r_idx] if r_idx >= 0 else nvals
+        v += 1
+        while v <= hi and (
+            counts[v] >= content[v - 1] or (v >= 2 and counts[v] >= counts[v - 1])
+        ):
+            v += 1
+        if v > hi:
+            values[t] = 0
+            t -= 1
+            continue
+        counts[v] += 1
+        values[t] = v
+        if t + 1 < ncells:
+            t += 1
+        else:
+            found += 1
+            if limit and found >= limit:
+                break
     return found

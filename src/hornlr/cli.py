@@ -237,14 +237,14 @@ def _cmd_corpus_verify(args) -> int:
     files = sorted(
         p for p in directory.iterdir() if p.suffix in (".txt", ".json") and p.is_file()
     )
-    integral = non_integral = violations = 0
+    integral = non_integral = violations = failed = 0
     for path in files:
         try:
-            bg = load_graph(path)
-        except FormatError as exc:
-            print(f"{path.name}: parse error: {exc}", file=sys.stderr)
-            return 2
-        report = analyze_line_graph(bg)
+            report = analyze_line_graph(load_graph(path))
+        except InputError as exc:
+            print(f"{path.name}: error: {exc}", file=sys.stderr)
+            failed += 1
+            continue
         _print_report_summary(path.name, report)
         if report.is_integral:
             integral += 1
@@ -253,8 +253,10 @@ def _cmd_corpus_verify(args) -> int:
         violations += len(report.violations)
     print(
         f"{len(files)} graphs: {integral} integral, {non_integral} non-integral, "
-        f"{violations} violations"
+        f"{violations} violations, {failed} failed"
     )
+    if failed:
+        return 2
     if violations:
         raise TheoremViolation(f"{violations} corpus violations")
     return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -592,10 +592,15 @@ def connected_bipartite_graphs(
     """All connected bipartite graphs without isolated vertices, one per
     isomorphism class, ordered by (order, smaller class size).
 
-    Graphs are generated as biadjacency bitmask rows and deduplicated by
-    a canonical signature: the maximum, over all permutations of the
-    smaller class, of the sorted column masks (plus the transpose when
-    the classes have equal size). For a connected bipartite graph the
+    Graphs are generated as multisets of biadjacency bitmask rows, one
+    per vertex of the smaller class X, and deduplicated by a canonical
+    signature: the sorted column masks, maximised over the orders of X
+    that list its vertices by descending degree, freely within a block
+    of equal degree (and the same over Y when the classes have equal
+    size). Isomorphisms preserve degrees, so isomorphic graphs have the
+    same admissible orders up to relabelling and share the maximum; the
+    signature is the graph itself under one such order, so it decodes
+    to an isomorphic graph. For a connected bipartite graph the
     bipartition is unique up to swapping the classes, so this signature
     is a complete isomorphism invariant.
     """
@@ -604,22 +609,19 @@ def connected_bipartite_graphs(
             n = order - m
             full = (1 << n) - 1
             seen: set[tuple[int, ...]] = set()
-            for rows in product(range(1, 1 << n), repeat=m):
-                union = 0
-                for rm in rows:
-                    union |= rm
-                if union != full:
+            for rows in combinations_with_replacement(range(1, 1 << n), m):
+                if not _masks_connected(rows, full):
                     continue
-                if not _masks_connected(rows, m, n):
-                    continue
-                sig = _canonical_signature(rows, m, n)
+                sig = _max_sorted_columns(rows, n)
+                if m == n:
+                    sig = max(sig, _max_sorted_columns(_columns_of(rows, n), m))
                 if sig in seen:
                     continue
                 seen.add(sig)
                 yield _graph_from_columns(sig, m, n)
 
 
-def _columns_of(rows: Sequence[int], m: int, n: int) -> list[int]:
+def _columns_of(rows: Sequence[int], n: int) -> list[int]:
     cols = [0] * n
     for i, rm in enumerate(rows):
         for j in range(n):
@@ -628,39 +630,30 @@ def _columns_of(rows: Sequence[int], m: int, n: int) -> list[int]:
     return cols
 
 
-def _masks_connected(rows: Sequence[int], m: int, n: int) -> bool:
-    cols = _columns_of(rows, m, n)
-    seen_x, seen_y = 1, 0
-    frontier_x = 1
-    while frontier_x:
-        new_y = 0
-        for i in range(m):
-            if frontier_x >> i & 1:
-                new_y |= rows[i]
-        new_y &= ~seen_y
-        seen_y |= new_y
-        new_x = 0
-        for j in range(n):
-            if new_y >> j & 1:
-                new_x |= cols[j]
-        frontier_x = new_x & ~seen_x
-        seen_x |= frontier_x
-    return seen_x == (1 << m) - 1 and seen_y == (1 << n) - 1
+def _masks_connected(rows: Sequence[int], full: int) -> bool:
+    """Whether the columns reached from the first row through shared
+    columns are all of `full` (rows are non-empty, so then every row is)."""
+    reach = rows[0]
+    while True:
+        grown = reach
+        for rm in rows:
+            if rm & reach:
+                grown |= rm
+        if grown == reach:
+            return reach == full
+        reach = grown
 
 
-def _canonical_signature(rows, m: int, n: int) -> tuple[int, ...]:
-    best = None
-    for perm in permutations(range(m)):
-        sig = tuple(sorted(_columns_of([rows[i] for i in perm], m, n), reverse=True))
-        if best is None or sig > best:
-            best = sig
-    if m == n:
-        cols = _columns_of(rows, m, n)
-        for perm in permutations(range(n)):
-            sig = tuple(sorted(_columns_of([cols[j] for j in perm], n, m), reverse=True))
-            if sig > best:
-                best = sig
-    return best
+def _max_sorted_columns(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """Sorted column masks, maximised over the degree-descending row orders."""
+    blocks: dict[int, list[int]] = {}
+    for rm in rows:
+        blocks.setdefault(rm.bit_count(), []).append(rm)
+    orders = product(*(permutations(blocks[d]) for d in sorted(blocks, reverse=True)))
+    return max(
+        tuple(sorted(_columns_of(list(chain.from_iterable(order)), n), reverse=True))
+        for order in orders
+    )
 
 
 def _graph_from_columns(cols: Sequence[int], m: int, n: int) -> BipartiteGraph:

@@ -191,8 +191,17 @@ def ramanujan_verdict(
         raise InputError("degree must be at least 1")
     if g.order < 2:
         raise InputError("need at least two vertices for a second eigenvalue")
+    return _verdict(g, k, integer_spectrum(g), tol)
 
-    roots = integer_spectrum(g)
+
+def _verdict(
+    g: Graph,
+    k: int,
+    roots: Optional[tuple[tuple[int, int], ...]],
+    tol: float = 1e-9,
+) -> RamanujanVerdict:
+    """The verdict for a k-regular graph whose integer root multiset
+    (None when not integral) is already known."""
     bound = 2.0 * math.sqrt(k - 1)
     bound_sq = 4 * (k - 1)
     if roots is not None:
@@ -346,7 +355,7 @@ def analyze_line_graph(
     degree = lg.regular_degree()
     ram = None
     if degree is not None and degree >= 1 and lg.order >= 2:
-        ram = ramanujan_verdict(lg)
+        ram = _verdict(lg, degree, spec.integer_roots)
 
     gamma_matched: Optional[Partition] = None
     p_set: Optional[CandidateSet] = None
@@ -462,9 +471,10 @@ def classify_regular_ramanujan_case(bg: BipartiteGraph) -> str:
             f"line graph degree 2s-2 = {2 * s - 2} is below the Ramanujan range (s >= 3)"
         )
     lg, _ = line_graph(bg)
-    if integer_spectrum(lg) is None:
+    roots = integer_spectrum(lg)
+    if roots is None:
         raise InputError("line graph is not integral")
-    verdict = ramanujan_verdict(lg)
+    verdict = _verdict(lg, 2 * s - 2, roots)
     if verdict.second_largest_ok != verdict.all_nontrivial_ok:
         raise InputError(
             "the two Ramanujan readings disagree on this graph; refusing to pick one"

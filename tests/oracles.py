@@ -4,11 +4,15 @@ Each oracle deliberately takes a different route than the library code
 it checks: LR coefficients by filtering all multiset placements instead
 of pruned DFS, partition counts by the classic two-term recurrence
 instead of enumeration, cliques by subset enumeration instead of branch
-and bound, Pieri products by the closed-form interleaving rule.
+and bound, Pieri products by the closed-form interleaving rule, bipartite
+graph canonical forms by maximising over every order of a class instead
+of the degree-sorted ones only.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+
+from hornlr import BipartiteGraph
 
 
 def brute_force_lr(gamma, alpha, beta):
@@ -112,4 +116,32 @@ def all_partitions(max_size, max_part=None, max_length=None):
             acc.pop()
 
     rec([], max_size, max_part)
+    return out
+
+
+def bipartite_signature(rows, m, n):
+    """Canonical form of the bipartite graph whose class X has the m
+    biadjacency bitmask rows `rows` over the n vertices of Y: the maximum,
+    over all m! orders of X, of the sorted column masks, and also over
+    all n! orders of Y (columns read as rows) when m == n."""
+    candidates = [_sorted_columns([rows[i] for i in p], n) for p in permutations(range(m))]
+    if m == n:
+        cols = _sorted_columns(rows, n)
+        candidates += [_sorted_columns([cols[j] for j in p], m) for p in permutations(range(n))]
+    return max(candidates)
+
+
+def _sorted_columns(rows, n):
+    cols = [sum((rm >> j & 1) << i for i, rm in enumerate(rows)) for j in range(n)]
+    return tuple(sorted(cols, reverse=True))
+
+
+def connected_bipartite_signatures(m, n):
+    """Signatures of every connected bipartite graph with classes of
+    sizes m and n, found by trying every m-tuple of non-empty rows."""
+    out = set()
+    for rows in product(range(1, 1 << n), repeat=m):
+        edges = [(i, j) for i, rm in enumerate(rows) for j in range(n) if rm >> j & 1]
+        if BipartiteGraph(m, n, edges).is_connected():
+            out.add(bipartite_signature(rows, m, n))
     return out

@@ -119,6 +119,19 @@ def test_criterion_4_integral_line_graph_corpus():
         assert integral == 20
 
 
+def test_criterion_4b_integral_line_graph_corpus_order_9():
+    """The same laws on every connected bipartite graph of order exactly 9."""
+    with criterion("4b", 600.0):
+        total = integral = 0
+        for bg in connected_bipartite_graphs(9, min_order=9):
+            report = analyze_line_graph(bg)
+            assert report.ok, (bg, report.violations)
+            total += 1
+            integral += report.is_integral
+        assert total == 730
+        assert integral == 5
+
+
 def test_criterion_5_ramanujan_boundary():
     """L(K_{s,s}) is integral and Ramanujan (second-largest reading,
     exact squared comparison) for s in 3..10 and not for s = 11."""

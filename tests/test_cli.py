@@ -198,6 +198,19 @@ def test_corpus_verify_bad_file(capsys, tmp_path):
     assert "broken.txt" in err
 
 
+def test_corpus_verify_reports_bad_files_and_finishes(capsys, tmp_path, k22_file):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a_broken.txt").write_text("X 1\nnope\n")
+    (corpus / "b_disconnected.txt").write_text(graph_to_text(matching(2)))
+    (corpus / "c_k22.txt").write_text(k22_file.read_text())
+    code, out, err = run(capsys, "corpus", "verify", "--dir", str(corpus))
+    assert code == 2
+    assert "a_broken.txt" in err and "b_disconnected.txt" in err
+    assert "c_k22.txt: integral" in out
+    assert "3 graphs: 1 integral, 0 non-integral, 0 violations, 2 failed" in out
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "lr", "--alpha", "3")[0] == 2  # missing flags
     assert run(capsys, "horn", "triples", "--n", "2", "--r", "5")[0] == 2

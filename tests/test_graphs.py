@@ -37,7 +37,12 @@ from hornlr.graphs import (
     root_multiplicity,
 )
 
-from oracles import brute_force_clique, poly_mul
+from oracles import (
+    bipartite_signature,
+    brute_force_clique,
+    connected_bipartite_signatures,
+    poly_mul,
+)
 
 
 def _triangle():
@@ -384,6 +389,30 @@ def test_connected_bipartite_counts():
     expected = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
     got = Counter(bg.order for bg in connected_bipartite_graphs(8))
     assert dict(got) == expected
+
+
+def test_connected_bipartite_counts_order_9():
+    assert sum(1 for _ in connected_bipartite_graphs(9, min_order=9)) == 730
+
+
+def test_corpus_matches_full_permutation_oracle():
+    # the degree-refined signature emits one graph per class of the
+    # full-permutation signature, for each (order, smaller class size)
+    emitted = {}
+    for bg in connected_bipartite_graphs(7):
+        m, n = bg.x_size, bg.y_size
+        rows = [0] * m
+        for x, y in bg.sorted_edges:
+            rows[x] |= 1 << y
+        emitted.setdefault((bg.order, m), []).append(bipartite_signature(rows, m, n))
+    for sigs in emitted.values():
+        assert len(set(sigs)) == len(sigs)
+    expected = {
+        (order, m): connected_bipartite_signatures(m, order - m)
+        for order in range(2, 8)
+        for m in range(1, order // 2 + 1)
+    }
+    assert {key: set(sigs) for key, sigs in emitted.items()} == expected
 
 
 def test_corpus_members_are_connected_and_isolated_free():

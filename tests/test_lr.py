@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from hornlr import InputError, Partition, SkewShape, lr_coefficient, lr_positive
+from hornlr import InputError, Partition, SkewShape, _kernels, lr_coefficient, lr_positive
+from hornlr._kernels import pure
 
 from oracles import all_partitions, brute_force_lr, pieri_coefficient
 
@@ -67,6 +68,14 @@ def test_pieri_rule_for_one_row_factors():
                 if sum(g) != a + b:
                     continue
                 assert lr_coefficient(P([a]), P([b]), P(g)) == pieri_coefficient(a, b, g), (a, b, g)
+
+
+def test_long_pieri_rows_on_the_pure_backend(monkeypatch):
+    # one cell per search step: a recursive search would exceed the
+    # interpreter's recursion limit here
+    monkeypatch.setattr(_kernels, "_impl", pure)
+    assert lr_coefficient(P([1200]), P([1200]), P([2400])) == 1
+    assert lr_coefficient(P([1200]), P([1200]), P([1200, 1200])) == 1
 
 
 def test_a_coefficient_bigger_than_one():

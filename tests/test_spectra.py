@@ -5,6 +5,7 @@ import pytest
 
 from hornlr import (
     BipartiteGraph,
+    _kernels,
     InputError,
     Partition,
     analyze_line_graph,
@@ -339,6 +340,23 @@ def test_classify_matching_complement():
 def test_classify_cycle_complements():
     bg = bipartite_complement(disjoint_union([even_cycle(6), even_cycle(6)]))
     assert classify_regular_ramanujan_case(bg) == "lambda2"
+
+
+def test_char_poly_computed_once_per_graph(monkeypatch):
+    calls = []
+    real = _kernels.char_poly
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(_kernels, "char_poly", counting)
+    report = analyze_line_graph(complete_bipartite(3, 3))
+    assert report.ramanujan is not None
+    assert calls == [9]
+    calls.clear()
+    assert classify_regular_ramanujan_case(complete_bipartite(3, 3)) == "lambda0"
+    assert calls == [9, 6]  # the line graph, then the base graph
 
 
 def test_classify_preconditions():
