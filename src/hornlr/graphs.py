@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from . import _kernels
 from .errors import FormatError, InputError
 from .partitions import Partition
 
@@ -326,7 +325,52 @@ class ExactSpectrum:
 
 def char_poly_exact(g: Graph) -> tuple[int, ...]:
     """Integer coefficients of det(xI - A), descending degree."""
-    return tuple(_kernels.char_poly(g.adjacency_rows()))
+    return tuple(_char_poly(g.adjacency_rows()))
+
+
+def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients of det(xI - A), descending, for an integer matrix A.
+
+    Uses the Faddeev-LeVerrier recurrence over Python integers; the
+    division by the step index is exact at every step. 0/1 matrices
+    (adjacency matrices, the common case) are multiplied through
+    neighbour lists, which skips the zero terms.
+    """
+    n = len(rows)
+    if n == 0:
+        return [1]
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+
+    neighbours = None
+    if all(v in (0, 1) for r in rows for v in r):
+        neighbours = [[j for j, v in enumerate(r) if v] for r in rows]
+
+    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        if neighbours is not None:
+            prod = [
+                [sum(col) for col in zip(*(work[t] for t in nb))] if nb else [0] * n
+                for nb in neighbours
+            ]
+        else:
+            prod = [
+                [
+                    sum(rows[i][t] * work[t][j] for t in range(n) if rows[i][t])
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        trace = sum(prod[i][i] for i in range(n))
+        c, rem = divmod(-trace, k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
+        coeffs.append(c)
+        for i in range(n):
+            prod[i][i] += c
+        work = prod
+    return coeffs
 
 
 def exact_spectrum(g: Graph) -> ExactSpectrum:
@@ -512,7 +556,7 @@ def parse_graph_text(text: str) -> BipartiteGraph:
     sizes = []
     for expected, ln in zip(("X", "Y"), lines[:2]):
         parts = ln.split()
-        if len(parts) != 2 or parts[0] != expected or not parts[1].isdigit():
+        if len(parts) != 2 or parts[0] != expected or not parts[1].isdecimal():
             raise FormatError(f"bad header line {ln!r}, expected `{expected} <size>`")
         sizes.append(int(parts[1]))
     edges = []
@@ -520,10 +564,9 @@ def parse_graph_text(text: str) -> BipartiteGraph:
         parts = ln.split()
         if len(parts) != 2:
             raise FormatError(f"bad edge line {ln!r}, expected `xi yj`")
-        try:
-            edge = (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise FormatError(f"bad edge line {ln!r}, expected integers") from None
+        if not (parts[0].isdecimal() and parts[1].isdecimal()):
+            raise FormatError(f"bad edge line {ln!r}, expected integers")
+        edge = (int(parts[0]), int(parts[1]))
         if edge in edges:
             raise FormatError(f"duplicate edge {ln!r}")
         edges.append(edge)
@@ -539,6 +582,11 @@ def graph_to_text(bg: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_graph_json(text: str) -> BipartiteGraph:
     """JSON format: {"x_size": m, "y_size": n, "edges": [[xi, yj], ...]}."""
     try:
@@ -552,11 +600,17 @@ def parse_graph_json(text: str) -> BipartiteGraph:
         raw_edges = data["edges"]
     except KeyError as exc:
         raise FormatError(f"graph JSON missing key {exc}") from None
+    if not (_is_int(x_size) and _is_int(y_size)):
+        raise FormatError(
+            f"class sizes must be integers, got ({x_size!r}, {y_size!r})"
+        )
+    if not isinstance(raw_edges, list):
+        raise FormatError(f"graph JSON edges must be a list, got {raw_edges!r}")
     edges = []
     for item in raw_edges:
-        if not (isinstance(item, (list, tuple)) and len(item) == 2):
-            raise FormatError(f"bad edge entry {item!r}")
-        edges.append((int(item[0]), int(item[1])))
+        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_int, item))):
+            raise FormatError(f"bad edge entry {item!r}, expected [xi, yj]")
+        edges.append(tuple(item))
     if len(set(edges)) != len(edges):
         raise FormatError("duplicate edge in JSON edge list")
     try:
@@ -576,7 +630,10 @@ def graph_to_json_dict(bg: BipartiteGraph) -> dict:
 def load_graph(path) -> BipartiteGraph:
     """Parse a graph file, JSON when the name ends in .json, else text."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"graph file is not UTF-8 text: {exc}") from None
     if str(path).endswith(".json"):
         return parse_graph_json(text)
     return parse_graph_text(text)

@@ -12,8 +12,8 @@ completed tableau.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from . import _kernels
 from .errors import InputError
 from .partitions import Partition
 
@@ -59,6 +59,72 @@ def _count(alpha: Partition, beta: Partition, gamma: Partition, limit: int) -> i
     if gamma.length > alpha.length + beta.length:
         return 0
     rows = gamma.length
-    return _kernels.lr_count(
-        gamma.parts, alpha.padded(rows), beta.parts, limit
-    )
+    return _lr_count(gamma.parts, alpha.padded(rows), beta.parts, limit)
+
+
+def _lr_count(
+    gamma: Sequence[int],
+    inner: Sequence[int],
+    content: Sequence[int],
+    limit: int,
+) -> int:
+    """Count Littlewood-Richardson skew tableaux of shape gamma/inner
+    with the given content.
+
+    Cells are filled in reverse reading order (rows top to bottom, right
+    to left within a row), which lets semistandardness and the lattice
+    word condition be enforced incrementally. A positive `limit` stops
+    the search as soon as that many tableaux have been found.
+
+    Preconditions (ensured by `_count`): gamma and inner are weakly
+    decreasing, inner is padded to the length of gamma and fits inside
+    it, and the cell count equals sum(content).
+    """
+    nvals = len(content)
+    cells = []
+    for r, g in enumerate(gamma):
+        for c in range(g - 1, inner[r] - 1, -1):
+            cells.append((r, c))
+    ncells = len(cells)
+    if ncells == 0:
+        return 1
+    if nvals == 0:
+        return 0
+
+    index = {cell: t for t, cell in enumerate(cells)}
+    above = [index.get((r - 1, c), -1) for r, c in cells]
+    right = [index.get((r, c + 1), -1) for r, c in cells]
+
+    # values[t] is the value placed in cell t, 0 while the cell is empty;
+    # depth t walks forward on a placement and back when a cell runs out.
+    counts = [0] * (nvals + 1)
+    values = [0] * ncells
+    found = 0
+    t = 0
+    while t >= 0:
+        v = values[t]
+        if v:
+            counts[v] -= 1
+        else:
+            a_idx = above[t]
+            v = values[a_idx] if a_idx >= 0 else 0
+        r_idx = right[t]
+        hi = values[r_idx] if r_idx >= 0 else nvals
+        v += 1
+        while v <= hi and (
+            counts[v] >= content[v - 1] or (v >= 2 and counts[v] >= counts[v - 1])
+        ):
+            v += 1
+        if v > hi:
+            values[t] = 0
+            t -= 1
+            continue
+        counts[v] += 1
+        values[t] = v
+        if t + 1 < ncells:
+            t += 1
+        else:
+            found += 1
+            if limit and found >= limit:
+                break
+    return found

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from hornlr import FormatError
 from hornlr.cli import main
-from hornlr.graphs import graph_to_text, complete_bipartite, matching
+from hornlr.graphs import graph_to_text, complete_bipartite, load_graph, matching
 
 
 @pytest.fixture
@@ -209,6 +210,35 @@ def test_corpus_verify_reports_bad_files_and_finishes(capsys, tmp_path, k22_file
     assert "a_broken.txt" in err and "b_disconnected.txt" in err
     assert "c_k22.txt: integral" in out
     assert "3 graphs: 1 integral, 0 non-integral, 0 violations, 2 failed" in out
+
+
+# one malformed file each: a typed FormatError, never a traceback or a misread graph
+MALFORMED = {
+    "edge_str.json": b'{"x_size": 1, "y_size": 1, "edges": [["a", 0]]}',
+    "size_str.json": b'{"x_size": "2", "y_size": 1, "edges": [[0, 0], [1, 0]]}',
+    "size_float.json": b'{"x_size": 2.5, "y_size": 1, "edges": [[0, 0], [1, 0]]}',
+    "edges_int.json": b'{"x_size": 1, "y_size": 1, "edges": 5}',
+    "latin1.txt": b"X 1\nY 1\n0 0\xa0\n",
+    "edge_float.json": b'{"x_size": 1, "y_size": 2, "edges": [[0, 0], [0, 1.7]]}',
+    "size_bool.json": b'{"x_size": true, "y_size": 1, "edges": [[0, 0]]}',
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_graph_files_are_format_errors(capsys, tmp_path, k22_file, name):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / name
+    bad.write_bytes(MALFORMED[name])
+    (corpus / "z_k22.txt").write_text(k22_file.read_text())
+    with pytest.raises(FormatError):
+        load_graph(bad)
+    code, _, err = run(capsys, "spectra", "analyze", "--file", str(bad))
+    assert code == 2 and err.startswith("error: ")
+    code, out, err = run(capsys, "corpus", "verify", "--dir", str(corpus))
+    assert code == 2
+    assert name in err
+    assert "2 graphs: 1 integral, 0 non-integral, 0 violations, 1 failed" in out
 
 
 def test_usage_errors_exit_2(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+import hornlr
 from hornlr import (
     BipartiteGraph,
     Graph,
@@ -27,6 +28,7 @@ from hornlr import (
     star_decomposition,
 )
 from hornlr.graphs import (
+    _char_poly,
     expand_root_multiset,
     graph_to_json_dict,
     graph_to_text,
@@ -158,6 +160,18 @@ def test_char_poly_matches_sympy_on_random_graphs():
         g = _random_graph(rng, rng.randint(1, 7))
         expected = sympy.Matrix(g.adjacency_rows()).charpoly(x).all_coeffs()
         assert list(char_poly_exact(g)) == [int(c) for c in expected]
+
+
+def test_char_poly_exact_beyond_64_bits():
+    # entries and coefficients that no fixed-width integer holds
+    assert _char_poly([[2**70]]) == [1, -(2**70)]
+    big = 10**12
+    rows = [[0, big, 0], [big, 0, big], [0, big, 0]]
+    assert _char_poly(rows) == [1, 0, -2 * big * big, 0]
+
+
+def test_kernel_backend_is_pure():
+    assert hornlr.kernel_backend == "pure"
 
 
 def test_integer_spectrum_examples():
@@ -372,7 +386,15 @@ def test_json_format_round_trip():
 def test_format_errors():
     from hornlr import FormatError
 
-    for bad in ["", "X 2\n", "X a\nY 2\n", "X 1\nY 1\n0\n", "X 1\nY 1\n0 0\n0 0\n"]:
+    for bad in [
+        "",
+        "X 2\n",
+        "X a\nY 2\n",
+        "X \u00b2\nY 1\n",  # a digit that int() rejects
+        "X 1\nY 1\n0\n",
+        "X 1\nY 1\n0 0\n0 0\n",
+        "X 1\nY 11\n0 1_0\n",  # int() would read 10
+    ]:
         with pytest.raises(FormatError):
             parse_graph_text(bad)
     for bad in ["{]", "[]", '{"x_size": 1}', '{"x_size":1,"y_size":1,"edges":[[0,0],[0,0]]}']:

@@ -5,7 +5,6 @@ import pytest
 
 from hornlr import (
     BipartiteGraph,
-    _kernels,
     InputError,
     Partition,
     analyze_line_graph,
@@ -26,6 +25,7 @@ from hornlr import (
     ramanujan_verdict,
     regular_line_spectrum_template,
 )
+from hornlr import graphs
 from hornlr.graphs import Graph, expand_root_multiset
 from hornlr.lr import lr_positive
 
@@ -344,13 +344,13 @@ def test_classify_cycle_complements():
 
 def test_char_poly_computed_once_per_graph(monkeypatch):
     calls = []
-    real = _kernels.char_poly
+    real = graphs._char_poly
 
     def counting(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(_kernels, "char_poly", counting)
+    monkeypatch.setattr(graphs, "_char_poly", counting)
     report = analyze_line_graph(complete_bipartite(3, 3))
     assert report.ramanujan is not None
     assert calls == [9]
