@@ -7,6 +7,15 @@ are computed exactly (integer arithmetic throughout), so "this graph is
 integral" is a proof, not a float heuristic: the polynomial either
 splits over the integers or it does not.
 
+A line graph made by :func:`line_graph` keeps its base graph, and its
+polynomial comes from the base graph's nu x nu matrix. With B the
+nu x e vertex-edge incidence matrix, A(L) = B^T B - 2I and B B^T = Q =
+D + A, the signless Laplacian, so
+det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)). When e < nu (a forest,
+or a base graph with isolated vertices) the factor (x+2)^(nu-e) is
+divided out instead; the division is exact, because Q of a bipartite
+graph has one zero eigenvalue per component.
+
 Vertex order of a line graph is the lexicographic order of the base
 graph's edges by (x-index, y-index); every operation that returns
 edge-indexed data uses that same ordering.
@@ -26,23 +35,40 @@ from .errors import FormatError, InputError
 from .partitions import Partition
 
 
-class Graph:
-    """Immutable simple undirected graph on vertices 0..order-1."""
+def _is_int(value) -> bool:
+    # a genuine int: JSON true/false arrive as bool, a subclass of int.
+    # The constructors' edge loops inline this test, once per endpoint.
+    return type(value) is int
 
-    __slots__ = ("_adj",)
+
+class Graph:
+    """Immutable simple undirected graph on vertices 0..order-1.
+
+    Equality and hashing look at the adjacency only. A line graph built
+    by `line_graph` also keeps its base graph in `_base`, from which
+    `char_poly_exact` computes its polynomial.
+    """
+
+    __slots__ = ("_adj", "_base")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]] = ()):
-        if order < 1:
-            raise InputError(f"graph order must be positive, got {order}")
+        if not _is_int(order) or order < 1:
+            raise InputError(f"graph order must be a positive integer, got {order!r}")
         adj: list[set[int]] = [set() for _ in range(order)]
-        for u, v in edges:
-            if not (0 <= u < order and 0 <= v < order):
-                raise InputError(f"edge ({u},{v}) out of range for order {order}")
-            if u == v:
-                raise InputError(f"loops are not allowed: ({u},{v})")
-            adj[u].add(v)
-            adj[v].add(u)
+        try:
+            for u, v in edges:
+                if not (type(u) is int and type(v) is int):
+                    raise InputError(f"edge ({u!r},{v!r}) has non-integer endpoints")
+                if not (0 <= u < order and 0 <= v < order):
+                    raise InputError(f"edge ({u},{v}) out of range for order {order}")
+                if u == v:
+                    raise InputError(f"loops are not allowed: ({u},{v})")
+                adj[u].add(v)
+                adj[v].add(u)
+        except (TypeError, ValueError):
+            raise InputError("edges must be an iterable of integer pairs") from None
         self._adj = tuple(tuple(sorted(s)) for s in adj)
+        self._base: Optional[BipartiteGraph] = None
 
     @property
     def order(self) -> int:
@@ -95,17 +121,22 @@ class BipartiteGraph:
     __slots__ = ("_m", "_n", "_edges")
 
     def __init__(self, x_size: int, y_size: int, edges: Iterable[tuple[int, int]] = ()):
-        if x_size < 1 or y_size < 1:
+        if not (_is_int(x_size) and _is_int(y_size)) or x_size < 1 or y_size < 1:
             raise InputError(
-                f"colour classes must be non-empty, got sizes ({x_size},{y_size})"
+                f"colour class sizes must be positive integers, got ({x_size!r},{y_size!r})"
             )
         edge_set = set()
-        for x, y in edges:
-            if not (0 <= x < x_size and 0 <= y < y_size):
-                raise InputError(
-                    f"edge ({x},{y}) out of range for classes ({x_size},{y_size})"
-                )
-            edge_set.add((int(x), int(y)))
+        try:
+            for x, y in edges:
+                if not (type(x) is int and type(y) is int):
+                    raise InputError(f"edge ({x!r},{y!r}) has non-integer endpoints")
+                if not (0 <= x < x_size and 0 <= y < y_size):
+                    raise InputError(
+                        f"edge ({x},{y}) out of range for classes ({x_size},{y_size})"
+                    )
+                edge_set.add((x, y))
+        except (TypeError, ValueError):
+            raise InputError("edges must be an iterable of integer pairs") from None
         self._m = x_size
         self._n = y_size
         self._edges = tuple(sorted(edge_set))
@@ -203,7 +234,8 @@ def line_graph(bg: BipartiteGraph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph of a bipartite graph plus the edge ordering used.
 
     Vertices of the result are the edges of `bg` in lexicographic order;
-    two are adjacent when the edges share an endpoint.
+    two are adjacent when the edges share an endpoint. The result keeps
+    `bg` as its base graph, for `char_poly_exact`.
     """
     edges = bg.sorted_edges
     if not edges:
@@ -215,7 +247,9 @@ def line_graph(bg: BipartiteGraph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
         for b in range(a + 1, e)
         if edges[a][0] == edges[b][0] or edges[a][1] == edges[b][1]
     ]
-    return Graph(e, lg_edges), edges
+    lg = Graph(e, lg_edges)
+    lg._base = bg
+    return lg, edges
 
 
 def star_decomposition(bg: BipartiteGraph) -> tuple[Graph, Graph]:
@@ -324,17 +358,45 @@ class ExactSpectrum:
 
 
 def char_poly_exact(g: Graph) -> tuple[int, ...]:
-    """Integer coefficients of det(xI - A), descending degree."""
-    return tuple(_char_poly(g.adjacency_rows()))
+    """Integer coefficients of det(xI - A), descending degree.
+
+    For a line graph made by `line_graph(bg)` the polynomial comes from
+    the base graph: det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)),
+    with Q = D + A the signless Laplacian of `bg` on its nu vertices and
+    e its edge count (A(L) = B^T B - 2I and B B^T = Q for the incidence
+    matrix B). When e < nu, a forest or a base graph with isolated
+    vertices, (x+2)^(nu-e) is divided out; Q has a zero eigenvalue per
+    component, so the division is exact, and a remainder raises
+    ArithmeticError. Every other graph takes its own adjacency matrix.
+    """
+    bg = g._base
+    if bg is None:
+        return tuple(_char_poly(g.adjacency_rows()))
+    m, nu = bg.x_size, bg.order
+    rows = [[0] * nu for _ in range(nu)]
+    for v, d in enumerate(bg.x_degrees() + bg.y_degrees()):
+        rows[v][v] = d - 2
+    for x, y in bg.sorted_edges:
+        rows[x][m + y] = rows[m + y][x] = 1
+    coeffs = _char_poly(rows)
+    for _ in range(bg.edge_count - nu):
+        coeffs = [a + 2 * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    for _ in range(nu - bg.edge_count):
+        quotient = _synthetic_division(coeffs, -2)
+        if quotient is None:
+            raise ArithmeticError("(x+2) deflation of the line-graph polynomial was not exact")
+        coeffs = quotient
+    return tuple(coeffs)
 
 
 def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
     """Coefficients of det(xI - A), descending, for an integer matrix A.
 
     Uses the Faddeev-LeVerrier recurrence over Python integers; the
-    division by the step index is exact at every step. 0/1 matrices
-    (adjacency matrices, the common case) are multiplied through
-    neighbour lists, which skips the zero terms.
+    division by the step index is exact at every step. Matrices whose
+    off-diagonal entries are 0/1 (adjacency matrices and Q - 2I, the
+    common cases) are multiplied through neighbour lists, which skips
+    the zero terms, plus d_i times row i for a nonzero diagonal d_i.
     """
     n = len(rows)
     if n == 0:
@@ -343,8 +405,9 @@ def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
         raise ValueError("matrix must be square")
 
     neighbours = None
-    if all(v in (0, 1) for r in rows for v in r):
-        neighbours = [[j for j, v in enumerate(r) if v] for r in rows]
+    if all(v in (0, 1) for i, r in enumerate(rows) for j, v in enumerate(r) if i != j):
+        neighbours = [[j for j, v in enumerate(r) if v and j != i] for i, r in enumerate(rows)]
+        diagonal = [(i, r[i]) for i, r in enumerate(rows) if r[i]]
 
     work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [1]
@@ -354,6 +417,8 @@ def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
                 [sum(col) for col in zip(*(work[t] for t in nb))] if nb else [0] * n
                 for nb in neighbours
             ]
+            for i, d in diagonal:
+                prod[i] = [a + d * b for a, b in zip(prod[i], work[i])]
         else:
             prod = [
                 [
@@ -582,11 +647,6 @@ def graph_to_text(bg: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_graph_json(text: str) -> BipartiteGraph:
     """JSON format: {"x_size": m, "y_size": n, "edges": [[xi, yj], ...]}."""
     try:
@@ -600,10 +660,6 @@ def parse_graph_json(text: str) -> BipartiteGraph:
         raw_edges = data["edges"]
     except KeyError as exc:
         raise FormatError(f"graph JSON missing key {exc}") from None
-    if not (_is_int(x_size) and _is_int(y_size)):
-        raise FormatError(
-            f"class sizes must be integers, got ({x_size!r}, {y_size!r})"
-        )
     if not isinstance(raw_edges, list):
         raise FormatError(f"graph JSON edges must be a list, got {raw_edges!r}")
     edges = []

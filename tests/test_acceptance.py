@@ -40,7 +40,7 @@ from hornlr import (
     sample_necessity,
     star_decomposition,
 )
-from hornlr.graphs import expand_root_multiset, root_multiplicity
+from hornlr.graphs import _char_poly, expand_root_multiset, root_multiplicity
 
 from oracles import all_partitions, poly_mul
 
@@ -255,6 +255,10 @@ def test_criterion_9_property_bundle():
 
             poly = char_poly_exact(lg)
             assert root_multiplicity(poly, -2) == e - nu + 1
+            # char_poly_exact builds the (x+2)^(e-nu) factor in; the direct
+            # e x e polynomial checks the law by an independent route
+            direct = _char_poly(lg.adjacency_rows())
+            assert root_multiplicity(direct, -2) == e - nu + 1
             assert sum(1 for v in numeric_spectrum(lg) if abs(v + 2) < 1e-6) == e - nu + 1
 
             alpha, beta = degree_partitions(bg)

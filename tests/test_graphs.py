@@ -103,6 +103,26 @@ def test_star_decomposition_sums_to_line_graph():
         assert (ax + ay == np.array(lg.adjacency_rows())).all()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BipartiteGraph(2, 2, [(0.5, 0)]),  # was silently edge (0, 0)
+        lambda: BipartiteGraph(2, 2, [(0, True)]),
+        lambda: BipartiteGraph(2.0, 2, [(0, 0)]),  # kept a float size
+        lambda: BipartiteGraph(2, "2"),
+        lambda: BipartiteGraph(2, 2, [(0, 0, 1)]),
+        lambda: BipartiteGraph(2, 2, 5),
+        lambda: Graph(3, [(0.0, 1)]),
+        lambda: Graph(2.5),
+        lambda: Graph(True),
+        lambda: Graph(3, [0]),
+    ],
+)
+def test_constructors_refuse_non_integers(build):
+    with pytest.raises(InputError):
+        build()
+
+
 def _random_bipartite(rng, max_side=4, p=0.5):
     m, n = rng.randint(1, max_side), rng.randint(1, max_side)
     edges = [(i, j) for i in range(m) for j in range(n) if rng.random() < p]
@@ -168,6 +188,76 @@ def test_char_poly_exact_beyond_64_bits():
     big = 10**12
     rows = [[0, big, 0], [big, 0, big], [0, big, 0]]
     assert _char_poly(rows) == [1, 0, -2 * big * big, 0]
+
+
+def test_char_poly_kernel_with_diagonal_matches_sympy():
+    # 0/1 off the diagonal and any integer on it: the neighbour-list branch
+    rng = random.Random(26)
+    x = sympy.symbols("x")
+    matrices = []
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice([0, 0, -2, -1, 1, 3, 7])
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(0, 1)
+        matrices.append(rows)
+    for _ in range(10):
+        bg = _random_bipartite(rng)
+        m, nu = bg.x_size, bg.order
+        rows = [[0] * nu for _ in range(nu)]
+        for v, d in enumerate(bg.x_degrees() + bg.y_degrees()):
+            rows[v][v] = d - 2  # Q - 2I
+        for a, b in bg.sorted_edges:
+            rows[a][m + b] = rows[m + b][a] = 1
+        matrices.append(rows)
+    # an off-diagonal 2 takes the dense branch
+    matrices.append([[1, 2, 0], [2, -1, 1], [0, 1, 0]])
+    for rows in matrices:
+        expected = sympy.Matrix(rows).charpoly(x).all_coeffs()
+        assert _char_poly(rows) == [int(c) for c in expected]
+
+
+def _direct_routes_agree(bg):
+    lg, _ = line_graph(bg)
+    poly = char_poly_exact(lg)
+    assert len(poly) == bg.edge_count + 1
+    assert list(poly) == _char_poly(lg.adjacency_rows())
+    assert poly == char_poly_exact(Graph(lg.order, lg.edges()))
+
+
+def test_line_graph_char_poly_matches_direct_route_on_corpus():
+    # the nu x nu signless-Laplacian route against the e x e adjacency
+    count = 0
+    for bg in connected_bipartite_graphs(8):
+        _direct_routes_agree(bg)
+        count += 1
+    assert count == 253
+
+
+@pytest.mark.parametrize(
+    "bg",
+    [
+        complete_bipartite(1, 1),
+        complete_bipartite(1, 4),  # star
+        BipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]),  # path P6
+        BipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)]),  # path P4
+        matching(3),
+        disjoint_union([even_cycle(4), complete_bipartite(1, 3), matching(1)]),
+        BipartiteGraph(4, 3, [(0, 0), (0, 1), (1, 0), (1, 1)]),  # isolated vertices
+        complete_bipartite(7, 7),
+    ],
+)
+def test_line_graph_char_poly_matches_direct_route(bg):
+    # trees and forests divide (x+2) out instead of multiplying it in
+    _direct_routes_agree(bg)
+
+
+def test_line_graph_keeps_equality_on_adjacency():
+    lg, _ = line_graph(complete_bipartite(2, 3))
+    plain = Graph(lg.order, lg.edges())
+    assert lg == plain and hash(lg) == hash(plain)
 
 
 def test_kernel_backend_is_pure():

@@ -353,10 +353,10 @@ def test_char_poly_computed_once_per_graph(monkeypatch):
     monkeypatch.setattr(graphs, "_char_poly", counting)
     report = analyze_line_graph(complete_bipartite(3, 3))
     assert report.ramanujan is not None
-    assert calls == [9]
+    assert calls == [6]  # Q - 2I of K_{3,3}, not the 9 x 9 adjacency
     calls.clear()
     assert classify_regular_ramanujan_case(complete_bipartite(3, 3)) == "lambda0"
-    assert calls == [9, 6]  # the line graph, then the base graph
+    assert calls == [6, 6]  # the line graph, then the base graph
 
 
 def test_classify_preconditions():
