@@ -1,17 +1,20 @@
 """Horn's inequality system for spectra of sums of Hermitian matrices.
 
-A triple of weakly decreasing spectra (alpha, beta, gamma) can occur as
-eigenvalues of Hermitian A, B and C = A + B exactly when the traces add
-up and, for every r < n and every admissible index triple (I, J, K) in
-the recursively defined family T(n, r), the inequality
+A triple of weakly decreasing spectra (alpha, beta, gamma) of length n
+can occur as eigenvalues of Hermitian A, B and C = A + B exactly when
+the traces add up and, for every r < n and every index triple (I, J, K)
+in T(n, r), the inequality
 
     sum(gamma[K]) <= sum(alpha[I]) + sum(beta[J])
 
-holds. The base family U(n, r) consists of all triples of r-subsets of
-{1..n} with sum(I) + sum(J) = sum(K) + r(r+1)/2; T(n, 1) = U(n, 1), and
-T(n, r) keeps the triples of U(n, r) that satisfy the same kind of
-inequality for every (F, G, H) in T(r, p), p < r, applied to the ranked
-elements of I, J, K.
+holds. U(n, r) consists of all triples of r-subsets of {1..n} with
+sum(I) + sum(J) = sum(K) + r(r+1)/2. Horn defined T(n, r) inside it by
+a recursion over T(r, p), p < r; by the saturation theorem (Knutson and
+Tao, JAMS 1999; Fulton, Bull. AMS 2000) it is exactly the set of triples
+of U(n, r) whose Littlewood-Richardson coefficient c^{l(K)}_{l(I), l(J)}
+is positive, where l(I) = (i_r - r, ..., i_2 - 2, i_1 - 1). So T(n, r)
+is built from one LR-positivity test per triple of U(n, r); the
+recursive construction is kept in the tests as an independent check.
 
 Exact and floating inputs are both supported: when every entry is an
 `int` or `Fraction` the comparisons are exact and the tolerance is
@@ -33,6 +36,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError
+from .lr import lr_positive
+from .partitions import Partition
 
 Number = Union[int, float, Fraction]
 
@@ -50,6 +55,8 @@ class IndexTriple:
 
     def __post_init__(self):
         r = len(self.i)
+        if type(self.n) is not int:
+            raise InputError(f"n must be an integer, got {self.n!r}")
         if not (1 <= r <= self.n) or len(self.j) != r or len(self.k) != r:
             raise InputError(f"index sets must share a cardinality in 1..{self.n}")
         for seq in (self.i, self.j, self.k):
@@ -67,17 +74,12 @@ class IndexTriple:
         return f"I={fmt(self.i)} J={fmt(self.j)} K={fmt(self.k)}"
 
 
-def _validate_nr(n: int, r: int) -> None:
-    if n < 1 or not 1 <= r <= n:
-        raise InputError(f"need 1 <= r <= n, got n={n}, r={r}")
-
-
-@lru_cache(maxsize=None)
 def generate_u(n: int, r: int) -> tuple[IndexTriple, ...]:
     """All triples of r-subsets of {1..n} whose index sums satisfy
     sum(I) + sum(J) = sum(K) + r(r+1)/2, in lexicographic (I, J, K) order.
     """
-    _validate_nr(n, r)
+    if type(n) is not int or type(r) is not int or not 1 <= r <= n:
+        raise InputError(f"need integers 1 <= r <= n, got n={n!r}, r={r!r}")
     by_sum: dict[int, list[tuple[int, ...]]] = {}
     for k_set in combinations(range(1, n + 1), r):
         by_sum.setdefault(sum(k_set), []).append(k_set)
@@ -90,53 +92,42 @@ def generate_u(n: int, r: int) -> tuple[IndexTriple, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generate_t(n: int, r: int) -> tuple[IndexTriple, ...]:
-    """The admissible subfamily of generate_u(n, r).
+    """Horn's family T(n, r): the triples (I, J, K) of generate_u(n, r)
+    with c^{l(K)}_{l(I), l(J)} > 0, in the same lexicographic order.
 
-    T(n, 1) = U(n, 1). For r >= 2, a triple survives when for every
-    p < r and every (F, G, H) in T(r, p),
-
-        sum(i_f, f in F) + sum(j_g, g in G) <= sum(k_h, h in H) + p(p+1)/2
-
-    where i_f is the f-th smallest element of I. The recursion is in the
-    subset cardinality r, not in the ambient n, so the memo table is
-    shared by every ambient dimension.
+    l(I) is the partition (i_r - r, ..., i_1 - 1). By saturation this is
+    the family Horn defined recursively through T(r, p), p < r.
     """
-    _validate_nr(n, r)
-    if r == 1:
-        return generate_u(n, 1)
-    filters = [(p, generate_t(r, p)) for p in range(1, r)]
-    out = []
-    for triple in generate_u(n, r):
-        i_set, j_set, k_set = triple.i, triple.j, triple.k
-        ok = True
-        for p, inner in filters:
-            bound = p * (p + 1) // 2
-            for f_g_h in inner:
-                lhs = sum(i_set[f - 1] for f in f_g_h.i)
-                lhs += sum(j_set[g - 1] for g in f_g_h.j)
-                rhs = sum(k_set[h - 1] for h in f_g_h.k) + bound
-                if lhs > rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(triple)
-    return tuple(out)
+    return tuple(
+        t for t in generate_u(n, r) if lr_positive(_shape(t.i), _shape(t.j), _shape(t.k))
+    )
+
+
+def _shape(indices: tuple[int, ...]) -> Partition:
+    return Partition(i - a for a, i in enumerate(indices, 1))
 
 
 def _is_exact(*vectors: Sequence[Number]) -> bool:
     return all(isinstance(v, (int, Fraction)) for vec in vectors for v in vec)
 
 
-def _check_lengths(t_or_n, *vectors: Sequence[Number]) -> int:
-    n = t_or_n if isinstance(t_or_n, int) else t_or_n.n
-    for vec in vectors:
-        if len(vec) != n:
-            raise InputError(f"spectrum length {len(vec)} does not match n={n}")
-    return n
+def _holds(t: IndexTriple, alpha, beta, gamma, slack) -> bool:
+    lhs = sum(gamma[k - 1] for k in t.k)
+    rhs = sum(alpha[i - 1] for i in t.i) + sum(beta[j - 1] for j in t.j)
+    return lhs <= rhs + slack
+
+
+def _first_violation(alpha, beta, gamma, slack) -> Optional[IndexTriple]:
+    """The first triple of T(n, 1), ..., T(n, n - 1), in that order, whose
+    inequality fails by more than `slack`; None when all of them hold."""
+    n = len(alpha)
+    for r in range(1, n):
+        for t in generate_t(n, r):
+            if not _holds(t, alpha, beta, gamma, slack):
+                return t
+    return None
 
 
 def check_inequality(
@@ -147,11 +138,10 @@ def check_inequality(
     tol: Optional[float] = None,
 ) -> bool:
     """sum(gamma[K]) <= sum(alpha[I]) + sum(beta[J]) up to `tol`."""
-    _check_lengths(t, alpha, beta, gamma)
-    slack = _effective_tol((alpha, beta, gamma), tol)
-    lhs = sum(gamma[k - 1] for k in t.k)
-    rhs = sum(alpha[i - 1] for i in t.i) + sum(beta[j - 1] for j in t.j)
-    return lhs <= rhs + slack
+    for vec in (alpha, beta, gamma):
+        if len(vec) != t.n:
+            raise InputError(f"spectrum length {len(vec)} does not match n={t.n}")
+    return _holds(t, alpha, beta, gamma, _effective_tol((alpha, beta, gamma), tol))
 
 
 def trace_condition(
@@ -188,13 +178,10 @@ def find_horn_violation(
     n = len(alpha)
     if len(beta) != n or len(gamma) != n:
         raise InputError("spectra must have equal length")
-    if not trace_condition(alpha, beta, gamma, tol):
+    slack = _effective_tol((alpha, beta, gamma), tol)
+    if abs(sum(gamma) - sum(alpha) - sum(beta)) > slack:
         return "trace"
-    for r in range(1, n):
-        for triple in generate_t(n, r):
-            if not check_inequality(triple, alpha, beta, gamma, tol):
-                return triple
-    return None
+    return _first_violation(alpha, beta, gamma, slack)
 
 
 def horn_compatible(
@@ -220,8 +207,8 @@ def weyl_bounds(
     n = len(alpha)
     if len(beta) != n:
         raise InputError("spectra must have equal length")
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if type(k) is not int or not 1 <= k <= n:
+        raise InputError(f"need an integer 1 <= k <= n, got k={k!r}, n={n}")
     lower_candidates = [
         alpha[i - 1] + beta[n + k - i - 1] for i in range(max(1, k), min(n, n + k - 1) + 1)
         if 1 <= n + k - i <= n
@@ -263,10 +250,11 @@ def sample_necessity(
     from `weyl_bounds` are checked against `tol`. Any nonzero count in
     the returned report falsifies a theorem and means a bug.
     """
-    if n < 1 or trials < 0:
-        raise InputError(f"need n >= 1 and trials >= 0, got n={n}, trials={trials}")
+    if type(n) is not int or type(trials) is not int or n < 1 or trials < 0:
+        raise InputError(
+            f"need integers n >= 1 and trials >= 0, got n={n!r}, trials={trials!r}"
+        )
     rng = np.random.default_rng(seed)
-    triples = [t for r in range(1, n) for t in generate_t(n, r)]
     trace_bad = ineq_bad = weyl_bad = 0
     for _ in range(trials):
         a_mat = _random_symmetric(rng, n)
@@ -276,7 +264,7 @@ def sample_necessity(
         gamma = _descending_spectrum(a_mat + b_mat)
         if not trace_condition(alpha, beta, gamma, tol):
             trace_bad += 1
-        if any(not check_inequality(t, alpha, beta, gamma, tol) for t in triples):
+        if _first_violation(alpha, beta, gamma, tol) is not None:
             ineq_bad += 1
         for k in range(1, n + 1):
             lower, upper = weyl_bounds(alpha, beta, k)
@@ -305,7 +293,6 @@ def is_weakly_decreasing(values: Sequence[Number], tol: float = 0.0) -> bool:
 def as_spectrum(values: Sequence[Number], tol: Optional[float] = None) -> tuple[Number, ...]:
     """Validate and freeze a weakly decreasing spectrum vector."""
     vec = tuple(values)
-    slack = 0 if _is_exact(vec) else (DEFAULT_TOL if tol is None else tol)
-    if not is_weakly_decreasing(vec, slack):
+    if not is_weakly_decreasing(vec, _effective_tol((vec,), tol)):
         raise InputError(f"spectrum must be weakly decreasing: {vec}")
     return vec

@@ -27,7 +27,11 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         cleaned = []
         for p in parts:
-            if p != int(p):
+            try:
+                whole = p == int(p)
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if not whole:
                 raise InputError(f"partition parts must be integers, got {p!r}")
             p = int(p)
             if p < 0:

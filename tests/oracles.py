@@ -6,13 +6,14 @@ of pruned DFS, partition counts by the classic two-term recurrence
 instead of enumeration, cliques by subset enumeration instead of branch
 and bound, Pieri products by the closed-form interleaving rule, bipartite
 graph canonical forms by maximising over every order of a class instead
-of the degree-sorted ones only.
+of the degree-sorted ones only, and Horn's families T(n, r) by Horn's
+recursion over T(r, p), p < r, instead of LR positivity.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from hornlr import BipartiteGraph
+from hornlr import BipartiteGraph, generate_u
 
 
 def brute_force_lr(gamma, alpha, beta):
@@ -145,3 +146,35 @@ def connected_bipartite_signatures(m, n):
         if BipartiteGraph(m, n, edges).is_connected():
             out.add(bipartite_signature(rows, m, n))
     return out
+
+
+@lru_cache(maxsize=None)
+def recursive_t(n, r):
+    """Horn's T(n, r) by his recursion. T(n, 1) = U(n, 1). For r >= 2, a
+    triple of U(n, r) survives when for every p < r and every (F, G, H)
+    in T(r, p),
+
+        sum(i_f, f in F) + sum(j_g, g in G) <= sum(k_h, h in H) + p(p+1)/2
+
+    where i_f is the f-th smallest element of I."""
+    if r == 1:
+        return generate_u(n, 1)
+    filters = [(p, recursive_t(r, p)) for p in range(1, r)]
+    out = []
+    for triple in generate_u(n, r):
+        i_set, j_set, k_set = triple.i, triple.j, triple.k
+        ok = True
+        for p, inner in filters:
+            bound = p * (p + 1) // 2
+            for f_g_h in inner:
+                lhs = sum(i_set[f - 1] for f in f_g_h.i)
+                lhs += sum(j_set[g - 1] for g in f_g_h.j)
+                rhs = sum(k_set[h - 1] for h in f_g_h.k) + bound
+                if lhs > rhs:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(triple)
+    return tuple(out)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hornlr import (
@@ -17,7 +18,7 @@ from hornlr import (
     weyl_bounds,
 )
 
-from oracles import all_partitions
+from oracles import all_partitions, recursive_t
 
 
 def _sets(family):
@@ -68,12 +69,27 @@ def test_t_subset_of_u():
     assert len(generate_t(4, 2)) < len(generate_u(4, 2))
 
 
+def test_generate_t_matches_recursive_oracle():
+    # T(n, r) from LR positivity is Horn's recursive family, order included
+    for n in range(1, 8):
+        for r in range(1, n + 1):
+            assert generate_t(n, r) == recursive_t(n, r), (n, r)
+
+
 def test_invalid_dimensions_rejected():
-    for bad in [(0, 1), (3, 0), (3, 4), (-1, 1)]:
+    generate_t(1, 1)  # cached: a later bool 1 must not hit this entry
+    for bad in [(0, 1), (3, 0), (3, 4), (-1, 1), (2.5, 1), ("3", 1), (True, 1), (3, 1.0)]:
         with pytest.raises(InputError):
             generate_u(*bad)
         with pytest.raises(InputError):
             generate_t(*bad)
+    with pytest.raises(InputError):
+        IndexTriple((1,), (1,), (1,), 1.5)
+    with pytest.raises(InputError):
+        IndexTriple((1,), (1,), (1,), "3")
+    for k in (1.5, True, "1"):
+        with pytest.raises(InputError):
+            weyl_bounds((1, 0), (1, 0), k)
 
 
 def test_index_triple_validation():
@@ -117,6 +133,56 @@ def test_find_horn_violation_reports_trace_first():
     assert find_horn_violation((1, 0), (1, 0), (3, 0)) == "trace"
     witness = find_horn_violation((3, 0, 0, 0), (1, 1, 1, 0), (6, 0, 0, 0))
     assert isinstance(witness, IndexTriple)
+
+
+def _first_failed(alpha, beta, gamma):
+    """find_horn_violation's answer by a plain loop over T(n, r), r < n."""
+    if not trace_condition(alpha, beta, gamma):
+        return "trace"
+    n = len(alpha)
+    for r in range(1, n):
+        for t in generate_t(n, r):
+            if not check_inequality(t, alpha, beta, gamma):
+                return t
+    return None
+
+
+def test_find_horn_violation_returns_first_failed_triple():
+    rng = random.Random(17)
+    np_rng = np.random.default_rng(17)
+    witnesses = {"exact": [], "float": []}
+    for n in (4, 5, 6):
+        for _ in range(30):
+            # exact: gamma = alpha + beta is compatible; moving units
+            # between its entries (trace kept) may break that
+            alpha = sorted((rng.randint(-6, 6) for _ in range(n)), reverse=True)
+            beta = sorted((rng.randint(-6, 6) for _ in range(n)), reverse=True)
+            gamma = [a + b for a, b in zip(alpha, beta)]
+            for _ in range(rng.randint(0, 3)):
+                up, down = rng.sample(range(n), 2)
+                gamma[up] += 1
+                gamma[down] -= 1
+            gamma.sort(reverse=True)
+            witnesses["exact"].append((alpha, beta, gamma))
+            # float: spectra of A, B and A + B, then the same kind of move
+            a_mat, b_mat = (np_rng.uniform(-1, 1, (n, n)) for _ in range(2))
+            a_mat, b_mat = a_mat + a_mat.T, b_mat + b_mat.T
+            alpha, beta, gamma = (
+                sorted(np.linalg.eigvalsh(m).tolist(), reverse=True)
+                for m in (a_mat, b_mat, a_mat + b_mat)
+            )
+            if rng.random() < 0.7:
+                up, down = sorted(rng.sample(range(n), 2))
+                step = rng.uniform(0, 2)
+                gamma[up] += step
+                gamma[down] -= step
+                gamma.sort(reverse=True)
+            witnesses["float"].append((alpha, beta, gamma))
+    for kind, triples in witnesses.items():
+        found = [find_horn_violation(*triple) for triple in triples]
+        assert found == [_first_failed(*triple) for triple in triples], kind
+        assert None in found, kind
+        assert sum(isinstance(w, IndexTriple) for w in found) >= 10, kind
 
 
 def test_horn_symmetry_in_the_summands():
@@ -178,8 +244,9 @@ def test_sample_necessity_smoke():
 
 
 def test_sample_necessity_rejects_bad_args():
-    with pytest.raises(InputError):
-        sample_necessity(0, 10)
+    for n, trials in [(0, 10), (3, -1), (2.5, 1), (3, 1.5), (True, 1), (3, "10")]:
+        with pytest.raises(InputError):
+            sample_necessity(n, trials)
 
 
 def test_exact_mode_ignores_tolerance():

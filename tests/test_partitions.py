@@ -42,6 +42,9 @@ def test_invalid_parts_rejected():
         Partition([3, -1])
     with pytest.raises(InputError):
         Partition([2.5])
+    for bad in (float("inf"), float("nan"), "a", None):
+        with pytest.raises(InputError):
+            Partition([bad])
 
 
 def test_part_access_and_padding():
