@@ -19,7 +19,8 @@ recursive construction is kept in the tests as an independent check.
 Exact and floating inputs are both supported: when every entry is an
 `int` or `Fraction` the comparisons are exact and the tolerance is
 ignored, otherwise comparisons allow the caller-supplied tolerance
-(default 1e-9).
+(default 1e-9). Spectrum entries and tolerances that are not real
+numbers raise InputError.
 
 |U(n, r)| grows combinatorially; n <= 8 stays comfortable on a desk
 machine and nothing larger is refused, it just costs time.
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from numbers import Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -60,8 +62,8 @@ class IndexTriple:
         if not (1 <= r <= self.n) or len(self.j) != r or len(self.k) != r:
             raise InputError(f"index sets must share a cardinality in 1..{self.n}")
         for seq in (self.i, self.j, self.k):
-            if any(not 1 <= v <= self.n for v in seq):
-                raise InputError(f"indices must lie in 1..{self.n}: {seq}")
+            if any(type(v) is not int or not 1 <= v <= self.n for v in seq):
+                raise InputError(f"indices must be integers in 1..{self.n}: {seq}")
             if any(seq[t] >= seq[t + 1] for t in range(r - 1)):
                 raise InputError(f"index sets must be strictly increasing: {seq}")
 
@@ -109,10 +111,6 @@ def _shape(indices: tuple[int, ...]) -> Partition:
     return Partition(i - a for a, i in enumerate(indices, 1))
 
 
-def _is_exact(*vectors: Sequence[Number]) -> bool:
-    return all(isinstance(v, (int, Fraction)) for vec in vectors for v in vec)
-
-
 def _holds(t: IndexTriple, alpha, beta, gamma, slack) -> bool:
     lhs = sum(gamma[k - 1] for k in t.k)
     rhs = sum(alpha[i - 1] for i in t.i) + sum(beta[j - 1] for j in t.j)
@@ -153,14 +151,35 @@ def trace_condition(
     """sum(gamma) equals sum(alpha) + sum(beta) up to `tol`."""
     if len(alpha) != len(beta) or len(beta) != len(gamma):
         raise InputError("spectra must have equal length")
-    slack = _effective_tol((alpha, beta, gamma), tol)
+    return _trace_holds(alpha, beta, gamma, _effective_tol((alpha, beta, gamma), tol))
+
+
+def _trace_holds(alpha, beta, gamma, slack) -> bool:
     return abs(sum(gamma) - sum(alpha) - sum(beta)) <= slack
 
 
+def _tolerance(tol: Optional[float]):
+    """`tol`, or DEFAULT_TOL for None; anything else must be a real number."""
+    if tol is None:
+        return DEFAULT_TOL
+    if not isinstance(tol, Real):
+        raise InputError(f"tolerance must be a real number or None, got {tol!r}")
+    return tol
+
+
 def _effective_tol(vectors, tol: Optional[float]):
-    if _is_exact(*vectors):
-        return 0
-    return DEFAULT_TOL if tol is None else tol
+    """The slack for comparing these vectors: 0 when every entry is an int
+    or Fraction, else the tolerance. Entries must be real numbers."""
+    tol = _tolerance(tol)
+    exact = True
+    for vec in vectors:
+        for v in vec:
+            if isinstance(v, (int, Fraction)):
+                continue
+            if not isinstance(v, (float, Real)):
+                raise InputError(f"spectrum entries must be real numbers, got {v!r}")
+            exact = False
+    return 0 if exact else tol
 
 
 def find_horn_violation(
@@ -179,7 +198,7 @@ def find_horn_violation(
     if len(beta) != n or len(gamma) != n:
         raise InputError("spectra must have equal length")
     slack = _effective_tol((alpha, beta, gamma), tol)
-    if abs(sum(gamma) - sum(alpha) - sum(beta)) > slack:
+    if not _trace_holds(alpha, beta, gamma, slack):
         return "trace"
     return _first_violation(alpha, beta, gamma, slack)
 
@@ -239,7 +258,7 @@ class SampleReport:
 
 
 def sample_necessity(
-    n: int, trials: int, tol: float = DEFAULT_TOL, seed: int = 0
+    n: int, trials: int, tol: Optional[float] = DEFAULT_TOL, seed: int = 0
 ) -> SampleReport:
     """Sample random symmetric matrix pairs and test every condition that
     the spectra of A, B and A + B are guaranteed to satisfy.
@@ -247,13 +266,15 @@ def sample_necessity(
     Entries are drawn uniformly from [-1, 1] (symmetric: the upper
     triangle is sampled and mirrored). For each pair, the trace identity,
     every inequality in T(n, r) for r < n, and every per-index window
-    from `weyl_bounds` are checked against `tol`. Any nonzero count in
-    the returned report falsifies a theorem and means a bug.
+    from `weyl_bounds` are checked against `tol` (None means
+    DEFAULT_TOL). Any nonzero count in the returned report falsifies a
+    theorem and means a bug.
     """
     if type(n) is not int or type(trials) is not int or n < 1 or trials < 0:
         raise InputError(
             f"need integers n >= 1 and trials >= 0, got n={n!r}, trials={trials!r}"
         )
+    tol = _tolerance(tol)
     rng = np.random.default_rng(seed)
     trace_bad = ineq_bad = weyl_bad = 0
     for _ in range(trials):
@@ -262,7 +283,7 @@ def sample_necessity(
         alpha = _descending_spectrum(a_mat)
         beta = _descending_spectrum(b_mat)
         gamma = _descending_spectrum(a_mat + b_mat)
-        if not trace_condition(alpha, beta, gamma, tol):
+        if not _trace_holds(alpha, beta, gamma, tol):
             trace_bad += 1
         if _first_violation(alpha, beta, gamma, tol) is not None:
             ineq_bad += 1

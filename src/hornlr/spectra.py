@@ -13,6 +13,15 @@ with exactly nu - 1 parts such that
   d) sum((gamma_i - 2)^3) = 6 * (sum C(alpha_j, 3) + sum C(beta_k, 3))
      + 8 (e - nu + 1).
 
+`enumerate_p` finds P(alpha, beta) by a depth-first search that places
+the parts of gamma largest first, with the first part at most
+alpha_1 + beta_1 and the second below it (b). The parts still to place
+have a known sum and lie between 1 and the last part placed; because
+(g - 2)^2 is convex, their sum of (g - 2)^2 is smallest at the most
+balanced split and largest at the most extreme one (Karamata). A prefix
+whose range misses the value fixed by (c) is cut. (d) is tested on each
+complete gamma and LR positivity last.
+
 When the line graph of a connected bipartite graph is integral, its
 spectrum is gamma_1 - 2 >= ... >= gamma_{nu-1} - 2 together with -2
 repeated e - nu + 1 times, for some gamma in P(alpha, beta); its
@@ -26,8 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import InputError, TheoremViolation
 from .graphs import (
@@ -45,7 +53,7 @@ from .graphs import (
     root_multiplicity,
 )
 from .lr import lr_positive
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition
 
 
 def moment_c(
@@ -56,22 +64,23 @@ def moment_c(
     gamma is read as a length nu - 1 vector (missing parts count as 0,
     contributing (0 - 2)^2 each); more than nu - 1 parts is an error.
     """
-    lhs = _shifted_power_sum(gamma, nu - 1, 2)
-    rhs = 2 * (
-        sum(math.comb(a, 2) for a in alpha) + sum(math.comb(b, 2) for b in beta)
-    ) - 4 * (e - nu + 1)
-    return lhs == rhs
+    return _shifted_power_sum(gamma, nu - 1, 2) == _moment_targets(alpha, beta, e, nu)[0]
 
 
 def moment_d(
     gamma: Partition, alpha: Partition, beta: Partition, e: int, nu: int
 ) -> bool:
     """Exact third-moment identity, condition (d) above."""
-    lhs = _shifted_power_sum(gamma, nu - 1, 3)
-    rhs = 6 * (
-        sum(math.comb(a, 3) for a in alpha) + sum(math.comb(b, 3) for b in beta)
-    ) + 8 * (e - nu + 1)
-    return lhs == rhs
+    return _shifted_power_sum(gamma, nu - 1, 3) == _moment_targets(alpha, beta, e, nu)[1]
+
+
+def _moment_targets(
+    alpha: Partition, beta: Partition, e: int, nu: int
+) -> tuple[int, int]:
+    """The right-hand sides of (c) and (d)."""
+    pairs = sum(math.comb(a, 2) for a in alpha) + sum(math.comb(b, 2) for b in beta)
+    triples = sum(math.comb(a, 3) for a in alpha) + sum(math.comb(b, 3) for b in beta)
+    return 2 * pairs - 4 * (e - nu + 1), 6 * triples + 8 * (e - nu + 1)
 
 
 def _shifted_power_sum(gamma: Partition, length: int, power: int) -> int:
@@ -109,13 +118,19 @@ class CandidateSet:
 
 
 def enumerate_p(alpha: Partition, beta: Partition) -> CandidateSet:
-    """Compute P(alpha, beta) by filtered exhaustive search.
+    """Compute P(alpha, beta) by a depth-first search cut by condition (c).
 
-    Search space: partitions of 2e with exactly nu - 1 parts and first
-    part at most alpha_1 + beta_1 (no candidate can exceed that: a
-    positive LR coefficient forces the top Weyl bound). Conditions are
-    checked cheapest first; LR positivity runs last and only on the few
-    survivors of the moment identities.
+    The parts of gamma are placed largest first, each at most the one
+    before, so members come out in descending lexicographic order. The
+    first part is at most alpha_1 + beta_1 (a positive LR coefficient
+    forces the top Weyl bound) and the second is below the first, which
+    is (b). Every prefix carries its sum of (g - 2)^2.
+    The k parts still to place lie in [1, p], p the last part placed,
+    and have a known sum; since (g - 2)^2 is convex, their sum of
+    (g - 2)^2 is smallest at the most balanced split and largest at the
+    split with as many parts p as fit (Karamata). A prefix whose
+    remainder cannot reach the value fixed by (c) is cut. Condition (d)
+    is tested on each complete gamma, and LR positivity last.
     """
     if alpha.size != beta.size:
         raise InputError(
@@ -123,26 +138,82 @@ def enumerate_p(alpha: Partition, beta: Partition) -> CandidateSet:
         )
     if alpha.size == 0:
         raise InputError("the common size e must be positive")
-    return _enumerate_p_cached(alpha, beta)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_p_cached(alpha: Partition, beta: Partition) -> CandidateSet:
     e = alpha.size
     nu = alpha.length + beta.length
-    cap = alpha.part(1) + beta.part(1)
+    need2, need3 = _moment_targets(alpha, beta, e, nu)
     members = []
-    for gamma in enumerate_partitions(2 * e, nu - 1, cap):
-        if nu - 1 >= 2 and gamma.part(1) == gamma.part(2):
+    for parts in _moment_search(nu - 1, 2 * e, alpha.part(1) + beta.part(1), need2):
+        if sum((g - 2) ** 3 for g in parts) != need3:
             continue
-        if not moment_c(gamma, alpha, beta, e, nu):
-            continue
-        if not moment_d(gamma, alpha, beta, e, nu):
-            continue
-        if not lr_positive(alpha, beta, gamma):
-            continue
-        members.append(gamma)
+        gamma = Partition(parts)
+        if lr_positive(alpha, beta, gamma):
+            members.append(gamma)
     return CandidateSet(alpha, beta, tuple(members), e, nu)
+
+
+def _moment_search(
+    length: int, total: int, cap: int, need2: int
+) -> Iterator[tuple[int, ...]]:
+    """Descending tuples of `length` positive parts summing to `total`,
+    first part at most `cap` and, when length >= 2, above the second,
+    with sum((g - 2)^2) == need2; in descending lexicographic order.
+
+    One generator of admissible next parts per level, kept on an
+    explicit stack, so the depth is not bounded by Python's recursion
+    limit.
+    """
+    parts = [0] * length
+    stack = [_next_parts(length, total, cap, 0, need2, length >= 2)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        depth = len(stack) - 1
+        g, rest, top, s2 = step
+        parts[depth] = g
+        if depth + 1 == length:
+            yield tuple(parts)
+        else:
+            stack.append(_next_parts(length - depth - 1, rest, top, s2, need2, False))
+
+
+def _next_parts(k: int, total: int, top: int, s2: int, need2: int, strict: bool):
+    """Values g for the next of k parts that sum to `total`, each at most
+    `top`, largest first, for which the remaining k - 1 parts can still
+    bring the prefix sum s2 of (g - 2)^2 to need2. Yields g with the
+    remainder's sum, its cap (g, or g - 1 when `strict`) and the new s2.
+    """
+    for g in range(min(top, total - k + 1), 0, -1):
+        rest = total - g
+        cap = g - 1 if strict else g
+        if rest > (k - 1) * cap:
+            return  # a smaller g leaves more to place under a lower cap
+        t2 = s2 + (g - 2) ** 2
+        low, high = _square_sum_range(k - 1, rest, cap)
+        if low <= need2 - t2 <= high:
+            yield g, rest, cap, t2
+
+
+def _square_sum_range(k: int, total: int, top: int) -> tuple[int, int]:
+    """Smallest and largest sum((g - 2)^2) over k integers in [1, top]
+    with sum `total`, for k <= total <= k * top.
+
+    The smallest comes from the balanced split (total mod k parts
+    ceil(total / k), the rest floor(total / k)), the largest from as many
+    parts `top` as fit, one middle part and the rest 1s: those splits are
+    majorized by, and majorize, every other one.
+    """
+    if k == 0:
+        return 0, 0
+    q, r = divmod(total, k)
+    low = r * (q - 1) ** 2 + (k - r) * (q - 2) ** 2
+    if top == 1:
+        return low, low
+    full, middle = divmod(total - k, top - 1)
+    if full == k:
+        return low, k * (top - 2) ** 2
+    return low, full * (top - 2) ** 2 + (middle - 1) ** 2 + (k - full - 1)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,17 @@ of pruned DFS, partition counts by the classic two-term recurrence
 instead of enumeration, cliques by subset enumeration instead of branch
 and bound, Pieri products by the closed-form interleaving rule, bipartite
 graph canonical forms by maximising over every order of a class instead
-of the degree-sorted ones only, and Horn's families T(n, r) by Horn's
-recursion over T(r, p), p < r, instead of LR positivity.
+of the degree-sorted ones only, Horn's families T(n, r) by Horn's
+recursion over T(r, p), p < r, instead of LR positivity, and candidate
+sets P(alpha, beta) by filtering every partition of 2e into nu - 1 parts
+instead of a moment-pruned search.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from hornlr import BipartiteGraph, generate_u
+from hornlr import BipartiteGraph, enumerate_partitions, generate_u, moment_c, moment_d
+from hornlr.lr import lr_positive
 
 
 def brute_force_lr(gamma, alpha, beta):
@@ -178,3 +181,23 @@ def recursive_t(n, r):
         if ok:
             out.append(triple)
     return tuple(out)
+
+
+def exhaustive_p(alpha, beta):
+    """Members of P(alpha, beta) as tuples, in descending lex order: every
+    partition of 2e into nu - 1 parts with first part at most
+    alpha_1 + beta_1, kept when it passes (b), (c), (d) and LR positivity."""
+    e = alpha.size
+    nu = alpha.length + beta.length
+    members = []
+    for gamma in enumerate_partitions(2 * e, nu - 1, alpha.part(1) + beta.part(1)):
+        if nu - 1 >= 2 and gamma.part(1) == gamma.part(2):
+            continue
+        if not moment_c(gamma, alpha, beta, e, nu):
+            continue
+        if not moment_d(gamma, alpha, beta, e, nu):
+            continue
+        if not lr_positive(alpha, beta, gamma):
+            continue
+        members.append(gamma.parts)
+    return members

@@ -132,6 +132,19 @@ def test_criterion_4b_integral_line_graph_corpus_order_9():
         assert integral == 5
 
 
+def test_criterion_4c_complete_bipartite_candidate_sets():
+    """For s = 3..11, L(K_{s,s}) passes every integral-line-graph law,
+    P((s^s), (s^s)) is exactly {(2s, s^(2s-2))}, and the diameter is at
+    most max k(gamma) = 2."""
+    with criterion("4c", 20.0):
+        for s in range(3, 12):
+            report = analyze_line_graph(complete_bipartite(s, s))
+            assert report.ok, (s, report.violations)
+            assert [g.parts for g in report.p_set] == [(2 * s,) + (s,) * (2 * s - 2)]
+            assert report.max_k_gamma == 2
+            assert report.diameter <= report.max_k_gamma
+
+
 def test_criterion_5_ramanujan_boundary():
     """L(K_{s,s}) is integral and Ramanujan (second-largest reading,
     exact squared comparison) for s in 3..10 and not for s = 11."""

@@ -1,4 +1,6 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +89,9 @@ def test_invalid_dimensions_rejected():
         IndexTriple((1,), (1,), (1,), 1.5)
     with pytest.raises(InputError):
         IndexTriple((1,), (1,), (1,), "3")
+    for bad in [((1.5,), (1,), (1,)), ((1,), ("1",), (1,)), ((1,), (1,), (True,))]:
+        with pytest.raises(InputError):
+            IndexTriple(*bad, 2)
     for k in (1.5, True, "1"):
         with pytest.raises(InputError):
             weyl_bounds((1, 0), (1, 0), k)
@@ -254,3 +259,36 @@ def test_exact_mode_ignores_tolerance():
     assert not trace_condition((1, 0), (1, 0), (3, 0), tol=10.0)
     t = IndexTriple((1,), (1,), (1,), 2)
     assert not check_inequality(t, (1, 0), (1, 0), (3, -1), tol=10.0)
+
+
+def test_non_real_entries_and_tolerances_rejected():
+    t = IndexTriple((1,), (1,), (1,), 2)
+    for bad in ["a", None, 1j, Decimal(1), [1]]:
+        gamma = (2, bad)
+        with pytest.raises(InputError):
+            horn_compatible((1, 0), (1, 0), gamma)
+        with pytest.raises(InputError):
+            find_horn_violation((1, 0), (1, 0), gamma)
+        with pytest.raises(InputError):
+            trace_condition((1, 0), (1, 0), gamma)
+        with pytest.raises(InputError):
+            check_inequality(t, (1, 0), (1, 0), gamma)
+    for tol in ["x", 1j, [1e-9]]:
+        with pytest.raises(InputError):
+            horn_compatible((1, 0), (1, 0), (2, 0), tol=tol)
+        with pytest.raises(InputError):
+            trace_condition((1.0, 0.0), (1.0, 0.0), (2.0, 0.0), tol=tol)
+        with pytest.raises(InputError):
+            check_inequality(t, (1, 0), (1, 0), (2, 0), tol=tol)
+        with pytest.raises(InputError):
+            sample_necessity(2, 3, tol=tol)
+
+
+def test_real_number_kinds_still_accepted():
+    for kind in [int, Fraction, float, np.int64, np.float64, np.float32]:
+        alpha, beta = (kind(3), kind(0), kind(0)), (kind(1), kind(1), kind(0))
+        assert horn_compatible(alpha, beta, (kind(4), kind(1), kind(0)))
+        assert not horn_compatible(alpha, beta, (kind(5), kind(0), kind(0)))
+    assert horn_compatible((1, 0), (1, 0), (2, 0), tol=Fraction(1, 10**9))
+    assert horn_compatible((1.0, 0.0), (1.0, 0.0), (2.0, 0.0), tol=np.float64(1e-9))
+    assert sample_necessity(2, 3, tol=None).tol == 1e-9

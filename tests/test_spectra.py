@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ from hornlr import (
 from hornlr import graphs
 from hornlr.graphs import Graph, expand_root_multiset
 from hornlr.lr import lr_positive
+from hornlr.spectra import _square_sum_range
+
+from oracles import exhaustive_p
 
 P = Partition
 
@@ -99,6 +104,13 @@ def test_enumerate_p_single_edge():
     assert [g.parts for g in cs] == [(2,)]
 
 
+def test_enumerate_p_deeper_than_the_recursion_limit():
+    # the star K_{1,1200}: 1200 parts to place, more than Python's default
+    # recursion limit of 1000
+    cs = enumerate_p(P([1200]), P([1] * 1200))
+    assert [g.parts for g in cs] == [(1201,) + (1,) * 1199]
+
+
 def test_enumerate_p_validation():
     with pytest.raises(InputError):
         enumerate_p(P([2]), P([1]))
@@ -144,6 +156,68 @@ def test_enumerate_p_cap_loses_nothing():
             uncapped.add(gamma.parts)
         assert capped == uncapped
         assert all(g[0] <= alpha.part(1) + beta.part(1) for g in uncapped)
+
+
+def _assert_matches_exhaustive(pairs):
+    for alpha, beta in pairs:
+        assert [g.parts for g in enumerate_p(alpha, beta)] == exhaustive_p(alpha, beta), (
+            alpha,
+            beta,
+        )
+
+
+def test_enumerate_p_matches_exhaustive_on_corpus_pairs():
+    pairs = {degree_partitions(bg) for bg in connected_bipartite_graphs(8)}
+    assert len(pairs) == 201
+    _assert_matches_exhaustive(sorted(pairs, key=str))
+
+
+def test_enumerate_p_matches_exhaustive_on_complete_bipartite():
+    _assert_matches_exhaustive(degree_partitions(complete_bipartite(s, s)) for s in range(1, 8))
+
+
+def _random_connected_bipartite(rng, m, n, edges):
+    # a random spanning tree of K_{m,n}, then random further edges
+    placed = {"x": [0], "y": [0]}
+    edge_set = {(0, 0)}
+    rest = [("x", i) for i in range(1, m)] + [("y", j) for j in range(1, n)]
+    rng.shuffle(rest)
+    for side, v in rest:
+        if side == "x":
+            edge_set.add((v, rng.choice(placed["y"])))
+        else:
+            edge_set.add((rng.choice(placed["x"]), v))
+        placed[side].append(v)
+    others = [(x, y) for x in range(m) for y in range(n) if (x, y) not in edge_set]
+    rng.shuffle(others)
+    edge_set.update(others[: edges - len(edge_set)])
+    return BipartiteGraph(m, n, edge_set)
+
+
+def test_enumerate_p_matches_exhaustive_on_random_pairs():
+    rng = random.Random(2026)
+    pairs = set()
+    while len(pairs) < 60:
+        nu = rng.randint(3, 12)
+        m = rng.randint(1, nu - 1)
+        edges = rng.randint(nu - 1, min(m * (nu - m), 2 * nu))
+        bg = _random_connected_bipartite(rng, m, nu - m, edges)
+        assert bg.is_connected()
+        pairs.add(degree_partitions(bg))
+    _assert_matches_exhaustive(sorted(pairs, key=str))
+
+
+def test_square_sum_range_matches_brute_force():
+    for k in range(7):
+        for top in range(1, 8):
+            seen = {}
+            for parts in combinations_with_replacement(range(1, top + 1), k):
+                value = sum((g - 2) ** 2 for g in parts)
+                low, high = seen.get(sum(parts), (value, value))
+                seen[sum(parts)] = (min(low, value), max(high, value))
+            assert sorted(seen) == list(range(k, k * top + 1))
+            for total, expected in seen.items():
+                assert _square_sum_range(k, total, top) == expected, (k, total, top)
 
 
 # ---------------------------------------------------------------------------
