@@ -16,11 +16,26 @@ is positive, where l(I) = (i_r - r, ..., i_2 - 2, i_1 - 1). So T(n, r)
 is built from one LR-positivity test per triple of U(n, r); the
 recursive construction is kept in the tests as an independent check.
 
+For each n the inequalities of T(n, 1), ..., T(n, n - 1), in that
+(r, lexicographic) order, form one matrix, built on first use and cached:
+a row has -1 in the columns of I and J and +1 in those of K, so the
+product with (alpha, beta, gamma) gives each inequality's excess
+sum(gamma[K]) - sum(alpha[I]) - sum(beta[J]) at once. A compatibility
+check is one matrix-vector product, and the sampler checks a block of
+trials with one matrix product.
+
 Exact and floating inputs are both supported: when every entry is an
 `int` or `Fraction` the comparisons are exact and the tolerance is
 ignored, otherwise comparisons allow the caller-supplied tolerance
-(default 1e-9). Spectrum entries and tolerances that are not real
-numbers raise InputError.
+(default 1e-9). Exact input is scaled to integers by its common
+denominator and multiplied in float64 while 3n times its largest entry
+is at most 2**53, so that every partial sum is an integer float64 holds
+exactly, and in Python integers beyond that. Other input is multiplied
+in float64 only to screen, with a margin that bounds the rounding; each
+row it flags is then decided, in order, by the scalar comparison, so
+answers at the tolerance are exactly those of comparing the sums
+directly. Spectrum entries and tolerances that are not real numbers
+raise InputError.
 
 |U(n, r)| grows combinatorially; n <= 8 stays comfortable on a desk
 machine and nothing larger is refused, it just costs time.
@@ -28,6 +43,7 @@ machine and nothing larger is refused, it just costs time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -111,21 +127,97 @@ def _shape(indices: tuple[int, ...]) -> Partition:
     return Partition(i - a for a, i in enumerate(indices, 1))
 
 
+@lru_cache(maxsize=None)
+def _horn_system(n: int) -> tuple[tuple[IndexTriple, ...], np.ndarray]:
+    """The triples of T(n, 1), ..., T(n, n - 1) in that order, and the
+    matrix whose row t maps the concatenated vector (alpha, beta, gamma)
+    to sum(gamma[K]) - sum(alpha[I]) - sum(beta[J]) for triple t: -1 in
+    the columns of I and J, +1 in those of K. Read-only: it is shared."""
+    families = [generate_t(n, r) for r in range(1, n)]
+    triples = tuple(t for family in families for t in family)
+    matrix = np.zeros((len(triples), 3 * n))
+    start = 0
+    for r, family in enumerate(families, 1):
+        # filled one column position at a time: no temporary the size of
+        # the block, which would add to the peak memory of the first check
+        columns = np.fromiter(
+            (c - 1 for t in family for c in (*t.i, *(n + j for j in t.j), *(2 * n + k for k in t.k))),
+            dtype=np.int16,
+            count=3 * r * len(family),
+        ).reshape(-1, 3 * r)
+        rows = np.arange(start, start + len(family))
+        for p in range(3 * r):
+            matrix[rows, columns[:, p]] = -1 if p < 2 * r else 1
+        start += len(family)
+    matrix.flags.writeable = False
+    return triples, matrix
+
+
 def _holds(t: IndexTriple, alpha, beta, gamma, slack) -> bool:
     lhs = sum(gamma[k - 1] for k in t.k)
     rhs = sum(alpha[i - 1] for i in t.i) + sum(beta[j - 1] for j in t.j)
     return lhs <= rhs + slack
 
 
-def _first_violation(alpha, beta, gamma, slack) -> Optional[IndexTriple]:
-    """The first triple of T(n, 1), ..., T(n, n - 1), in that order, whose
-    inequality fails by more than `slack`; None when all of them hold."""
-    n = len(alpha)
-    for r in range(1, n):
-        for t in generate_t(n, r):
-            if not _holds(t, alpha, beta, gamma, slack):
-                return t
+# Entries whose arithmetic in _holds is exact or IEEE double once a float
+# takes part, so _screen_margin bounds its rounding. Entries of other real
+# types (np.float32 computes in single precision, small numpy integers
+# wrap) and magnitudes from _SCREEN_LIMIT / 3n on are checked row by row.
+_SCREENED = (int, Fraction, float, np.int64)
+_SCREEN_LIMIT = 2.0**62
+
+
+def _screenable(values, n: int) -> bool:
+    limit = _SCREEN_LIMIT / (3 * n)
+    return all(isinstance(v, _SCREENED) and -limit < v < limit for v in values)
+
+
+def _screen_margin(n: int, magnitude, slack):
+    """Width of the band below `slack` in which a float64 row of
+    matrix @ (alpha, beta, gamma) cannot tell whether _holds fails. Both
+    sides sum at most 3n terms no larger than `magnitude`; in any order
+    that strays from the exact sum by less than (3n)**2 * magnitude units
+    of roundoff (eps / 2), conversions to float64 included, and adding
+    `slack` by |slack| units more. Twice eps covers both with room."""
+    return 2 * np.finfo(np.float64).eps * ((3 * n) ** 2 * magnitude + abs(float(slack)))
+
+
+def _first_confirmed(triples, rows, alpha, beta, gamma, slack) -> Optional[IndexTriple]:
+    """The first of the triples at `rows` (ascending) whose inequality
+    fails by more than `slack`, decided by the scalar comparison."""
+    for row in rows:
+        if not _holds(triples[row], alpha, beta, gamma, slack):
+            return triples[row]
     return None
+
+
+def _first_violation(alpha, beta, gamma, exact: bool, slack) -> Optional[IndexTriple]:
+    """The first triple of T(n, 1), ..., T(n, n - 1), in that order, whose
+    inequality fails by more than `slack`; None when all of them hold.
+
+    Exact input is scaled to integers by the common denominator and
+    multiplied in float64 when every partial sum stays within 2**53, in
+    Python integers otherwise. Other input is screened in float64 with a
+    margin, and the rows it flags are decided by the scalar comparison.
+    """
+    n = len(alpha)
+    triples, matrix = _horn_system(n)
+    values = (*alpha, *beta, *gamma)
+    if exact:
+        scale = math.lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (scale // v.denominator) for v in values]
+        if 3 * n * max(map(abs, ints), default=0) <= 2**53:
+            excess = matrix @ np.array(ints, dtype=np.float64)
+        else:
+            excess = matrix.astype(np.int64).astype(object) @ np.array(ints, dtype=object)
+        rows = np.flatnonzero(excess > 0)
+    elif _screenable((*values, slack), n):
+        x = np.array(values, dtype=np.float64)
+        bound = float(slack) - _screen_margin(n, np.abs(x).max(), slack)
+        rows = np.flatnonzero(matrix @ x > bound)
+    else:
+        rows = range(len(triples))
+    return _first_confirmed(triples, rows, alpha, beta, gamma, slack)
 
 
 def check_inequality(
@@ -167,10 +259,9 @@ def _tolerance(tol: Optional[float]):
     return tol
 
 
-def _effective_tol(vectors, tol: Optional[float]):
-    """The slack for comparing these vectors: 0 when every entry is an int
-    or Fraction, else the tolerance. Entries must be real numbers."""
-    tol = _tolerance(tol)
+def _all_exact(vectors) -> bool:
+    """Whether every entry is an int or a Fraction. Entries must be real
+    numbers."""
     exact = True
     for vec in vectors:
         for v in vec:
@@ -179,7 +270,14 @@ def _effective_tol(vectors, tol: Optional[float]):
             if not isinstance(v, (float, Real)):
                 raise InputError(f"spectrum entries must be real numbers, got {v!r}")
             exact = False
-    return 0 if exact else tol
+    return exact
+
+
+def _effective_tol(vectors, tol: Optional[float]):
+    """The slack for comparing these vectors: 0 when every entry is an int
+    or Fraction, else the tolerance. Entries must be real numbers."""
+    tol = _tolerance(tol)
+    return 0 if _all_exact(vectors) else tol
 
 
 def find_horn_violation(
@@ -192,15 +290,22 @@ def find_horn_violation(
 
     Returns the string "trace" when the trace condition fails, otherwise
     the first violated IndexTriple in (r, lexicographic) order. Only the
-    families T(n, r) with r < n are consulted.
+    families T(n, r) with r < n are consulted, all at once: the excess of
+    every inequality is one product of the cached matrix of T(n) with
+    (alpha, beta, gamma), exact for int and Fraction entries, and a
+    float64 screen for others whose flagged rows are decided by comparing
+    the sums directly, so the witness is the one the row-by-row scan
+    finds (see the module docstring).
     """
     n = len(alpha)
     if len(beta) != n or len(gamma) != n:
         raise InputError("spectra must have equal length")
-    slack = _effective_tol((alpha, beta, gamma), tol)
+    tol = _tolerance(tol)
+    exact = _all_exact((alpha, beta, gamma))
+    slack = 0 if exact else tol
     if not _trace_holds(alpha, beta, gamma, slack):
         return "trace"
-    return _first_violation(alpha, beta, gamma, slack)
+    return _first_violation(alpha, beta, gamma, exact, slack)
 
 
 def horn_compatible(
@@ -228,6 +333,7 @@ def weyl_bounds(
         raise InputError("spectra must have equal length")
     if type(k) is not int or not 1 <= k <= n:
         raise InputError(f"need an integer 1 <= k <= n, got k={k!r}, n={n}")
+    _all_exact((alpha, beta))
     lower_candidates = [
         alpha[i - 1] + beta[n + k - i - 1] for i in range(max(1, k), min(n, n + k - 1) + 1)
         if 1 <= n + k - i <= n
@@ -257,6 +363,11 @@ class SampleReport:
         return self.trace_violations + self.inequality_violations + self.weyl_violations
 
 
+# Trials per batched draw, eigensolve and product: bounds the memory of
+# sample_necessity, whatever the number of trials.
+_SAMPLE_BLOCK = 64
+
+
 def sample_necessity(
     n: int, trials: int, tol: Optional[float] = DEFAULT_TOL, seed: int = 0
 ) -> SampleReport:
@@ -264,10 +375,14 @@ def sample_necessity(
     the spectra of A, B and A + B are guaranteed to satisfy.
 
     Entries are drawn uniformly from [-1, 1] (symmetric: the upper
-    triangle is sampled and mirrored). For each pair, the trace identity,
-    every inequality in T(n, r) for r < n, and every per-index window
-    from `weyl_bounds` are checked against `tol` (None means
-    DEFAULT_TOL). Any nonzero count in the returned report falsifies a
+    triangle is sampled and mirrored), A before B, one pair after another.
+    For each pair, the trace identity, every inequality in T(n, r) for
+    r < n, and every per-index window from `weyl_bounds` are checked
+    against `tol` (None means DEFAULT_TOL). Trials run in blocks: one
+    batched eigensolve, one product with the matrix of T(n) and batched
+    trace and Weyl tests screen a block with the rounding margin of
+    find_horn_violation, and a trial they flag is decided by the scalar
+    comparisons. Any nonzero count in the returned report falsifies a
     theorem and means a bug.
     """
     if type(n) is not int or type(trials) is not int or n < 1 or trials < 0:
@@ -276,35 +391,62 @@ def sample_necessity(
         )
     tol = _tolerance(tol)
     rng = np.random.default_rng(seed)
+    triples, matrix = _horn_system(n)
+    screened = _screenable((tol,), n)
     trace_bad = ineq_bad = weyl_bad = 0
-    for _ in range(trials):
-        a_mat = _random_symmetric(rng, n)
-        b_mat = _random_symmetric(rng, n)
-        alpha = _descending_spectrum(a_mat)
-        beta = _descending_spectrum(b_mat)
-        gamma = _descending_spectrum(a_mat + b_mat)
-        if not _trace_holds(alpha, beta, gamma, tol):
-            trace_bad += 1
-        if _first_violation(alpha, beta, gamma, tol) is not None:
-            ineq_bad += 1
-        for k in range(1, n + 1):
-            lower, upper = weyl_bounds(alpha, beta, k)
-            if (lower is not None and gamma[k - 1] < lower - tol) or (
-                upper is not None and gamma[k - 1] > upper + tol
-            ):
-                weyl_bad += 1
-                break
+    for start in range(0, trials, _SAMPLE_BLOCK):
+        spectra = _sample_spectra(rng, n, min(_SAMPLE_BLOCK, trials - start))
+        if screened:
+            flagged, suspects = _screen_block(spectra, matrix, n, tol)
+        else:
+            flagged = np.ones((len(spectra), len(triples)), dtype=bool)
+            suspects = np.ones(len(spectra), dtype=bool)
+        for s in np.flatnonzero(suspects):
+            alpha, beta, gamma = spectra[s].reshape(3, n).tolist()
+            trace_bad += not _trace_holds(alpha, beta, gamma, tol)
+            rows = np.flatnonzero(flagged[s])
+            ineq_bad += _first_confirmed(triples, rows, alpha, beta, gamma, tol) is not None
+            weyl_bad += not _weyl_holds(alpha, beta, gamma, tol)
     return SampleReport(n, trials, tol, trace_bad, ineq_bad, weyl_bad)
 
 
-def _random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = rng.uniform(-1.0, 1.0, size=(n, n))
-    upper = np.triu(m)
-    return upper + np.triu(m, 1).T
+def _sample_spectra(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """Descending spectra of `size` random pairs A, B and of A + B, one row
+    (alpha, beta, gamma) of length 3n per pair."""
+    draws = rng.uniform(-1.0, 1.0, size=(size, 2, n, n))
+    pairs = np.triu(draws) + np.swapaxes(np.triu(draws, 1), -1, -2)
+    a, b = pairs[:, 0], pairs[:, 1]
+    return np.linalg.eigvalsh(np.stack((a, b, a + b), axis=1))[..., ::-1].reshape(size, 3 * n)
 
 
-def _descending_spectrum(mat: np.ndarray) -> list[float]:
-    return [float(v) for v in np.linalg.eigvalsh(mat)[::-1]]
+def _screen_block(spectra: np.ndarray, matrix: np.ndarray, n: int, tol):
+    """For a block of sampled spectra: the rows of the Horn matrix each
+    trial may violate, and the trials that may violate any condition."""
+    alpha, beta, gamma = spectra[:, :n], spectra[:, n : 2 * n], spectra[:, 2 * n :]
+    slack = float(tol)
+    margin = _screen_margin(n, np.abs(spectra).max(axis=1), tol)
+    flagged = spectra @ matrix.T > (slack - margin)[:, None]
+    trace = np.abs(gamma.sum(axis=1) - alpha.sum(axis=1) - beta.sum(axis=1)) > slack - margin
+    # Weyl windows: the k-th lower bound is the largest alpha_i + beta_j
+    # with i + j = n + k, the upper one the smallest with i + j = k + 1.
+    sums = (alpha[:, :, None] + beta[:, None, :])[:, None]
+    index_sum = np.add.outer(np.arange(1, n + 1), np.arange(1, n + 1))
+    k = np.arange(1, n + 1)[:, None, None]
+    lower = np.where(index_sum == n + k, sums, -np.inf).max(axis=(2, 3))
+    upper = np.where(index_sum == k + 1, sums, np.inf).min(axis=(2, 3))
+    margin = margin[:, None]
+    weyl = (gamma < lower - slack + margin) | (gamma > upper + slack - margin)
+    return flagged, flagged.any(axis=1) | trace | weyl.any(axis=1)
+
+
+def _weyl_holds(alpha, beta, gamma, slack) -> bool:
+    for k in range(1, len(alpha) + 1):
+        lower, upper = weyl_bounds(alpha, beta, k)
+        if (lower is not None and gamma[k - 1] < lower - slack) or (
+            upper is not None and gamma[k - 1] > upper + slack
+        ):
+            return False
+    return True
 
 
 def is_weakly_decreasing(values: Sequence[Number], tol: float = 0.0) -> bool:

@@ -7,15 +7,31 @@ instead of enumeration, cliques by subset enumeration instead of branch
 and bound, Pieri products by the closed-form interleaving rule, bipartite
 graph canonical forms by maximising over every order of a class instead
 of the degree-sorted ones only, Horn's families T(n, r) by Horn's
-recursion over T(r, p), p < r, instead of LR positivity, and candidate
+recursion over T(r, p), p < r, instead of LR positivity, candidate
 sets P(alpha, beta) by filtering every partition of 2e into nu - 1 parts
-instead of a moment-pruned search.
+instead of a moment-pruned search, and Horn's inequalities by checking
+the triples of T(n, r) one at a time, in order, instead of one product
+with a matrix of all of them (for single checks and, trial by trial,
+for the sampler).
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from hornlr import BipartiteGraph, enumerate_partitions, generate_u, moment_c, moment_d
+import numpy as np
+
+from hornlr import (
+    BipartiteGraph,
+    check_inequality,
+    enumerate_partitions,
+    generate_t,
+    generate_u,
+    moment_c,
+    moment_d,
+    trace_condition,
+    weyl_bounds,
+)
+from hornlr.horn import SampleReport
 from hornlr.lr import lr_positive
 
 
@@ -201,3 +217,44 @@ def exhaustive_p(alpha, beta):
             continue
         members.append(gamma.parts)
     return members
+
+
+def scan_first_violation(alpha, beta, gamma, tol=None):
+    """find_horn_violation by a scan: "trace" when trace_condition fails,
+    else the first triple of T(n, 1), ..., T(n, n - 1), in that order,
+    that check_inequality rejects, else None."""
+    if not trace_condition(alpha, beta, gamma, tol):
+        return "trace"
+    return _first_rejected(alpha, beta, gamma, tol)
+
+
+def _first_rejected(alpha, beta, gamma, tol):
+    n = len(alpha)
+    for r in range(1, n):
+        for t in generate_t(n, r):
+            if not check_inequality(t, alpha, beta, gamma, tol):
+                return t
+    return None
+
+
+def sample_by_trial(n, trials, tol, seed):
+    """sample_necessity one trial at a time: draw A, then B, from the
+    same random stream, take each spectrum on its own, and check the
+    trace, the triples of T(n, r) one by one and every Weyl window."""
+    rng = np.random.default_rng(seed)
+    trace_bad = ineq_bad = weyl_bad = 0
+    for _ in range(trials):
+        a, b = (_random_symmetric(rng, n) for _ in range(2))
+        alpha, beta, gamma = ([float(v) for v in np.linalg.eigvalsh(m)[::-1]] for m in (a, b, a + b))
+        trace_bad += not trace_condition(alpha, beta, gamma, tol)
+        ineq_bad += _first_rejected(alpha, beta, gamma, tol) is not None
+        windows = [weyl_bounds(alpha, beta, k) for k in range(1, n + 1)]
+        weyl_bad += any(
+            g < lower - tol or g > upper + tol for g, (lower, upper) in zip(gamma, windows)
+        )
+    return SampleReport(n, trials, tol, trace_bad, ineq_bad, weyl_bad)
+
+
+def _random_symmetric(rng, n):
+    m = rng.uniform(-1.0, 1.0, size=(n, n))
+    return np.triu(m) + np.triu(m, 1).T

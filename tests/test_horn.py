@@ -19,8 +19,9 @@ from hornlr import (
     trace_condition,
     weyl_bounds,
 )
+from hornlr.horn import _SAMPLE_BLOCK, _horn_system, _screen_block
 
-from oracles import all_partitions, recursive_t
+from oracles import all_partitions, recursive_t, sample_by_trial, scan_first_violation
 
 
 def _sets(family):
@@ -140,54 +141,137 @@ def test_find_horn_violation_reports_trace_first():
     assert isinstance(witness, IndexTriple)
 
 
-def _first_failed(alpha, beta, gamma):
-    """find_horn_violation's answer by a plain loop over T(n, r), r < n."""
-    if not trace_condition(alpha, beta, gamma):
-        return "trace"
-    n = len(alpha)
-    for r in range(1, n):
-        for t in generate_t(n, r):
-            if not check_inequality(t, alpha, beta, gamma):
-                return t
-    return None
+def _int_triple(rng, n):
+    """gamma = alpha + beta is compatible; moving units between its
+    entries (trace kept) may break that."""
+    alpha = sorted((rng.randint(-6, 6) for _ in range(n)), reverse=True)
+    beta = sorted((rng.randint(-6, 6) for _ in range(n)), reverse=True)
+    gamma = [a + b for a, b in zip(alpha, beta)]
+    for _ in range(rng.randint(0, 3) if n >= 2 else 0):
+        up, down = rng.sample(range(n), 2)
+        gamma[up] += 1
+        gamma[down] -= 1
+    gamma.sort(reverse=True)
+    return alpha, beta, gamma
+
+
+def _float_triple(rng, np_rng, n):
+    """Spectra of A, B and A + B, then the same kind of move."""
+    a_mat, b_mat = (np_rng.uniform(-1, 1, (n, n)) for _ in range(2))
+    a_mat, b_mat = a_mat + a_mat.T, b_mat + b_mat.T
+    alpha, beta, gamma = (
+        sorted(np.linalg.eigvalsh(m).tolist(), reverse=True) for m in (a_mat, b_mat, a_mat + b_mat)
+    )
+    if n >= 2 and rng.random() < 0.7:
+        up, down = sorted(rng.sample(range(n), 2))
+        step = rng.uniform(0, 2)
+        gamma[up] += step
+        gamma[down] -= step
+        gamma.sort(reverse=True)
+    return alpha, beta, gamma
+
+
+def _assert_same_witnesses(triples, tol=None):
+    found = [find_horn_violation(*triple, tol=tol) for triple in triples]
+    assert found == [scan_first_violation(*triple, tol=tol) for triple in triples]
+    return found
 
 
 def test_find_horn_violation_returns_first_failed_triple():
     rng = random.Random(17)
     np_rng = np.random.default_rng(17)
     witnesses = {"exact": [], "float": []}
-    for n in (4, 5, 6):
-        for _ in range(30):
-            # exact: gamma = alpha + beta is compatible; moving units
-            # between its entries (trace kept) may break that
-            alpha = sorted((rng.randint(-6, 6) for _ in range(n)), reverse=True)
-            beta = sorted((rng.randint(-6, 6) for _ in range(n)), reverse=True)
-            gamma = [a + b for a, b in zip(alpha, beta)]
-            for _ in range(rng.randint(0, 3)):
-                up, down = rng.sample(range(n), 2)
-                gamma[up] += 1
-                gamma[down] -= 1
-            gamma.sort(reverse=True)
-            witnesses["exact"].append((alpha, beta, gamma))
-            # float: spectra of A, B and A + B, then the same kind of move
-            a_mat, b_mat = (np_rng.uniform(-1, 1, (n, n)) for _ in range(2))
-            a_mat, b_mat = a_mat + a_mat.T, b_mat + b_mat.T
-            alpha, beta, gamma = (
-                sorted(np.linalg.eigvalsh(m).tolist(), reverse=True)
-                for m in (a_mat, b_mat, a_mat + b_mat)
-            )
-            if rng.random() < 0.7:
-                up, down = sorted(rng.sample(range(n), 2))
-                step = rng.uniform(0, 2)
-                gamma[up] += step
-                gamma[down] -= step
-                gamma.sort(reverse=True)
-            witnesses["float"].append((alpha, beta, gamma))
+    for n in range(0, 9):
+        for _ in range(30 if n <= 6 else 5):
+            witnesses["exact"].append(_int_triple(rng, n))
+            witnesses["float"].append(_float_triple(rng, np_rng, n))
     for kind, triples in witnesses.items():
-        found = [find_horn_violation(*triple) for triple in triples]
-        assert found == [_first_failed(*triple) for triple in triples], kind
+        found = _assert_same_witnesses(triples)
         assert None in found, kind
         assert sum(isinstance(w, IndexTriple) for w in found) >= 10, kind
+        assert any(isinstance(w, IndexTriple) and w.n == 8 for w in found), kind
+
+
+def test_find_horn_violation_exact_beyond_float64():
+    # 3n * max|v| > 2**53: the product runs on Python integers, and a
+    # one-unit move stays visible next to entries of 2**70
+    rng = random.Random(23)
+    triples = []
+    for n in (2, 4, 6, 8):
+        for big in (2**70, 2**53 // (3 * n) + 1):
+            for _ in range(6):
+                alpha, beta, gamma = _int_triple(rng, n)
+                shift = [big * (n - i) for i in range(n)]
+                triples.append(
+                    ([a + s for a, s in zip(alpha, shift)], beta, [g + s for g, s in zip(gamma, shift)])
+                )
+    found = _assert_same_witnesses(triples)
+    assert None in found and any(isinstance(w, IndexTriple) for w in found)
+    assert find_horn_violation((2**70, 0), (0, 0), (2**70 + 1, -1)) == IndexTriple((1,), (1,), (1,), 2)
+
+
+def test_find_horn_violation_fractions_and_number_kinds():
+    rng = random.Random(29)
+    np_rng = np.random.default_rng(29)
+    kinds = {
+        "fraction": lambda v, i: Fraction(v, 1 + i % 5),
+        "mixed int and fraction": lambda v, i: Fraction(v, 3) if i % 2 else v,
+        "float": lambda v, i: float(v) / 4,
+        "mixed int and float": lambda v, i: v / 4 if i % 3 == 0 else v,
+        "np.int64": lambda v, i: np.int64(v),
+        "np.float64": lambda v, i: np.float64(v) / 3,
+        "np.float32": lambda v, i: np.float32(v) / 2,
+        # sums past 2**63 wrap in int64: compared row by row, as in the scan
+        "np.int64 near 2**63": lambda v, i: np.int64(v) * np.int64(2**59),
+    }
+    for name, convert in kinds.items():
+        triples = []
+        for n in range(0, 8):
+            for _ in range(12):
+                alpha, beta, gamma = _int_triple(rng, n)
+                triples.append(tuple([convert(v, i) for i, v in enumerate(vec)] for vec in (alpha, beta, gamma)))
+        with np.errstate(over="ignore"):
+            found = _assert_same_witnesses(triples)
+        assert any(isinstance(w, IndexTriple) for w in found), name
+    floats = [_float_triple(rng, np_rng, n) for n in range(1, 8) for _ in range(8)]
+    _assert_same_witnesses([tuple(np.array(v) for v in triple) for triple in floats])
+    for tol in (0.0, 1e-3, Fraction(1, 10), np.float32(1e-6), -1e-6):
+        _assert_same_witnesses(floats, tol=tol)
+    # a float32 tolerance rounds the comparison to single precision: the
+    # excess 2**-26 is within the tolerance 2**-25, yet gamma_1 rounds up
+    # and alpha_1 + beta_1 + tol down to the neighbouring float32 values
+    u = 2.0**-27
+    alpha, beta, gamma = (1 + 7 * u, 0.0), (0.0, 0.0), (1 + 9 * u, -2 * u)
+    found = _assert_same_witnesses([(alpha, beta, gamma)], tol=np.float32(2.0**-25))
+    assert found == [IndexTriple((1,), (1,), (1,), 2)]
+
+
+def test_find_horn_violation_ties_at_the_tolerance():
+    # gamma = alpha + beta holds T(n, 1)'s first inequality with equality;
+    # moving `excess` from gamma_n to gamma_1 makes it fail by `excess`
+    def moved(alpha, beta, excess):
+        gamma = [a + b for a, b in zip(alpha, beta)]
+        gamma[0] += excess
+        gamma[-1] -= excess
+        return alpha, beta, gamma
+
+    first = IndexTriple((1,), (1,), (1,), 4)
+    alpha, beta = [3.5, 1.25, 0.5, -2.0], [2.0, 0.75, -1.0, -1.5]
+    # dyadic values: every sum is exact, so the verdict at the tie is known
+    tol, eps = 2.0**-30, 2.0**-50
+    cases = [moved(alpha, beta, tol + d) for d in (-eps, 0.0, eps)]
+    assert _assert_same_witnesses(cases, tol=tol) == [None, None, first]
+    # the default tolerance is not dyadic: rounding decides, as in the scan
+    triples = [moved(alpha, beta, 1e-9 + d) for d in (-1e-15, 0.0, 1e-15)]
+    found = _assert_same_witnesses(triples)
+    assert found[0] is None and found[2] == first
+    # within a few ulps of the tolerance the float64 product and the
+    # scalar sums round differently; the screen's margin must cover that
+    rng = np.random.default_rng(31)
+    for n in (3, 6):
+        for _ in range(25):
+            a, b = (sorted(rng.uniform(-1, 1, n).tolist(), reverse=True) for _ in range(2))
+            _assert_same_witnesses([moved(a, b, 1e-9 + d * 2.0**-53) for d in range(-4, 5)])
 
 
 def test_horn_symmetry_in_the_summands():
@@ -248,6 +332,44 @@ def test_sample_necessity_smoke():
     assert report.total_violations == 0
 
 
+def test_sample_necessity_matches_per_trial_oracle():
+    # trials = 0, 1 and more than one block; negative tolerances make
+    # every kind of count nonzero, a float32 one skips the float64 screen
+    for n in range(1, 7):
+        for trials in (0, 1, _SAMPLE_BLOCK + 5):
+            for tol in (1e-9, 0.0, -0.05, np.float32(1e-9)):
+                seed = 100 * n + trials
+                assert sample_necessity(n, trials, tol, seed) == sample_by_trial(n, trials, tol, seed)
+    report = sample_necessity(2, _SAMPLE_BLOCK + 5, -0.05, 205)
+    assert report.trace_violations and report.inequality_violations and report.weyl_violations
+
+
+def test_sample_screen_flags_every_failure():
+    # alpha, beta descending, gamma = alpha + beta moved by multiples of
+    # 0.75 tol: many conditions sit near their bounds. Every trial that a
+    # scalar check rejects must be a suspect, and every rejected row flagged.
+    tol = 1e-9
+    rng = np.random.default_rng(37)
+    seen = set()
+    for n in (2, 3, 4, 5):
+        triples, matrix = _horn_system(n)
+        alpha, beta = (-np.sort(-rng.uniform(-1, 1, (300, n)), axis=1) for _ in range(2))
+        gamma = alpha + beta + rng.integers(-2, 3, (300, n)) * 0.75 * tol
+        spectra = np.hstack((alpha, beta, gamma))
+        flagged, suspects = _screen_block(spectra, matrix, n, tol)
+        for s, row in enumerate(spectra.tolist()):
+            a, b, g = row[:n], row[n : 2 * n], row[2 * n :]
+            trace = trace_condition(a, b, g, tol)
+            rejected = {i for i, t in enumerate(triples) if not check_inequality(t, a, b, g, tol)}
+            windows = [weyl_bounds(a, b, k) for k in range(1, n + 1)]
+            weyl = all(low - tol <= gk <= up + tol for gk, (low, up) in zip(g, windows))
+            assert rejected <= set(np.flatnonzero(flagged[s]).tolist())
+            assert suspects[s] or (trace and weyl and not rejected)
+            seen.add((trace, not rejected, weyl))
+    # trials that only the trace, or only a Weyl window, rejects
+    assert {(False, True, True), (True, True, False)} <= seen
+
+
 def test_sample_necessity_rejects_bad_args():
     for n, trials in [(0, 10), (3, -1), (2.5, 1), (3, 1.5), (True, 1), (3, "10")]:
         with pytest.raises(InputError):
@@ -273,6 +395,10 @@ def test_non_real_entries_and_tolerances_rejected():
             trace_condition((1, 0), (1, 0), gamma)
         with pytest.raises(InputError):
             check_inequality(t, (1, 0), (1, 0), gamma)
+    with pytest.raises(InputError):
+        weyl_bounds((1, "a"), (1, 0), 1)
+    with pytest.raises(InputError):
+        weyl_bounds((1, None), (1, 0), 2)
     for tol in ["x", 1j, [1e-9]]:
         with pytest.raises(InputError):
             horn_compatible((1, 0), (1, 0), (2, 0), tol=tol)
