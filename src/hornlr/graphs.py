@@ -7,14 +7,30 @@ are computed exactly (integer arithmetic throughout), so "this graph is
 integral" is a proof, not a float heuristic: the polynomial either
 splits over the integers or it does not.
 
-A line graph made by :func:`line_graph` keeps its base graph, and its
-polynomial comes from the base graph's nu x nu matrix. With B the
-nu x e vertex-edge incidence matrix, A(L) = B^T B - 2I and B B^T = Q =
-D + A, the signless Laplacian, so
-det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)). When e < nu (a forest,
-or a base graph with isolated vertices) the factor (x+2)^(nu-e) is
-divided out instead; the division is exact, because Q of a bipartite
-graph has one zero eigenvalue per component.
+A line graph made by :func:`line_graph` keeps its base graph, and the
+metrics of the line graph come from the nu vertices of the base graph
+instead of its e vertices:
+
+* its edges are the pairs of base edges within each star (the edges at
+  one vertex), which lists every adjacent pair once, since two edges
+  share at most one endpoint;
+* its distances: two distinct edges lie at distance 1 + the least base
+  distance over the four pairs of their endpoints, so the diameter takes
+  nu BFS runs on the base graph;
+* its clique number is the base graph's largest degree: edges that meet
+  pairwise share one vertex or form a triangle, and a bipartite graph is
+  triangle-free;
+* its polynomial comes from the base graph's nu x nu matrix. With B the
+  nu x e vertex-edge incidence matrix, A(L) = B^T B - 2I and
+  B B^T = Q = D + A, the signless Laplacian, so
+  det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)). When e < nu (a
+  forest, or a base graph with isolated vertices) the factor
+  (x+2)^(nu-e) is divided out instead; the division is exact, because Q
+  of a bipartite graph has one zero eigenvalue per component.
+
+A `Graph` built directly, or by `BipartiteGraph.as_graph`, has no base
+graph and takes the general routes: BFS from every vertex, branch and
+bound, and the polynomial of its own adjacency matrix.
 
 Vertex order of a line graph is the lexicographic order of the base
 graph's edges by (x-index, y-index); every operation that returns
@@ -26,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -46,7 +62,8 @@ class Graph:
 
     Equality and hashing look at the adjacency only. A line graph built
     by `line_graph` also keeps its base graph in `_base`, from which
-    `char_poly_exact` computes its polynomial.
+    `char_poly_exact`, `diameter` and `clique_number` compute their
+    answers.
     """
 
     __slots__ = ("_adj", "_base")
@@ -234,20 +251,17 @@ def line_graph(bg: BipartiteGraph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph of a bipartite graph plus the edge ordering used.
 
     Vertices of the result are the edges of `bg` in lexicographic order;
-    two are adjacent when the edges share an endpoint. The result keeps
-    `bg` as its base graph, for `char_poly_exact`.
+    two are adjacent when the edges share an endpoint, so the edges of
+    the result are the pairs within each star: the edges at one X
+    vertex, then those at one Y vertex. Two edges share at most one
+    endpoint, so no pair is listed twice. The result keeps `bg` as its
+    base graph, for `char_poly_exact`, `diameter` and `clique_number`.
     """
     edges = bg.sorted_edges
     if not edges:
         raise InputError("line graph of an edgeless graph is undefined")
-    e = len(edges)
-    lg_edges = [
-        (a, b)
-        for a in range(e)
-        for b in range(a + 1, e)
-        if edges[a][0] == edges[b][0] or edges[a][1] == edges[b][1]
-    ]
-    lg = Graph(e, lg_edges)
+    x_stars, y_stars = _stars(bg)
+    lg = Graph(len(edges), _star_pairs(x_stars + y_stars))
     lg._base = bg
     return lg, edges
 
@@ -263,20 +277,23 @@ def star_decomposition(bg: BipartiteGraph) -> tuple[Graph, Graph]:
     edges = bg.sorted_edges
     if not edges:
         raise InputError("star decomposition of an edgeless graph is undefined")
-    e = len(edges)
-    gx = [
-        (a, b)
-        for a in range(e)
-        for b in range(a + 1, e)
-        if edges[a][0] == edges[b][0]
-    ]
-    gy = [
-        (a, b)
-        for a in range(e)
-        for b in range(a + 1, e)
-        if edges[a][1] == edges[b][1]
-    ]
-    return Graph(e, gx), Graph(e, gy)
+    x_stars, y_stars = _stars(bg)
+    return Graph(len(edges), _star_pairs(x_stars)), Graph(len(edges), _star_pairs(y_stars))
+
+
+def _stars(bg: BipartiteGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """Indices into `bg.sorted_edges` of the edges at each X vertex and
+    at each Y vertex, ascending."""
+    x_stars: list[list[int]] = [[] for _ in range(bg.x_size)]
+    y_stars: list[list[int]] = [[] for _ in range(bg.y_size)]
+    for idx, (x, y) in enumerate(bg.sorted_edges):
+        x_stars[x].append(idx)
+        y_stars[y].append(idx)
+    return x_stars, y_stars
+
+
+def _star_pairs(stars: Iterable[list[int]]) -> list[tuple[int, int]]:
+    return [pair for star in stars for pair in combinations(star, 2)]
 
 
 def degree_partitions(bg: BipartiteGraph) -> tuple[Partition, Partition]:
@@ -552,8 +569,21 @@ def is_bipartite_graph(g: Graph) -> bool:
 
 
 def diameter(g: Graph) -> Union[int, float]:
-    """Longest BFS distance between any two vertices; math.inf when
-    disconnected."""
+    """Longest distance between two vertices, an int; math.inf when
+    disconnected.
+
+    For a line graph made by `line_graph(bg)` the distances come from the
+    base graph. Consecutive edges on a path e = e_0, ..., e_k = f of
+    L(bg) share a vertex, and consecutive shared vertices lie on a common
+    edge, so they trace a walk of length at most k - 1 in `bg` from an
+    end of e to an end of f; conversely a path of length l between such
+    ends, with e and f added, is a path of length l + 1 in L(bg). So for
+    distinct edges, d(e, f) = 1 + the least of the four base distances
+    between their endpoints, and nu BFS runs on `bg` replace e runs on
+    L(bg). Every other graph runs a BFS from each of its vertices.
+    """
+    if g._base is not None:
+        return _line_diameter(g._base)
     best = 0
     for src in range(g.order):
         dist = {src: 0}
@@ -569,10 +599,60 @@ def diameter(g: Graph) -> Union[int, float]:
     return best
 
 
+# Entries of the edge-by-edge distance table that _line_diameter holds at
+# once: bounds its memory, whatever the size of the graph.
+_DISTANCE_BLOCK = 1 << 20
+
+
+def _line_diameter(bg: BipartiteGraph) -> Union[int, float]:
+    """Diameter of L(bg) from the distances between the vertices of `bg`
+    (X vertices 0..m-1, then Y vertices)."""
+    m, nu = bg.x_size, bg.order
+    edges = bg.sorted_edges
+    e = len(edges)
+    if e == 1:  # the diagonal below would read as distance 1
+        return 0
+    adj: list[list[int]] = [[] for _ in range(nu)]
+    for x, y in edges:
+        adj[x].append(m + y)
+        adj[m + y].append(x)
+    # nu marks an unreachable pair: every distance in bg is at most nu - 1
+    dist = [[nu] * nu for _ in range(nu)]
+    for src, row in enumerate(dist):
+        row[src] = 0
+        queue = [src]
+        for v in queue:
+            for w in adj[v]:
+                if row[w] == nu:
+                    row[w] = row[v] + 1
+                    queue.append(w)
+    dist = np.array(dist)
+    xs = np.array([x for x, _ in edges])
+    ys = np.array([m + y for _, y in edges])
+    # near[v, f]: distance from base vertex v to the nearer end of edge f;
+    # d(e, f) - 1 is the smaller of near[x_e, f] and near[y_e, f], and 0
+    # on the diagonal, below every other entry
+    near = np.minimum(dist[:, xs], dist[:, ys])
+    rows = max(1, _DISTANCE_BLOCK // e)
+    longest = max(
+        int(np.minimum(near[xs[i : i + rows]], near[ys[i : i + rows]]).max())
+        for i in range(0, e, rows)
+    )
+    return math.inf if longest >= nu else longest + 1
+
+
 def clique_number(g: Graph) -> int:
-    """Exact maximum clique size, branch and bound with a greedy
+    """Exact maximum clique size.
+
+    For a line graph made by `line_graph(bg)` it is the largest degree of
+    `bg`: a clique of L(bg) is a set of pairwise-meeting edges, which all
+    share one vertex or form a triangle, and a bipartite graph has no
+    triangles. Every other graph takes a branch and bound with a greedy
     colouring bound (candidates are pruned when even one vertex per
     colour class cannot beat the incumbent)."""
+    bg = g._base
+    if bg is not None:
+        return max(bg.x_degrees() + bg.y_degrees())
     n = g.order
     adj = [0] * n
     for v in range(n):

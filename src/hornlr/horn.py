@@ -34,8 +34,10 @@ exactly, and in Python integers beyond that. Other input is multiplied
 in float64 only to screen, with a margin that bounds the rounding; each
 row it flags is then decided, in order, by the scalar comparison, so
 answers at the tolerance are exactly those of comparing the sums
-directly. Spectrum entries and tolerances that are not real numbers
-raise InputError.
+directly. Numpy integer entries are summed as Python ints, so they
+never wrap, and keep the tolerance of inexact input. Spectrum entries
+and tolerances that are not real numbers raise InputError, and so do
+ints and Fractions too large to be added to the floats of the same call.
 
 |U(n, r)| grows combinatorially; n <= 8 stays comfortable on a desk
 machine and nothing larger is refused, it just costs time.
@@ -44,6 +46,7 @@ machine and nothing larger is refused, it just costs time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -161,9 +164,10 @@ def _holds(t: IndexTriple, alpha, beta, gamma, slack) -> bool:
 
 # Entries whose arithmetic in _holds is exact or IEEE double once a float
 # takes part, so _screen_margin bounds its rounding. Entries of other real
-# types (np.float32 computes in single precision, small numpy integers
-# wrap) and magnitudes from _SCREEN_LIMIT / 3n on are checked row by row.
-_SCREENED = (int, Fraction, float, np.int64)
+# types (np.float32 computes in single precision) and magnitudes from
+# _SCREEN_LIMIT / 3n on are checked row by row. Numpy integers arrive here
+# as Python ints (see _inspect).
+_SCREENED = (int, Fraction, float)
 _SCREEN_LIMIT = 2.0**62
 
 
@@ -231,7 +235,8 @@ def check_inequality(
     for vec in (alpha, beta, gamma):
         if len(vec) != t.n:
             raise InputError(f"spectrum length {len(vec)} does not match n={t.n}")
-    return _holds(t, alpha, beta, gamma, _effective_tol((alpha, beta, gamma), tol))
+    (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
+    return _holds(t, alpha, beta, gamma, slack)
 
 
 def trace_condition(
@@ -243,7 +248,8 @@ def trace_condition(
     """sum(gamma) equals sum(alpha) + sum(beta) up to `tol`."""
     if len(alpha) != len(beta) or len(beta) != len(gamma):
         raise InputError("spectra must have equal length")
-    return _trace_holds(alpha, beta, gamma, _effective_tol((alpha, beta, gamma), tol))
+    (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
+    return _trace_holds(alpha, beta, gamma, slack)
 
 
 def _trace_holds(alpha, beta, gamma, slack) -> bool:
@@ -259,25 +265,52 @@ def _tolerance(tol: Optional[float]):
     return tol
 
 
-def _all_exact(vectors) -> bool:
-    """Whether every entry is an int or a Fraction. Entries must be real
-    numbers."""
-    exact = True
+def _inspect(vectors, tol=0.0):
+    """(exact, vectors): whether every entry is an int or a Fraction, and
+    the vectors with numpy integers turned into Python ints, which sum
+    without wrapping; they still count as inexact, so the tolerance
+    applies to them as before. Entries must be real numbers.
+
+    When some entries are inexact, the ints and Fractions among the
+    entries and `tol` are added to floats, and each must stay within the
+    float range in any sum of them: one larger than the largest float
+    over (number of entries + 1) raises InputError, where the sum would
+    raise OverflowError."""
+    inexact = 0
+    widen = False
     for vec in vectors:
         for v in vec:
             if isinstance(v, (int, Fraction)):
                 continue
-            if not isinstance(v, (float, Real)):
+            inexact += 1
+            if isinstance(v, float):
+                continue
+            if isinstance(v, np.integer):
+                widen = True
+            elif not isinstance(v, Real):
                 raise InputError(f"spectrum entries must be real numbers, got {v!r}")
-            exact = False
-    return exact
+    if widen:
+        vectors = tuple([int(v) if isinstance(v, np.integer) else v for v in vec] for vec in vectors)
+    terms = sum(map(len, vectors)) + 1
+    # no pass when every entry is inexact and so is tol: numpy integers,
+    # now ints, stay far below the limit
+    if inexact and (inexact < terms - 1 or isinstance(tol, (int, Fraction))):
+        limit = sys.float_info.max / terms
+        for v in (*(v for vec in vectors for v in vec), tol):
+            if isinstance(v, (int, Fraction)) and abs(v) > limit:
+                raise InputError(
+                    f"an int or Fraction above {limit:.3g} in magnitude cannot be mixed with floats"
+                )
+    return not inexact, vectors
 
 
-def _effective_tol(vectors, tol: Optional[float]):
-    """The slack for comparing these vectors: 0 when every entry is an int
-    or Fraction, else the tolerance. Entries must be real numbers."""
+def _prepared(vectors, tol: Optional[float]):
+    """(vectors, slack) for comparing these vectors: the vectors as
+    `_inspect` returns them, and 0 when every entry is an int or Fraction,
+    else the tolerance."""
     tol = _tolerance(tol)
-    return 0 if _all_exact(vectors) else tol
+    exact, vectors = _inspect(vectors, tol)
+    return vectors, (0 if exact else tol)
 
 
 def find_horn_violation(
@@ -301,7 +334,7 @@ def find_horn_violation(
     if len(beta) != n or len(gamma) != n:
         raise InputError("spectra must have equal length")
     tol = _tolerance(tol)
-    exact = _all_exact((alpha, beta, gamma))
+    exact, (alpha, beta, gamma) = _inspect((alpha, beta, gamma), tol)
     slack = 0 if exact else tol
     if not _trace_holds(alpha, beta, gamma, slack):
         return "trace"
@@ -333,7 +366,7 @@ def weyl_bounds(
         raise InputError("spectra must have equal length")
     if type(k) is not int or not 1 <= k <= n:
         raise InputError(f"need an integer 1 <= k <= n, got k={k!r}, n={n}")
-    _all_exact((alpha, beta))
+    _, (alpha, beta) = _inspect((alpha, beta))
     lower_candidates = [
         alpha[i - 1] + beta[n + k - i - 1] for i in range(max(1, k), min(n, n + k - 1) + 1)
         if 1 <= n + k - i <= n
@@ -456,6 +489,7 @@ def is_weakly_decreasing(values: Sequence[Number], tol: float = 0.0) -> bool:
 def as_spectrum(values: Sequence[Number], tol: Optional[float] = None) -> tuple[Number, ...]:
     """Validate and freeze a weakly decreasing spectrum vector."""
     vec = tuple(values)
-    if not is_weakly_decreasing(vec, _effective_tol((vec,), tol)):
+    (checked,), slack = _prepared((vec,), tol)
+    if not is_weakly_decreasing(checked, slack):
         raise InputError(f"spectrum must be weakly decreasing: {vec}")
     return vec

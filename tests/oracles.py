@@ -12,9 +12,13 @@ sets P(alpha, beta) by filtering every partition of 2e into nu - 1 parts
 instead of a moment-pruned search, and Horn's inequalities by checking
 the triples of T(n, r) one at a time, in order, instead of one product
 with a matrix of all of them (for single checks and, trial by trial,
-for the sampler).
+for the sampler), line graphs by testing every pair of edges for a
+shared endpoint instead of pairing the edges within each star, and
+line-graph diameters by a BFS from each of the e vertices of the line
+graph instead of from each of the nu vertices of its base graph.
 """
 
+import math
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -22,6 +26,7 @@ import numpy as np
 
 from hornlr import (
     BipartiteGraph,
+    Graph,
     check_inequality,
     enumerate_partitions,
     generate_t,
@@ -109,6 +114,38 @@ def brute_force_clique(g):
             if all(v in adj[u] for u, v in combinations(subset, 2)):
                 return size
     return 0
+
+
+def line_graph_by_pairs(bg):
+    """The line graph of `bg` on its edges in lexicographic order, two
+    edges adjacent when they share an endpoint, found by testing all
+    e(e - 1)/2 pairs."""
+    edges = bg.sorted_edges
+    return Graph(
+        len(edges),
+        [
+            (a, b)
+            for a in range(len(edges))
+            for b in range(a + 1, len(edges))
+            if edges[a][0] == edges[b][0] or edges[a][1] == edges[b][1]
+        ],
+    )
+
+
+def bfs_diameter(g):
+    """Largest distance over all pairs of vertices of `g`, by a BFS from
+    each of them, level by level; math.inf when some pair is unreachable."""
+    best = 0
+    for src in range(g.order):
+        seen, frontier, depth = {src}, {src}, 0
+        while frontier:
+            frontier = {w for v in frontier for w in g.neighbors(v)} - seen
+            seen |= frontier
+            depth += bool(frontier)
+        if len(seen) < g.order:
+            return math.inf
+        best = max(best, depth)
+    return best
 
 
 def poly_mul(p, q):
@@ -222,7 +259,8 @@ def exhaustive_p(alpha, beta):
 def scan_first_violation(alpha, beta, gamma, tol=None):
     """find_horn_violation by a scan: "trace" when trace_condition fails,
     else the first triple of T(n, 1), ..., T(n, n - 1), in that order,
-    that check_inequality rejects, else None."""
+    that check_inequality rejects, else None. Both sum numpy integer
+    entries as Python ints, so sums past 2**63 do not wrap."""
     if not trace_condition(alpha, beta, gamma, tol):
         return "trace"
     return _first_rejected(alpha, beta, gamma, tol)

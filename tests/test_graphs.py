@@ -40,9 +40,11 @@ from hornlr.graphs import (
 )
 
 from oracles import (
+    bfs_diameter,
     bipartite_signature,
     brute_force_clique,
     connected_bipartite_signatures,
+    line_graph_by_pairs,
     poly_mul,
 )
 
@@ -330,6 +332,85 @@ def test_line_graph_clique_equals_max_degree():
             continue
         lg, _ = line_graph(bg)
         assert clique_number(lg) == max(degs)
+        # the branch and bound, on the same graph without its base
+        assert clique_number(Graph(lg.order, lg.edges())) == max(degs)
+
+
+def _line_metrics_agree(bg):
+    """Line graph, diameter and clique number of L(bg) from the base graph,
+    against the pair scan and the routes of a graph without a base; the
+    diameter is returned."""
+    lg, _ = line_graph(bg)
+    assert lg == line_graph_by_pairs(bg)
+    plain = Graph(lg.order, lg.edges())
+    assert plain._base is None
+    diam = diameter(lg)
+    assert diam == diameter(plain) == bfs_diameter(plain)
+    assert type(diam) is int or diam == math.inf
+    assert clique_number(lg) == clique_number(plain)
+    return diam
+
+
+def test_line_metrics_from_base_on_corpus():
+    count = 0
+    for bg in connected_bipartite_graphs(8):
+        assert type(_line_metrics_agree(bg)) is int
+        count += 1
+    assert count == 253
+
+
+def test_line_metrics_from_base_on_complete_bipartite():
+    for s in range(1, 12):
+        for t in range(1, 12):
+            diam = _line_metrics_agree(complete_bipartite(s, t))
+            assert type(diam) is int
+            assert diam == (s > 1) + (t > 1)
+            assert clique_number(line_graph(complete_bipartite(s, t))[0]) == max(s, t)
+
+
+def test_line_metrics_from_base_on_random_graphs():
+    rng = random.Random(31)
+    kinds = Counter()  # (has isolated base vertices, line graph connected)
+    checked = 0
+    while checked < 40:
+        bg = _random_bipartite(rng, max_side=6, p=rng.choice([0.15, 0.3, 0.6]))
+        if bg.edge_count == 0:
+            continue
+        checked += 1
+        diam = _line_metrics_agree(bg)
+        kinds[0 in bg.x_degrees() + bg.y_degrees(), diam != math.inf] += 1
+    # isolated base vertices alone do not disconnect the line graph
+    assert kinds[True, True] >= 3
+    assert kinds[True, False] + kinds[False, False] >= 5
+
+
+def test_line_diameter_in_blocks_of_edges(monkeypatch):
+    # a small table block splits the edges into many row blocks
+    monkeypatch.setattr(hornlr.graphs, "_DISTANCE_BLOCK", 7)
+    rng = random.Random(41)
+    for _ in range(20):
+        bg = _random_bipartite(rng, max_side=6, p=rng.choice([0.3, 0.6]))
+        if bg.edge_count:
+            _line_metrics_agree(bg)
+    assert diameter(line_graph(complete_bipartite(6, 5))[0]) == 2
+
+
+@pytest.mark.parametrize(
+    "bg, expected",
+    [
+        (complete_bipartite(1, 1), 0),
+        (BipartiteGraph(2, 2, [(0, 0), (1, 0), (1, 1)]), 2),  # path P4
+        (BipartiteGraph(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]), 4),  # path P6
+        (BipartiteGraph(4, 3, [(0, 0), (0, 1), (1, 0), (1, 1)]), 2),  # C4 and isolated vertices
+        (BipartiteGraph(3, 4, [(0, 0), (1, 0)]), 1),
+        (even_cycle(10), 5),
+        (matching(1), 0),
+        (matching(3), math.inf),
+        (disjoint_union([even_cycle(4), complete_bipartite(1, 3)]), math.inf),
+    ],
+)
+def test_line_diameter_examples(bg, expected):
+    assert _line_metrics_agree(bg) == expected
 
 
 def test_connectivity_and_bipartiteness():

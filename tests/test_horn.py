@@ -19,7 +19,7 @@ from hornlr import (
     trace_condition,
     weyl_bounds,
 )
-from hornlr.horn import _SAMPLE_BLOCK, _horn_system, _screen_block
+from hornlr.horn import _SAMPLE_BLOCK, _horn_system, _screen_block, as_spectrum
 
 from oracles import all_partitions, recursive_t, sample_by_trial, scan_first_violation
 
@@ -221,7 +221,8 @@ def test_find_horn_violation_fractions_and_number_kinds():
         "np.int64": lambda v, i: np.int64(v),
         "np.float64": lambda v, i: np.float64(v) / 3,
         "np.float32": lambda v, i: np.float32(v) / 2,
-        # sums past 2**63 wrap in int64: compared row by row, as in the scan
+        # sums past 2**63 would wrap in int64: numpy integers are summed as
+        # Python ints, in the library and, through check_inequality, the scan
         "np.int64 near 2**63": lambda v, i: np.int64(v) * np.int64(2**59),
     }
     for name, convert in kinds.items():
@@ -230,7 +231,7 @@ def test_find_horn_violation_fractions_and_number_kinds():
             for _ in range(12):
                 alpha, beta, gamma = _int_triple(rng, n)
                 triples.append(tuple([convert(v, i) for i, v in enumerate(vec)] for vec in (alpha, beta, gamma)))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="raise"):
             found = _assert_same_witnesses(triples)
         assert any(isinstance(w, IndexTriple) for w in found), name
     floats = [_float_triple(rng, np_rng, n) for n in range(1, 8) for _ in range(8)]
@@ -408,6 +409,52 @@ def test_non_real_entries_and_tolerances_rejected():
             check_inequality(t, (1, 0), (1, 0), (2, 0), tol=tol)
         with pytest.raises(InputError):
             sample_necessity(2, 3, tol=tol)
+
+
+def test_numpy_integers_sum_without_wrapping():
+    big, zero = np.int64(2**62), np.int64(0)
+    assert horn_compatible((big, zero), (big, zero), (big, big))
+    assert horn_compatible((2**62, 0), (2**62, 0), (2**62, 2**62))
+    assert weyl_bounds((big, zero), (big, zero), 1) == (2**62, 2**63)
+    # the same answers as for Python ints, near 2**63 included, where
+    # int64 sums would wrap
+    rng = random.Random(37)
+    for n in range(1, 8):
+        for scale in (1, 2**57, 2**59):
+            for _ in range(6):
+                triple = [[v * scale for v in vec] for vec in _int_triple(rng, n)]
+                as_numpy = [[np.int64(v) for v in vec] for vec in triple]
+                with np.errstate(over="raise"):
+                    assert find_horn_violation(*as_numpy) == find_horn_violation(*triple)
+                    assert trace_condition(*as_numpy) == trace_condition(*triple)
+
+
+def test_huge_exact_entries_mixed_with_floats_rejected():
+    # 10**400 + 0.5 raises OverflowError; the check comes before any sum
+    huge = (10**400, 0), (0.5, -0.5), (10**400, 0)
+    with pytest.raises(InputError):
+        horn_compatible(*huge)
+    with pytest.raises(InputError):
+        find_horn_violation(*huge)
+    with pytest.raises(InputError):
+        trace_condition(*huge)
+    with pytest.raises(InputError):
+        check_inequality(IndexTriple((1,), (1,), (1,), 2), *huge)
+    with pytest.raises(InputError):
+        weyl_bounds(huge[0], huge[1], 1)
+    with pytest.raises(InputError):
+        as_spectrum((10**400, 0.5))
+    with pytest.raises(InputError):
+        as_spectrum((Fraction(10**400, 3), 0.5))
+    with pytest.raises(InputError):
+        horn_compatible((0.5, 0.5), (0.5, 0.5), (1.0, 1.0), tol=10**400)
+    # partial sums of entries within range can still pass the float range
+    with pytest.raises(InputError):
+        horn_compatible((10**308, 10**308), (0.5, -0.5), (10**308, 10**308))
+    # without floats the arithmetic is exact, whatever the size
+    assert horn_compatible((10**400, 0), (1, -1), (10**400 + 1, -1))
+    assert as_spectrum((10**400, 0)) == (10**400, 0)
+    assert horn_compatible((10**300, 0), (0.5, -0.5), (10**300, 0))
 
 
 def test_real_number_kinds_still_accepted():
