@@ -2,8 +2,11 @@
 
 Graphs here are simple and finite. A :class:`BipartiteGraph` keeps its
 two colour classes explicit; a :class:`Graph` is a plain undirected
-graph used for line graphs and their spectra. Characteristic polynomials
-are computed exactly (integer arithmetic throughout), so "this graph is
+graph used for line graphs and their spectra. Every routine below works
+on neighbour lists: a `Graph`'s own, or those that `_adjacency` builds
+for a bipartite graph (X vertices first, then Y), and every distance
+comes from the one BFS, `_distances`. Characteristic polynomials are
+computed exactly (integer arithmetic throughout), so "this graph is
 integral" is a proof, not a float heuristic: the polynomial either
 splits over the integers or it does not.
 
@@ -20,17 +23,17 @@ instead of its e vertices:
 * its clique number is the base graph's largest degree: edges that meet
   pairwise share one vertex or form a triangle, and a bipartite graph is
   triangle-free;
-* its polynomial comes from the base graph's nu x nu matrix. With B the
-  nu x e vertex-edge incidence matrix, A(L) = B^T B - 2I and
-  B B^T = Q = D + A, the signless Laplacian, so
-  det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)). When e < nu (a
-  forest, or a base graph with isolated vertices) the factor
+* its polynomial comes from the base graph's neighbour lists with
+  deg - 2 on the diagonal. With B the nu x e vertex-edge incidence
+  matrix, A(L) = B^T B - 2I and B B^T = Q = D + A, the signless
+  Laplacian, so det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)). When
+  e < nu (a forest, or a base graph with isolated vertices) the factor
   (x+2)^(nu-e) is divided out instead; the division is exact, because Q
   of a bipartite graph has one zero eigenvalue per component.
 
 A `Graph` built directly, or by `BipartiteGraph.as_graph`, has no base
 graph and takes the general routes: BFS from every vertex, branch and
-bound, and the polynomial of its own adjacency matrix.
+bound, and the polynomial of its own neighbour lists.
 
 Vertex order of a line graph is the lexicographic order of the base
 graph's edges by (x-index, y-index); every operation that returns
@@ -194,28 +197,7 @@ class BipartiteGraph:
     def is_connected(self) -> bool:
         """BFS across both classes; order >= 2 always, so edgeless
         bipartite graphs are never connected."""
-        if not self._edges:
-            return False
-        adj_x: list[list[int]] = [[] for _ in range(self._m)]
-        adj_y: list[list[int]] = [[] for _ in range(self._n)]
-        for x, y in self._edges:
-            adj_x[x].append(y)
-            adj_y[y].append(x)
-        seen_x, seen_y = {self._edges[0][0]}, set()
-        stack: list[tuple[str, int]] = [("x", self._edges[0][0])]
-        while stack:
-            side, v = stack.pop()
-            if side == "x":
-                for y in adj_x[v]:
-                    if y not in seen_y:
-                        seen_y.add(y)
-                        stack.append(("y", y))
-            else:
-                for x in adj_y[v]:
-                    if x not in seen_x:
-                        seen_x.add(x)
-                        stack.append(("x", x))
-        return len(seen_x) == self._m and len(seen_y) == self._n
+        return -1 not in _distances(_adjacency(self), 0)
 
     def regular_degree(self) -> Optional[int]:
         """Common degree when every vertex in both classes shares it."""
@@ -294,6 +276,17 @@ def _stars(bg: BipartiteGraph) -> tuple[list[list[int]], list[list[int]]]:
 
 def _star_pairs(stars: Iterable[list[int]]) -> list[tuple[int, int]]:
     return [pair for star in stars for pair in combinations(star, 2)]
+
+
+def _adjacency(bg: BipartiteGraph) -> list[list[int]]:
+    """Neighbour lists of `bg` on its nu vertices: X vertices 0..m-1,
+    then Y vertices m..nu-1, the numbering of `as_graph`."""
+    m = bg.x_size
+    adj: list[list[int]] = [[] for _ in range(bg.order)]
+    for x, y in bg.sorted_edges:
+        adj[x].append(m + y)
+        adj[m + y].append(x)
+    return adj
 
 
 def degree_partitions(bg: BipartiteGraph) -> tuple[Partition, Partition]:
@@ -384,21 +377,16 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     matrix B). When e < nu, a forest or a base graph with isolated
     vertices, (x+2)^(nu-e) is divided out; Q has a zero eigenvalue per
     component, so the division is exact, and a remainder raises
-    ArithmeticError. Every other graph takes its own adjacency matrix.
+    ArithmeticError. Every other graph takes its own neighbour lists.
     """
     bg = g._base
     if bg is None:
-        return tuple(_char_poly(g.adjacency_rows()))
-    m, nu = bg.x_size, bg.order
-    rows = [[0] * nu for _ in range(nu)]
-    for v, d in enumerate(bg.x_degrees() + bg.y_degrees()):
-        rows[v][v] = d - 2
-    for x, y in bg.sorted_edges:
-        rows[x][m + y] = rows[m + y][x] = 1
-    coeffs = _char_poly(rows)
-    for _ in range(bg.edge_count - nu):
+        return tuple(_char_poly(g._adj, [0] * g.order))
+    adj = _adjacency(bg)
+    coeffs = _char_poly(adj, [len(nb) - 2 for nb in adj])
+    for _ in range(bg.edge_count - bg.order):
         coeffs = [a + 2 * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    for _ in range(nu - bg.edge_count):
+    for _ in range(bg.order - bg.edge_count):
         quotient = _synthetic_division(coeffs, -2)
         if quotient is None:
             raise ArithmeticError("(x+2) deflation of the line-graph polynomial was not exact")
@@ -406,44 +394,27 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _char_poly(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Coefficients of det(xI - A), descending, for an integer matrix A.
+def _char_poly(neighbours: Sequence[Sequence[int]], diagonal: Sequence[int]) -> list[int]:
+    """Coefficients of det(xI - A), descending, for the integer matrix A
+    with 1 at (i, j) for each j in neighbours[i], diagonal[i] at (i, i)
+    and 0 elsewhere: an adjacency matrix, or Q - 2I.
 
     Uses the Faddeev-LeVerrier recurrence over Python integers; the
-    division by the step index is exact at every step. Matrices whose
-    off-diagonal entries are 0/1 (adjacency matrices and Q - 2I, the
-    common cases) are multiplied through neighbour lists, which skips
-    the zero terms, plus d_i times row i for a nonzero diagonal d_i.
+    division by the step index is exact at every step. Row i of A M is
+    the sum of the rows of M at the neighbours of i, plus d_i times row i
+    of M for a nonzero diagonal entry d_i, so no zero term is touched.
     """
-    n = len(rows)
-    if n == 0:
-        return [1]
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-
-    neighbours = None
-    if all(v in (0, 1) for i, r in enumerate(rows) for j, v in enumerate(r) if i != j):
-        neighbours = [[j for j, v in enumerate(r) if v and j != i] for i, r in enumerate(rows)]
-        diagonal = [(i, r[i]) for i, r in enumerate(rows) if r[i]]
-
+    n = len(neighbours)
+    diagonal = [(i, d) for i, d in enumerate(diagonal) if d]
     work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [1]
     for k in range(1, n + 1):
-        if neighbours is not None:
-            prod = [
-                [sum(col) for col in zip(*(work[t] for t in nb))] if nb else [0] * n
-                for nb in neighbours
-            ]
-            for i, d in diagonal:
-                prod[i] = [a + d * b for a, b in zip(prod[i], work[i])]
-        else:
-            prod = [
-                [
-                    sum(rows[i][t] * work[t][j] for t in range(n) if rows[i][t])
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
+        prod = [
+            [sum(col) for col in zip(*(work[t] for t in nb))] if nb else [0] * n
+            for nb in neighbours
+        ]
+        for i, d in diagonal:
+            prod[i] = [a + d * b for a, b in zip(prod[i], work[i])]
         trace = sum(prod[i][i] for i in range(n))
         c, rem = divmod(-trace, k)
         if rem:
@@ -538,34 +509,39 @@ def numeric_spectrum(g: Graph) -> list[float]:
 # metrics
 
 
+def _distances(
+    adj: Sequence[Sequence[int]], src: int, dist: Optional[list[int]] = None
+) -> list[int]:
+    """BFS distances from `src` over the neighbour lists `adj`, -1 where
+    a vertex is unreachable. Given `dist`, the search fills it in place
+    and does not enter vertices it already holds a distance for."""
+    if dist is None:
+        dist = [-1] * len(adj)
+    dist[src] = 0
+    queue = [src]
+    for v in queue:
+        d = dist[v] + 1
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
 def is_connected(g: Graph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.order
+    return -1 not in _distances(g._adj, 0)
 
 
 def is_bipartite_graph(g: Graph) -> bool:
-    """Two-colourability by BFS, component by component."""
-    colour: dict[int, int] = {}
+    """Two-colourability by BFS, component by component, into one table
+    of distances: colour by their parity. An edge never joins distances
+    two apart, so a graph is bipartite exactly when no edge joins two
+    equal distances (that would close an odd cycle)."""
+    dist = [-1] * g.order
     for src in range(g.order):
-        if src in colour:
-            continue
-        colour[src] = 0
-        queue = [src]
-        for v in queue:
-            for w in g.neighbors(v):
-                if w not in colour:
-                    colour[w] = colour[v] ^ 1
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return False
-    return True
+        if dist[src] < 0:
+            _distances(g._adj, src, dist)
+    return all(dist[u] != dist[v] for u, nb in enumerate(g._adj) for v in nb)
 
 
 def diameter(g: Graph) -> Union[int, float]:
@@ -586,16 +562,10 @@ def diameter(g: Graph) -> Union[int, float]:
         return _line_diameter(g._base)
     best = 0
     for src in range(g.order):
-        dist = {src: 0}
-        queue = [src]
-        for v in queue:
-            for w in g.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        if len(dist) < g.order:
+        dist = _distances(g._adj, src)
+        if -1 in dist:
             return math.inf
-        best = max(best, max(dist.values()))
+        best = max(best, max(dist))
     return best
 
 
@@ -612,21 +582,10 @@ def _line_diameter(bg: BipartiteGraph) -> Union[int, float]:
     e = len(edges)
     if e == 1:  # the diagonal below would read as distance 1
         return 0
-    adj: list[list[int]] = [[] for _ in range(nu)]
-    for x, y in edges:
-        adj[x].append(m + y)
-        adj[m + y].append(x)
+    adj = _adjacency(bg)
+    dist = np.array([_distances(adj, src) for src in range(nu)])
     # nu marks an unreachable pair: every distance in bg is at most nu - 1
-    dist = [[nu] * nu for _ in range(nu)]
-    for src, row in enumerate(dist):
-        row[src] = 0
-        queue = [src]
-        for v in queue:
-            for w in adj[v]:
-                if row[w] == nu:
-                    row[w] = row[v] + 1
-                    queue.append(w)
-    dist = np.array(dist)
+    dist[dist < 0] = nu
     xs = np.array([x for x, _ in edges])
     ys = np.array([m + y for _, y in edges])
     # near[v, f]: distance from base vertex v to the nearer end of edge f;
@@ -658,14 +617,9 @@ def clique_number(g: Graph) -> int:
     for v in range(n):
         for w in g.neighbors(v):
             adj[v] |= 1 << w
-    best = 0
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if cand == 0:
-            if size > best:
-                best = size
-            return
+    def coloured(cand: int) -> list[tuple[int, int]]:
+        """The vertices of `cand` with their greedy colours, ascending."""
         order: list[tuple[int, int]] = []
         colour = 0
         rem = cand
@@ -678,13 +632,27 @@ def clique_number(g: Graph) -> int:
                 avail &= ~(adj[v] | vbit)
                 rem ^= vbit
                 order.append((v, colour))
-        for v, c in reversed(order):
-            if size + c <= best:
-                return
-            expand(size + 1, cand & adj[v])
-            cand &= ~(1 << v)
+        return order
 
-    expand(0, (1 << n) - 1)
+    # one frame per clique vertex: [clique size, candidates, vertices of
+    # the candidates still to try, highest colour last]; a list, so the
+    # depth is not bounded by Python's recursion limit
+    best = 0
+    full = (1 << n) - 1
+    stack = [[0, full, coloured(full)]]
+    while stack:
+        frame = stack[-1]
+        size, cand, order = frame
+        if not order or size + order[-1][1] <= best:
+            stack.pop()
+            continue
+        v, _ = order.pop()
+        frame[1] = cand & ~(1 << v)
+        grown = cand & adj[v]
+        if grown:
+            stack.append([size + 1, grown, coloured(grown)])
+        elif size + 1 > best:
+            best = size + 1
     return best
 
 
@@ -704,7 +672,7 @@ def parse_graph_text(text: str) -> BipartiteGraph:
         if len(parts) != 2 or parts[0] != expected or not parts[1].isdecimal():
             raise FormatError(f"bad header line {ln!r}, expected `{expected} <size>`")
         sizes.append(int(parts[1]))
-    edges = []
+    edges: dict[tuple[int, int], None] = {}  # insertion-ordered, with a constant-time lookup
     for ln in lines[2:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -714,7 +682,7 @@ def parse_graph_text(text: str) -> BipartiteGraph:
         edge = (int(parts[0]), int(parts[1]))
         if edge in edges:
             raise FormatError(f"duplicate edge {ln!r}")
-        edges.append(edge)
+        edges[edge] = None
     try:
         return BipartiteGraph(sizes[0], sizes[1], edges)
     except InputError as exc:

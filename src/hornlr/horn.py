@@ -30,14 +30,15 @@ ignored, otherwise comparisons allow the caller-supplied tolerance
 (default 1e-9). Exact input is scaled to integers by its common
 denominator and multiplied in float64 while 3n times its largest entry
 is at most 2**53, so that every partial sum is an integer float64 holds
-exactly, and in Python integers beyond that. Other input is multiplied
-in float64 only to screen, with a margin that bounds the rounding; each
-row it flags is then decided, in order, by the scalar comparison, so
-answers at the tolerance are exactly those of comparing the sums
-directly. Numpy integer entries are summed as Python ints, so they
-never wrap, and keep the tolerance of inexact input. Spectrum entries
-and tolerances that are not real numbers raise InputError, and so do
-ints and Fractions too large to be added to the floats of the same call.
+exactly. Larger integers, and other input, are multiplied in float64
+only to screen, with a margin that bounds the rounding; each row it
+flags is then decided, in order, by the scalar comparison, so answers at
+the tolerance are exactly those of comparing the sums directly.
+Magnitudes too large to screen are compared row by row. Numpy integer
+entries are summed as Python ints, so they never wrap, and keep the
+tolerance of inexact input. Spectrum entries and tolerances that are not
+real numbers raise InputError, and so do ints and Fractions too large to
+be added to the floats of the same call.
 
 |U(n, r)| grows combinatorially; n <= 8 stays comfortable on a desk
 machine and nothing larger is refused, it just costs time.
@@ -199,22 +200,21 @@ def _first_violation(alpha, beta, gamma, exact: bool, slack) -> Optional[IndexTr
     """The first triple of T(n, 1), ..., T(n, n - 1), in that order, whose
     inequality fails by more than `slack`; None when all of them hold.
 
-    Exact input is scaled to integers by the common denominator and
-    multiplied in float64 when every partial sum stays within 2**53, in
-    Python integers otherwise. Other input is screened in float64 with a
-    margin, and the rows it flags are decided by the scalar comparison.
+    Exact input is scaled to integers by the common denominator, and
+    multiplied in float64 without rounding when every partial sum stays
+    within 2**53. Larger integers, and inexact input, are screened in
+    float64 with a margin, and the rows the screen flags are decided by
+    the scalar comparison; magnitudes too large to screen are compared
+    row by row.
     """
     n = len(alpha)
     triples, matrix = _horn_system(n)
     values = (*alpha, *beta, *gamma)
     if exact:
         scale = math.lcm(*(v.denominator for v in values))
-        ints = [v.numerator * (scale // v.denominator) for v in values]
-        if 3 * n * max(map(abs, ints), default=0) <= 2**53:
-            excess = matrix @ np.array(ints, dtype=np.float64)
-        else:
-            excess = matrix.astype(np.int64).astype(object) @ np.array(ints, dtype=object)
-        rows = np.flatnonzero(excess > 0)
+        values = [v.numerator * (scale // v.denominator) for v in values]
+    if exact and 3 * n * max(map(abs, values), default=0) <= 2**53:
+        rows = np.flatnonzero(matrix @ np.array(values, dtype=np.float64) > 0)
     elif _screenable((*values, slack), n):
         x = np.array(values, dtype=np.float64)
         bound = float(slack) - _screen_margin(n, np.abs(x).max(), slack)

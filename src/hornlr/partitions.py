@@ -9,7 +9,7 @@ parts compare equal no matter how they were supplied.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .errors import FormatError, InputError
 
@@ -132,20 +132,42 @@ def enumerate_partitions(
         if total == 0 and exact_length == 0:
             yield Partition()
         return
-    for parts in _descending_parts(total, exact_length, max_first_part):
+    choices = _parts_at_most(exact_length, total, max_first_part)
+    for parts in _descending_parts(exact_length, choices):
         yield Partition(parts)
 
 
-def _descending_parts(
-    total: int, length: int, max_part: int
-) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    # each of the `length` parts is >= 1, so the first is >= ceil(total/length)
-    lo = -(-total // length)
-    hi = min(max_part, total - length + 1)
-    for p in range(hi, lo - 1, -1):
-        for rest in _descending_parts(total - p, length - 1, p):
-            yield (p,) + rest
+# a choice of one part: the part, and the choices for the next part (None
+# after the last part)
+_Choices = Iterator[tuple[int, Optional["_Choices"]]]
+
+
+def _parts_at_most(k: int, total: int, top: int) -> _Choices:
+    """Choices for the next of k positive parts that sum to `total`, each
+    at most `top`, largest first (see `_descending_parts`)."""
+    # each of the k parts is >= 1, so this one is >= ceil(total / k)
+    for p in range(min(top, total - k + 1), -(-total // k) - 1, -1):
+        yield p, (_parts_at_most(k - 1, total - p, p) if k > 1 else None)
+
+
+def _descending_parts(length: int, choices: _Choices) -> Iterator[tuple[int, ...]]:
+    """Tuples of `length` parts, placed first to last, in the order the
+    choices are offered. `choices` iterates the choices for the first
+    part; a choice is a pair (part, the choices for the next part), with
+    None in place of the choices after the last part.
+
+    One iterator of choices per level, kept on an explicit stack, so the
+    depth is not bounded by Python's recursion limit.
+    """
+    parts = [0] * length
+    stack = [choices]
+    while stack:
+        depth = len(stack) - 1
+        for parts[depth], below in stack[-1]:
+            if depth + 1 == length:
+                yield tuple(parts)
+            else:
+                stack.append(below)
+                break
+        else:
+            stack.pop()

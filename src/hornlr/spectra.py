@@ -53,7 +53,7 @@ from .graphs import (
     root_multiplicity,
 )
 from .lr import lr_positive
-from .partitions import Partition
+from .partitions import Partition, _descending_parts
 
 
 def moment_c(
@@ -156,33 +156,16 @@ def _moment_search(
 ) -> Iterator[tuple[int, ...]]:
     """Descending tuples of `length` positive parts summing to `total`,
     first part at most `cap` and, when length >= 2, above the second,
-    with sum((g - 2)^2) == need2; in descending lexicographic order.
-
-    One generator of admissible next parts per level, kept on an
-    explicit stack, so the depth is not bounded by Python's recursion
-    limit.
-    """
-    parts = [0] * length
-    stack = [_next_parts(length, total, cap, 0, need2, length >= 2)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            continue
-        depth = len(stack) - 1
-        g, rest, top, s2 = step
-        parts[depth] = g
-        if depth + 1 == length:
-            yield tuple(parts)
-        else:
-            stack.append(_next_parts(length - depth - 1, rest, top, s2, need2, False))
+    with sum((g - 2)^2) == need2; in descending lexicographic order."""
+    return _descending_parts(length, _next_parts(length, total, cap, 0, need2, length >= 2))
 
 
 def _next_parts(k: int, total: int, top: int, s2: int, need2: int, strict: bool):
     """Values g for the next of k parts that sum to `total`, each at most
     `top`, largest first, for which the remaining k - 1 parts can still
-    bring the prefix sum s2 of (g - 2)^2 to need2. Yields g with the
-    remainder's sum, its cap (g, or g - 1 when `strict`) and the new s2.
+    bring the prefix sum s2 of (g - 2)^2 to need2. Yields each g with the
+    choices for the part after it (see `_descending_parts`), which is at
+    most g, or g - 1 when `strict`.
     """
     for g in range(min(top, total - k + 1), 0, -1):
         rest = total - g
@@ -192,7 +175,7 @@ def _next_parts(k: int, total: int, top: int, s2: int, need2: int, strict: bool)
         t2 = s2 + (g - 2) ** 2
         low, high = _square_sum_range(k - 1, rest, cap)
         if low <= need2 - t2 <= high:
-            yield g, rest, cap, t2
+            yield g, (_next_parts(k - 1, rest, cap, t2, need2, False) if k > 1 else None)
 
 
 def _square_sum_range(k: int, total: int, top: int) -> tuple[int, int]:

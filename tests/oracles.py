@@ -15,7 +15,9 @@ with a matrix of all of them (for single checks and, trial by trial,
 for the sampler), line graphs by testing every pair of edges for a
 shared endpoint instead of pairing the edges within each star, and
 line-graph diameters by a BFS from each of the e vertices of the line
-graph instead of from each of the nu vertices of its base graph.
+graph instead of from each of the nu vertices of its base graph, and
+bipartiteness by trying every 2-colouring instead of colouring by BFS
+distance.
 """
 
 import math
@@ -146,6 +148,17 @@ def bfs_diameter(g):
             return math.inf
         best = max(best, depth)
     return best
+
+
+def brute_force_bipartite(g):
+    """Whether some 2-colouring of the vertices of `g` leaves no edge
+    within one colour, by trying all 2**order of them (order <= 10)."""
+    if g.order > 10:
+        raise ValueError(f"brute_force_bipartite needs order <= 10, got {g.order}")
+    edges = g.edges()
+    return any(
+        all((mask >> u ^ mask >> v) & 1 for u, v in edges) for mask in range(1 << g.order)
+    )
 
 
 def poly_mul(p, q):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -42,6 +43,7 @@ from hornlr.graphs import (
 from oracles import (
     bfs_diameter,
     bipartite_signature,
+    brute_force_bipartite,
     brute_force_clique,
     connected_bipartite_signatures,
     line_graph_by_pairs,
@@ -186,14 +188,11 @@ def test_char_poly_matches_sympy_on_random_graphs():
 
 def test_char_poly_exact_beyond_64_bits():
     # entries and coefficients that no fixed-width integer holds
-    assert _char_poly([[2**70]]) == [1, -(2**70)]
-    big = 10**12
-    rows = [[0, big, 0], [big, 0, big], [0, big, 0]]
-    assert _char_poly(rows) == [1, 0, -2 * big * big, 0]
+    assert _char_poly([[]], [2**70]) == [1, -(2**70)]
 
 
 def test_char_poly_kernel_with_diagonal_matches_sympy():
-    # 0/1 off the diagonal and any integer on it: the neighbour-list branch
+    # 0/1 off the diagonal, as neighbour lists, and any integer on it
     rng = random.Random(26)
     x = sympy.symbols("x")
     matrices = []
@@ -214,18 +213,17 @@ def test_char_poly_kernel_with_diagonal_matches_sympy():
         for a, b in bg.sorted_edges:
             rows[a][m + b] = rows[m + b][a] = 1
         matrices.append(rows)
-    # an off-diagonal 2 takes the dense branch
-    matrices.append([[1, 2, 0], [2, -1, 1], [0, 1, 0]])
     for rows in matrices:
         expected = sympy.Matrix(rows).charpoly(x).all_coeffs()
-        assert _char_poly(rows) == [int(c) for c in expected]
+        neighbours = [[j for j, v in enumerate(r) if v and j != i] for i, r in enumerate(rows)]
+        diagonal = [r[i] for i, r in enumerate(rows)]
+        assert _char_poly(neighbours, diagonal) == [int(c) for c in expected]
 
 
 def _direct_routes_agree(bg):
     lg, _ = line_graph(bg)
     poly = char_poly_exact(lg)
     assert len(poly) == bg.edge_count + 1
-    assert list(poly) == _char_poly(lg.adjacency_rows())
     assert poly == char_poly_exact(Graph(lg.order, lg.edges()))
 
 
@@ -314,6 +312,13 @@ def test_clique_examples():
     assert clique_number(_cycle_graph(4)) == 2
     lg, _ = line_graph(complete_bipartite(2, 3))
     assert clique_number(lg) == 3
+
+
+def test_clique_number_beyond_recursion_limit():
+    # one branch-and-bound level per clique vertex, kept on an explicit stack
+    n = sys.getrecursionlimit() + 100
+    complete = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    assert clique_number(complete) == n
 
 
 def test_clique_matches_brute_force():
@@ -420,6 +425,46 @@ def test_connectivity_and_bipartiteness():
     assert not is_bipartite_graph(_cycle_graph(5))
     assert complete_bipartite(2, 3).is_connected()
     assert not matching(2).is_connected()
+
+
+def test_bipartiteness_matches_brute_force():
+    rng = random.Random(31)
+    graphs = [Graph(1), Graph(2), Graph(3, [(0, 1)]), Graph(10)]
+    for _ in range(60):
+        # sparse graphs split into components, dense ones close odd cycles
+        graphs.append(_random_graph(rng, rng.randint(1, 10), p=rng.choice([0.1, 0.2, 0.4, 0.7])))
+    # an odd cycle beside bipartite components, in either order
+    graphs.append(Graph(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]))
+    graphs.append(Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)]))
+    verdicts = set()
+    for g in graphs:
+        verdict = is_bipartite_graph(g)
+        assert verdict == brute_force_bipartite(g)
+        verdicts.add((verdict, is_connected(g)))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_connectivity_matches_bfs_diameter():
+    rng = random.Random(32)
+    for _ in range(60):
+        g = _random_graph(rng, rng.randint(1, 9), p=rng.choice([0.15, 0.3, 0.6]))
+        assert is_connected(g) == (bfs_diameter(g) < math.inf)
+    bipartite = [
+        _random_bipartite(rng, max_side=5, p=rng.choice([0.2, 0.4, 0.7])) for _ in range(60)
+    ]
+    bipartite += [
+        BipartiteGraph(1, 1),
+        BipartiteGraph(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]),  # isolated x2
+        BipartiteGraph(2, 3, [(0, 0), (1, 0), (0, 1), (1, 1)]),  # isolated y2
+        BipartiteGraph(2, 2, [(1, 0), (1, 1)]),  # isolated x0, where the search starts
+        complete_bipartite(2, 3),
+    ]
+    verdicts = set()
+    for bg in bipartite:
+        verdict = bg.is_connected()
+        assert verdict == (bfs_diameter(bg.as_graph()) < math.inf)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +590,15 @@ def test_text_format_round_trip():
     assert parse_graph_text(graph_to_text(bg)) == bg
     text = "X 1\nY 3\n0 0\n0 1\n0 2\n"
     assert parse_graph_text(text) == complete_bipartite(1, 3)
+
+
+def test_text_format_large_file_and_late_duplicate():
+    from hornlr import FormatError
+
+    text = graph_to_text(complete_bipartite(200, 150))
+    assert parse_graph_text(text).edge_count == 30000
+    with pytest.raises(FormatError, match="duplicate edge '7 9'"):
+        parse_graph_text(text + "7 9\n")
 
 
 def test_json_format_round_trip():

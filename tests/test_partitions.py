@@ -70,6 +70,11 @@ def test_enumerate_examples():
     assert list(enumerate_partitions(2, 3, 5)) == []
 
 
+def test_enumerate_beyond_recursion_limit():
+    # one level per part, kept on an explicit stack
+    assert [p.parts for p in enumerate_partitions(2000, 1000, 2)] == [(2,) * 1000]
+
+
 def test_enumerate_constraints_and_order():
     for total, length, cap in [(10, 3, 4), (12, 5, 6), (9, 2, 9), (7, 7, 3)]:
         seen = list(enumerate_partitions(total, length, cap))

@@ -420,9 +420,9 @@ def test_char_poly_computed_once_per_graph(monkeypatch):
     calls = []
     real = graphs._char_poly
 
-    def counting(rows):
-        calls.append(len(rows))
-        return real(rows)
+    def counting(neighbours, diagonal):
+        calls.append(len(neighbours))
+        return real(neighbours, diagonal)
 
     monkeypatch.setattr(graphs, "_char_poly", counting)
     report = analyze_line_graph(complete_bipartite(3, 3))
