@@ -113,9 +113,7 @@ def _cmd_horn_weyl(args) -> int:
     alpha = as_spectrum(tuple(args.alpha), args.tol)
     beta = as_spectrum(tuple(args.beta), args.tol)
     lower, upper = weyl_bounds(alpha, beta, args.k)
-    lo = _fmt(lower) if lower is not None else "-inf"
-    hi = _fmt(upper) if upper is not None else "+inf"
-    print(f"{lo} <= gamma_{args.k} <= {hi}")
+    print(f"{_fmt(lower)} <= gamma_{args.k} <= {_fmt(upper)}")
     return 0
 
 
@@ -187,7 +185,7 @@ def _cmd_spectra_enum_p(args) -> int:
 
 def _cmd_spectra_analyze(args) -> int:
     bg = load_graph(args.file)
-    report = analyze_line_graph(bg, include_p_set=args.p_set or None)
+    report = analyze_line_graph(bg, include_p_set=args.p_set)
     _print_report_summary(str(args.file), report)
     if args.json:
         payload = json.dumps(report.to_json_dict(), **JSON_KW) + "\n"

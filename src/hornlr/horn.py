@@ -353,13 +353,13 @@ def horn_compatible(
 
 def weyl_bounds(
     alpha: Sequence[Number], beta: Sequence[Number], k: int
-) -> tuple[Optional[Number], Optional[Number]]:
+) -> tuple[Number, Number]:
     """Per-eigenvalue sandwich for gamma[k] (1-based).
 
     lower = max(alpha[i] + beta[j] : i + j = n + k), an underestimate of
     the k-th largest eigenvalue of A + B; upper = min over i + j = k + 1.
-    Index pairs outside 1..n are skipped; an empty window (impossible for
-    1 <= k <= n, kept for safety) yields None on that side.
+    For 1 <= k <= n the lower window is i = k..n and the upper one
+    i = 1..k, so neither is empty.
     """
     n = len(alpha)
     if len(beta) != n:
@@ -367,16 +367,8 @@ def weyl_bounds(
     if type(k) is not int or not 1 <= k <= n:
         raise InputError(f"need an integer 1 <= k <= n, got k={k!r}, n={n}")
     _, (alpha, beta) = _inspect((alpha, beta))
-    lower_candidates = [
-        alpha[i - 1] + beta[n + k - i - 1] for i in range(max(1, k), min(n, n + k - 1) + 1)
-        if 1 <= n + k - i <= n
-    ]
-    upper_candidates = [
-        alpha[i - 1] + beta[k - i] for i in range(max(1, k + 1 - n), min(n, k) + 1)
-        if 1 <= k + 1 - i <= n
-    ]
-    lower = max(lower_candidates) if lower_candidates else None
-    upper = min(upper_candidates) if upper_candidates else None
+    lower = max(alpha[i - 1] + beta[n + k - i - 1] for i in range(k, n + 1))
+    upper = min(alpha[i - 1] + beta[k - i] for i in range(1, k + 1))
     return lower, upper
 
 
@@ -475,9 +467,7 @@ def _screen_block(spectra: np.ndarray, matrix: np.ndarray, n: int, tol):
 def _weyl_holds(alpha, beta, gamma, slack) -> bool:
     for k in range(1, len(alpha) + 1):
         lower, upper = weyl_bounds(alpha, beta, k)
-        if (lower is not None and gamma[k - 1] < lower - slack) or (
-            upper is not None and gamma[k - 1] > upper + slack
-        ):
+        if gamma[k - 1] < lower - slack or gamma[k - 1] > upper + slack:
             return False
     return True
 

@@ -206,8 +206,10 @@ class RamanujanVerdict:
     Two readings of the defining bound are reported side by side:
     `second_largest_ok` bounds |lambda_2| by 2*sqrt(k-1);
     `all_nontrivial_ok` bounds every eigenvalue except one Perron copy
-    of k and, on bipartite graphs, one copy of -k. Comparisons are exact
-    (squared integers) whenever the spectrum is integral.
+    of k and, on bipartite graphs, one copy of -k. Both come from one
+    descending eigenvalue list: exact integers, compared as squares,
+    when the spectrum is integral (`exact`), and floats from the
+    numeric eigensolver, compared within a tolerance, otherwise.
     """
 
     degree: int
@@ -245,56 +247,42 @@ def ramanujan_verdict(
         raise InputError("degree must be at least 1")
     if g.order < 2:
         raise InputError("need at least two vertices for a second eigenvalue")
-    return _verdict(g, k, integer_spectrum(g), tol)
+    return _verdict(g, k, _eigenvalues(g, integer_spectrum(g)), tol)
 
 
-def _verdict(
-    g: Graph,
-    k: int,
-    roots: Optional[tuple[tuple[int, int], ...]],
-    tol: float = 1e-9,
-) -> RamanujanVerdict:
-    """The verdict for a k-regular graph whose integer root multiset
-    (None when not integral) is already known."""
+def _eigenvalues(
+    g: Graph, roots: Optional[tuple[tuple[int, int], ...]]
+) -> list:
+    """Descending eigenvalues of g: the integer root multiset expanded,
+    or numeric floats when it is None (g not integral)."""
+    return expand_root_multiset(roots) if roots is not None else numeric_spectrum(g)
+
+
+def _verdict(g: Graph, k: int, eigs: list, tol: float = 1e-9) -> RamanujanVerdict:
+    """The verdict for a k-regular graph from its descending eigenvalues
+    `eigs`: ints when the spectrum is integral, floats otherwise.
+
+    The largest eigenvalue is the Perron copy of k and, on a bipartite
+    graph, the least is -k, so the nontrivial eigenvalues are a slice of
+    `eigs`; each reading applies the same test to its eigenvalues.
+    """
     bound = 2.0 * math.sqrt(k - 1)
-    bound_sq = 4 * (k - 1)
-    if roots is not None:
-        eigs: list = expand_root_multiset(roots)
-        ok_second = eigs[1] * eigs[1] <= bound_sq
-        nontrivial = _drop_trivial(eigs, k, is_bipartite_graph(g))
-        ok_all = all(v * v <= bound_sq for v in nontrivial)
-        exact = True
+    exact = isinstance(eigs[0], int)
+    if exact:
+        bound_sq = 4 * (k - 1)
+        within = lambda v: v * v <= bound_sq
     else:
-        eigs = numeric_spectrum(g)
-        ok_second = abs(eigs[1]) <= bound + tol
-        nontrivial = _drop_trivial(eigs, k, is_bipartite_graph(g), tol)
-        ok_all = all(abs(v) <= bound + tol for v in nontrivial)
-        exact = False
+        within = lambda v: abs(v) <= bound + tol
+    nontrivial = eigs[1:-1] if is_bipartite_graph(g) else eigs[1:]
     return RamanujanVerdict(
         degree=k,
         second_largest=eigs[1],
         least=eigs[-1],
         bound=bound,
-        second_largest_ok=ok_second,
-        all_nontrivial_ok=ok_all,
+        second_largest_ok=within(eigs[1]),
+        all_nontrivial_ok=all(map(within, nontrivial)),
         exact=exact,
     )
-
-
-def _drop_trivial(eigs, k, bipartite: bool, tol: float = 0.0) -> list:
-    """Remove one Perron copy of k and, for bipartite graphs, one -k."""
-    out = list(eigs)
-    _remove_close(out, k, tol)
-    if bipartite:
-        _remove_close(out, -k, tol)
-    return out
-
-
-def _remove_close(values: list, target, tol: float) -> None:
-    for idx, v in enumerate(values):
-        if abs(v - target) <= tol:
-            del values[idx]
-            return
 
 
 @dataclass(frozen=True)
@@ -369,9 +357,7 @@ def _json_number(x):
     return x if isinstance(x, int) else _json_float(x)
 
 
-def analyze_line_graph(
-    bg: BipartiteGraph, include_p_set: Optional[bool] = None
-) -> SpectrumReport:
+def analyze_line_graph(bg: BipartiteGraph, include_p_set: bool = False) -> SpectrumReport:
     """Verify the integral-line-graph laws on one connected bipartite graph.
 
     Builds the line graph and its exact spectrum. When integral, the
@@ -383,9 +369,10 @@ def analyze_line_graph(
     clique number. Failures land in `violations` rather than raising, so
     corpus runs can keep going; callers treat a non-empty list as a bug.
 
-    `include_p_set` controls whether P(alpha, beta) is computed for
-    non-integral graphs (default: only for integral ones, where the
-    membership check needs it anyway).
+    P(alpha, beta) is computed for every integral graph, where the
+    membership check needs it, and for a non-integral one only when
+    `include_p_set` is true. A regular line graph's Ramanujan verdict
+    reads the spectrum computed here: integral roots or the numeric one.
     """
     if not bg.is_connected():
         raise InputError("analysis requires a connected bipartite graph")
@@ -394,6 +381,8 @@ def analyze_line_graph(
     e = lg.order
     nu = bg.order
     spec = exact_spectrum(lg)
+    is_integral = spec.integer_roots is not None
+    eigs = _eigenvalues(lg, spec.integer_roots)
     violations: list[str] = []
 
     minus_two = root_multiplicity(spec.char_poly, -2)
@@ -409,22 +398,19 @@ def analyze_line_graph(
     degree = lg.regular_degree()
     ram = None
     if degree is not None and degree >= 1 and lg.order >= 2:
-        ram = _verdict(lg, degree, spec.integer_roots)
+        ram = _verdict(lg, degree, eigs)
 
     gamma_matched: Optional[Partition] = None
     p_set: Optional[CandidateSet] = None
     max_k: Optional[int] = None
     spectrum_float: Optional[tuple[float, ...]] = None
 
-    if spec.integer_roots is None:
-        is_integral = False
-        spectrum_float = tuple(numeric_spectrum(lg))
+    if not is_integral:
+        spectrum_float = tuple(eigs)
         if include_p_set:
             p_set = enumerate_p(alpha, beta)
             max_k = p_set.max_distinct_parts
     else:
-        is_integral = True
-        eigs = expand_root_multiset(spec.integer_roots)
         if eigs[-1] < -2:
             violations.append(f"line graph eigenvalue {eigs[-1]} below -2")
         gamma_matched = Partition(v + 2 for v in eigs if v > -2)
@@ -507,12 +493,17 @@ def classify_regular_ramanujan_case(bg: BipartiteGraph) -> str:
     """Case label for a connected s-regular bipartite graph whose line
     graph is integral and Ramanujan.
 
-    The label records the second largest eigenvalue of the base graph
-    (0, 1 or 2) and the associated degree window is asserted: s <= 10,
-    8 or 6 respectively. The spectral-gap notion starts at degree 3, so
-    s >= 3 is a precondition; both Ramanujan readings must agree and
-    hold (they always do for line graphs of this shape, whose least
-    eigenvalue is -2). Out-of-window degrees or a second eigenvalue
+    The label records the second largest eigenvalue lambda of the base
+    graph (0, 1 or 2) and the associated degree window is asserted:
+    s <= 10, 8 or 6 respectively. The spectral-gap notion starts at
+    degree 3, so s >= 3 is a precondition. lambda is read off the line
+    spectrum: for an s-regular base, A(L) + 2I = B^T B shares its nonzero
+    eigenvalues with B B^T = Q = A + sI, so every base eigenvalue t gives
+    the line eigenvalue t + s - 2 and the rest are -2; the second largest
+    line eigenvalue is lambda + s - 2, and the base spectrum is integral
+    exactly when the line spectrum is. The two Ramanujan readings always
+    agree here: the least line eigenvalue is -2, and
+    2 < 2*sqrt(2s - 3). Out-of-window degrees or a second eigenvalue
     outside {0, 1, 2} would falsify a theorem and raise.
     """
     if not bg.is_connected():
@@ -528,21 +519,10 @@ def classify_regular_ramanujan_case(bg: BipartiteGraph) -> str:
     roots = integer_spectrum(lg)
     if roots is None:
         raise InputError("line graph is not integral")
-    verdict = _verdict(lg, 2 * s - 2, roots)
-    if verdict.second_largest_ok != verdict.all_nontrivial_ok:
-        raise InputError(
-            "the two Ramanujan readings disagree on this graph; refusing to pick one"
-        )
+    verdict = _verdict(lg, 2 * s - 2, expand_root_multiset(roots))
     if not verdict.second_largest_ok:
         raise InputError("line graph is not Ramanujan")
-
-    base_roots = integer_spectrum(bg.as_graph())
-    if base_roots is None:
-        raise TheoremViolation(
-            "integral line graph of a regular bipartite graph with non-integral base spectrum"
-        )
-    base_eigs = expand_root_multiset(base_roots)
-    lam = base_eigs[1]
+    lam = verdict.second_largest - (s - 2)
     if lam not in _CASE_RANGES:
         raise TheoremViolation(
             f"second largest base eigenvalue {lam} outside {{0, 1, 2}}"

@@ -17,7 +17,9 @@ shared endpoint instead of pairing the edges within each star, and
 line-graph diameters by a BFS from each of the e vertices of the line
 graph instead of from each of the nu vertices of its base graph, and
 bipartiteness by trying every 2-colouring instead of colouring by BFS
-distance.
+distance, and the case label of a regular graph with an integral
+Ramanujan line graph from the base graph's own spectrum instead of the
+line spectrum shifted by s - 2.
 """
 
 import math
@@ -29,15 +31,20 @@ import numpy as np
 from hornlr import (
     BipartiteGraph,
     Graph,
+    InputError,
+    TheoremViolation,
     check_inequality,
     enumerate_partitions,
     generate_t,
     generate_u,
+    integer_spectrum,
+    line_graph,
     moment_c,
     moment_d,
     trace_condition,
     weyl_bounds,
 )
+from hornlr.graphs import expand_root_multiset, is_bipartite_graph
 from hornlr.horn import SampleReport
 from hornlr.lr import lr_positive
 
@@ -309,3 +316,43 @@ def sample_by_trial(n, trials, tol, seed):
 def _random_symmetric(rng, n):
     m = rng.uniform(-1.0, 1.0, size=(n, n))
     return np.triu(m) + np.triu(m, 1).T
+
+
+def classify_by_base_spectrum(bg):
+    """classify_regular_ramanujan_case with lambda_2 taken from the
+    characteristic polynomial of the base graph itself, and both
+    Ramanujan readings of the line graph computed from its integer
+    spectrum and required to agree."""
+    if not bg.is_connected():
+        raise InputError("classification requires a connected graph")
+    s = bg.regular_degree()
+    if s is None:
+        raise InputError("classification requires an s-regular bipartite graph")
+    if s < 3:
+        raise InputError("line graph degree is below the Ramanujan range (s >= 3)")
+    lg, _ = line_graph(bg)
+    roots = integer_spectrum(lg)
+    if roots is None:
+        raise InputError("line graph is not integral")
+    k = 2 * s - 2
+    eigs = expand_root_multiset(roots)
+    nontrivial = list(eigs)
+    nontrivial.remove(k)
+    if is_bipartite_graph(lg):
+        nontrivial.remove(-k)
+    ok_second = eigs[1] * eigs[1] <= 4 * (k - 1)
+    ok_all = all(v * v <= 4 * (k - 1) for v in nontrivial)
+    if ok_second != ok_all:
+        raise InputError("the two Ramanujan readings disagree on this graph")
+    if not ok_second:
+        raise InputError("line graph is not Ramanujan")
+    base_roots = integer_spectrum(bg.as_graph())
+    if base_roots is None:
+        raise TheoremViolation("integral line graph with a non-integral base spectrum")
+    lam = expand_root_multiset(base_roots)[1]
+    if lam not in (0, 1, 2):
+        raise TheoremViolation(f"second largest base eigenvalue {lam} outside {{0, 1, 2}}")
+    s_max = (10, 8, 6)[lam]
+    if s > s_max:
+        raise TheoremViolation(f"case lambda{lam} admits 3 <= s <= {s_max}, got s = {s}")
+    return f"lambda{lam}"

@@ -4,7 +4,7 @@ import pytest
 
 from hornlr import FormatError
 from hornlr.cli import main
-from hornlr.graphs import graph_to_text, complete_bipartite, load_graph, matching
+from hornlr.graphs import graph_to_text, complete_bipartite, even_cycle, load_graph, matching
 
 
 @pytest.fixture
@@ -168,6 +168,20 @@ def test_spectra_ramanujan(capsys, k22_file):
     assert code == 0
     lines = dict(line.split(" ", 1) for line in out.splitlines())
     assert lines["degree"] == "2"
+    assert lines["ramanujan-second-largest"] == "yes"
+    assert lines["ramanujan-all-nontrivial"] == "yes"
+
+
+def test_spectra_ramanujan_non_integral(capsys, tmp_path):
+    # L(C_8) = C_8, with eigenvalues 2cos(pi j / 4): the verdict reads the
+    # numeric spectrum, and sqrt(2) <= 2 = 2 sqrt(k - 1)
+    path = tmp_path / "c8.txt"
+    path.write_text(graph_to_text(even_cycle(8)))
+    code, out, _ = run(capsys, "spectra", "ramanujan", "--file", str(path))
+    assert code == 0
+    lines = dict(line.split(" ", 1) for line in out.splitlines())
+    assert lines["degree"] == "2"
+    assert lines["exact"] == "no"
     assert lines["ramanujan-second-largest"] == "yes"
     assert lines["ramanujan-all-nontrivial"] == "yes"
 

@@ -193,8 +193,10 @@ def test_find_horn_violation_returns_first_failed_triple():
 
 
 def test_find_horn_violation_exact_beyond_float64():
-    # 3n * max|v| > 2**53: the product runs on Python integers, and a
-    # one-unit move stays visible next to entries of 2**70
+    # 3n * max|v| > 2**53: the float64 screen with its margin flags rows
+    # and exact comparisons decide them (entries of 2**70 are past the
+    # screen and compared row by row); a one-unit move stays visible
+    # next to entries of 2**70
     rng = random.Random(23)
     triples = []
     for n in (2, 4, 6, 8):

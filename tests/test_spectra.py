@@ -9,6 +9,7 @@ from hornlr import (
     BipartiteGraph,
     InputError,
     Partition,
+    TheoremViolation,
     analyze_line_graph,
     bipartite_complement,
     classify_regular_ramanujan_case,
@@ -27,12 +28,12 @@ from hornlr import (
     ramanujan_verdict,
     regular_line_spectrum_template,
 )
-from hornlr import graphs
+from hornlr import graphs, spectra
 from hornlr.graphs import Graph, expand_root_multiset
 from hornlr.lr import lr_positive
 from hornlr.spectra import _square_sum_range
 
-from oracles import exhaustive_p
+from oracles import classify_by_base_spectrum, exhaustive_p
 
 P = Partition
 
@@ -346,6 +347,19 @@ def test_ramanujan_both_readings_reported():
     assert not verdict.all_nontrivial_ok
 
 
+def test_ramanujan_bipartite_drops_minus_k():
+    # on a bipartite k-regular graph with k >= 3, -k itself breaks the
+    # bound (k^2 > 4(k - 1)), so the nontrivial reading must leave it out:
+    # K_{3,3} (integral, 3, 0^4, -3) and the Heawood graph (3, sqrt(2)^6,
+    # -sqrt(2)^6, -3) are Ramanujan under both readings
+    heawood = BipartiteGraph(7, 7, [(x, (x + d) % 7) for x in range(7) for d in (0, 1, 3)])
+    for bg, exact in ((complete_bipartite(3, 3), True), (heawood, False)):
+        verdict = ramanujan_verdict(bg.as_graph())
+        assert verdict.exact == exact
+        assert verdict.least == pytest.approx(-3)
+        assert verdict.second_largest_ok and verdict.all_nontrivial_ok
+
+
 # ---------------------------------------------------------------------------
 # spectrum template
 
@@ -430,7 +444,25 @@ def test_char_poly_computed_once_per_graph(monkeypatch):
     assert calls == [6]  # Q - 2I of K_{3,3}, not the 9 x 9 adjacency
     calls.clear()
     assert classify_regular_ramanujan_case(complete_bipartite(3, 3)) == "lambda0"
-    assert calls == [6, 6]  # the line graph, then the base graph
+    assert calls == [6]  # the line graph only; lambda_2 is read off its spectrum
+
+
+def test_analyze_reads_one_numeric_spectrum(monkeypatch):
+    # L(C_8) = C_8 is regular and not integral: its report and its
+    # Ramanujan verdict share one eigensolve
+    calls = []
+    real = spectra.numeric_spectrum
+
+    def counting(g):
+        calls.append(g.order)
+        return real(g)
+
+    monkeypatch.setattr(spectra, "numeric_spectrum", counting)
+    report = analyze_line_graph(even_cycle(8))
+    assert calls == [8]
+    assert not report.is_integral
+    assert report.ramanujan == ramanujan_verdict(line_graph(even_cycle(8))[0])
+    assert not report.ramanujan.exact and report.ramanujan.is_ramanujan
 
 
 def test_classify_preconditions():
@@ -442,6 +474,61 @@ def test_classify_preconditions():
         classify_regular_ramanujan_case(complete_bipartite(2, 2))  # s < 3
     with pytest.raises(InputError):
         classify_regular_ramanujan_case(bipartite_complement(even_cycle(10)))  # not integral
+
+
+def _classification(classify, bg):
+    try:
+        return classify(bg)
+    except (InputError, TheoremViolation) as exc:
+        return type(exc)
+
+
+def _connected_circulants(rng, count):
+    """Seeded connected s-regular bipartite circulants on classes Z_n,
+    n <= 10: x ~ x + d for the s shifts d; count // 4 for each s = 3..6."""
+    found = {}
+    while len(found) < count:
+        s = 3 + 4 * len(found) // count
+        n = rng.randint(s, 10)
+        shifts = tuple(sorted(rng.sample(range(n), s)))
+        bg = BipartiteGraph(n, n, [(x, (x + d) % n) for x in range(n) for d in shifts])
+        if bg.is_connected():
+            found[n, shifts] = bg
+    return list(found.values())
+
+
+def test_classify_matches_base_spectrum_oracle():
+    # lambda_2 read off the line spectrum against the base graph's own
+    # polynomial: the same label or the same exception type on each graph
+    named = (
+        [complete_bipartite(s, s) for s in range(3, 12)]
+        + [bipartite_complement(matching(s + 1)) for s in range(3, 7)]
+        + [
+            bipartite_complement(disjoint_union([even_cycle(t) for t in lengths]))
+            for lengths in ([4, 4, 4], [6, 6], [4, 4, 6], [4, 4, 4, 4], [4, 6, 6])
+        ]
+    )
+    circulants = _connected_circulants(random.Random(11), 24)
+    preconditions = [
+        matching(3),
+        complete_bipartite(2, 3),
+        complete_bipartite(2, 2),
+        bipartite_complement(even_cycle(10)),
+    ]
+    outcomes = []
+    for bg in named + circulants + preconditions:
+        outcome = _classification(classify_regular_ramanujan_case, bg)
+        assert outcome == _classification(classify_by_base_spectrum, bg), bg
+        if isinstance(outcome, str):
+            verdict = ramanujan_verdict(line_graph(bg)[0])
+            assert verdict.second_largest_ok and verdict.all_nontrivial_ok, bg
+        outcomes.append(outcome)
+    expected = ["lambda0"] * 8 + [InputError] + ["lambda1"] * 4 + ["lambda2"] * 5
+    assert outcomes[: len(named)] == expected  # L(K_{11,11}) is not Ramanujan
+    on_circulants = set(outcomes[len(named) : -len(preconditions)])
+    assert on_circulants == {"lambda0", "lambda1", "lambda2", InputError}
+    assert any(integer_spectrum(line_graph(bg)[0]) is None for bg in circulants)
+    assert outcomes[-len(preconditions) :] == [InputError] * len(preconditions)
 
 
 def test_classify_rejects_non_ramanujan():
