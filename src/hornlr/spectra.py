@@ -16,11 +16,11 @@ with exactly nu - 1 parts such that
 `enumerate_p` finds P(alpha, beta) by a depth-first search that places
 the parts of gamma largest first, with the first part at most
 alpha_1 + beta_1 and the second below it (b). The parts still to place
-have a known sum and lie between 1 and the last part placed; because
-(g - 2)^2 is convex, their sum of (g - 2)^2 is smallest at the most
-balanced split and largest at the most extreme one (Karamata). A prefix
-whose range misses the value fixed by (c) is cut. (d) is tested on each
-complete gamma and LR positivity last.
+have a known sum and lie between 1 and the last part placed; since
+(g - 2)^2 and (g - 2)^3 have nondecreasing differences on g >= 1, the
+sum of either over them is smallest at the most balanced split and
+largest at the most extreme one (Karamata). A prefix whose range misses
+the value fixed by (c) or (d) is cut, and LR positivity tested last.
 
 When the line graph of a connected bipartite graph is integral, its
 spectrum is gamma_1 - 2 >= ... >= gamma_{nu-1} - 2 together with -2
@@ -118,19 +118,16 @@ class CandidateSet:
 
 
 def enumerate_p(alpha: Partition, beta: Partition) -> CandidateSet:
-    """Compute P(alpha, beta) by a depth-first search cut by condition (c).
+    """Compute P(alpha, beta) by a depth-first search cut by (c) and (d).
 
     The parts of gamma are placed largest first, each at most the one
     before, so members come out in descending lexicographic order. The
     first part is at most alpha_1 + beta_1 (a positive LR coefficient
     forces the top Weyl bound) and the second is below the first, which
-    is (b). Every prefix carries its sum of (g - 2)^2.
-    The k parts still to place lie in [1, p], p the last part placed,
-    and have a known sum; since (g - 2)^2 is convex, their sum of
-    (g - 2)^2 is smallest at the most balanced split and largest at the
-    split with as many parts p as fit (Karamata). A prefix whose
-    remainder cannot reach the value fixed by (c) is cut. Condition (d)
-    is tested on each complete gamma, and LR positivity last.
+    is (b). A prefix is cut once the parts still to place cannot bring
+    its sums of (g - 2)^2 and (g - 2)^3 to the values fixed by (c) and
+    (d) (see `_next_parts`), so every tuple found meets (b), (c) and (d).
+    LR positivity is tested last.
     """
     if alpha.size != beta.size:
         raise InputError(
@@ -142,9 +139,7 @@ def enumerate_p(alpha: Partition, beta: Partition) -> CandidateSet:
     nu = alpha.length + beta.length
     need2, need3 = _moment_targets(alpha, beta, e, nu)
     members = []
-    for parts in _moment_search(nu - 1, 2 * e, alpha.part(1) + beta.part(1), need2):
-        if sum((g - 2) ** 3 for g in parts) != need3:
-            continue
+    for parts in _moment_search(nu - 1, 2 * e, alpha.part(1) + beta.part(1), need2, need3):
         gamma = Partition(parts)
         if lr_positive(alpha, beta, gamma):
             members.append(gamma)
@@ -152,51 +147,56 @@ def enumerate_p(alpha: Partition, beta: Partition) -> CandidateSet:
 
 
 def _moment_search(
-    length: int, total: int, cap: int, need2: int
+    length: int, total: int, cap: int, need2: int, need3: int
 ) -> Iterator[tuple[int, ...]]:
     """Descending tuples of `length` positive parts summing to `total`,
     first part at most `cap` and, when length >= 2, above the second,
-    with sum((g - 2)^2) == need2; in descending lexicographic order."""
-    return _descending_parts(length, _next_parts(length, total, cap, 0, need2, length >= 2))
+    with sum((g - 2)^2) == need2 and sum((g - 2)^3) == need3; in
+    descending lexicographic order."""
+    return _descending_parts(length, _next_parts(length, total, cap, need2, need3, length >= 2))
 
 
-def _next_parts(k: int, total: int, top: int, s2: int, need2: int, strict: bool):
+def _next_parts(k: int, total: int, top: int, need2: int, need3: int, strict: bool):
     """Values g for the next of k parts that sum to `total`, each at most
-    `top`, largest first, for which the remaining k - 1 parts can still
-    bring the prefix sum s2 of (g - 2)^2 to need2. Yields each g with the
-    choices for the part after it (see `_descending_parts`), which is at
-    most g, or g - 1 when `strict`.
+    `top`, largest first, after which the remaining k - 1 parts can still
+    add need2 - (g - 2)^2 to the sum of (g - 2)^2, for (c), and then
+    need3 - (g - 2)^3 to the sum of (g - 2)^3, for (d). At the last part
+    nothing remains, the range is (0, 0) and both tests are exact. Yields
+    each g with the choices for the part after it (see
+    `_descending_parts`), which is at most g, or g - 1 when `strict`.
     """
     for g in range(min(top, total - k + 1), 0, -1):
         rest = total - g
         cap = g - 1 if strict else g
         if rest > (k - 1) * cap:
             return  # a smaller g leaves more to place under a lower cap
-        t2 = s2 + (g - 2) ** 2
-        low, high = _square_sum_range(k - 1, rest, cap)
-        if low <= need2 - t2 <= high:
-            yield g, (_next_parts(k - 1, rest, cap, t2, need2, False) if k > 1 else None)
+        rest2 = need2 - (g - 2) ** 2
+        low, high = _power_sum_range(k - 1, rest, cap, 2)
+        if low <= rest2 <= high:
+            rest3 = need3 - (g - 2) ** 3
+            low, high = _power_sum_range(k - 1, rest, cap, 3)
+            if low <= rest3 <= high:
+                yield g, (_next_parts(k - 1, rest, cap, rest2, rest3, False) if k > 1 else None)
 
 
-def _square_sum_range(k: int, total: int, top: int) -> tuple[int, int]:
-    """Smallest and largest sum((g - 2)^2) over k integers in [1, top]
-    with sum `total`, for k <= total <= k * top.
+def _power_sum_range(k: int, total: int, top: int, power: int) -> tuple[int, int]:
+    """Smallest and largest sum((g - 2)^power), power 2 or 3, over k
+    integers in [1, top] with sum `total`, for k <= total <= k * top.
 
-    The smallest comes from the balanced split (total mod k parts
-    ceil(total / k), the rest floor(total / k)), the largest from as many
-    parts `top` as fit, one middle part and the rest 1s: those splits are
-    majorized by, and majorize, every other one.
+    On the integers g >= 1 both powers have nondecreasing differences
+    (1, 1, 3, 5, ... and 1, 1, 7, 19, ...), so by Karamata the smallest
+    comes from the balanced split (total mod k parts ceil(total / k), the
+    rest floor(total / k)) and the largest from as many parts `top` as
+    fit, one middle part and the rest 1s, each adding (-1)^power: those
+    splits are majorized by, and majorize, every other one. When all k
+    parts are `top`, the middle part 1 and the count -1 of 1s cancel.
     """
     if k == 0:
         return 0, 0
     q, r = divmod(total, k)
-    low = r * (q - 1) ** 2 + (k - r) * (q - 2) ** 2
-    if top == 1:
-        return low, low
-    full, middle = divmod(total - k, top - 1)
-    if full == k:
-        return low, k * (top - 2) ** 2
-    return low, full * (top - 2) ** 2 + (middle - 1) ** 2 + (k - full - 1)
+    low = r * (q - 1) ** power + (k - r) * (q - 2) ** power
+    full, middle = divmod(total - k, top - 1) if top > 1 else (0, 0)
+    return low, full * (top - 2) ** power + (middle - 1) ** power + (k - full - 1) * (-1) ** power
 
 
 @dataclass(frozen=True)

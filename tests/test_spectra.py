@@ -31,7 +31,7 @@ from hornlr import (
 from hornlr import graphs, spectra
 from hornlr.graphs import Graph, expand_root_multiset
 from hornlr.lr import lr_positive
-from hornlr.spectra import _square_sum_range
+from hornlr.spectra import _power_sum_range
 
 from oracles import classify_by_base_spectrum, exhaustive_p
 
@@ -208,17 +208,80 @@ def test_enumerate_p_matches_exhaustive_on_random_pairs():
     _assert_matches_exhaustive(sorted(pairs, key=str))
 
 
-def test_square_sum_range_matches_brute_force():
-    for k in range(7):
-        for top in range(1, 8):
+def _semiregular_pairs():
+    # ((a^m), (b^n)) with a < b and m + n <= 12: the unbalanced pairs, every
+    # K_{s,t} with s != t among them, where the cube bound cuts the most
+    return [
+        (P([a] * m), P([b] * n))
+        for a in range(1, 12)
+        for b in range(a + 1, 12)
+        for m in range(b, 12)
+        for n in range(a, 13 - m)
+        if a * m == b * n
+    ]
+
+
+def test_enumerate_p_matches_exhaustive_on_semiregular_pairs():
+    pairs = _semiregular_pairs()
+    assert len(pairs) == 42
+    _assert_matches_exhaustive(pairs)
+
+
+def test_moment_search_yields_exactly_the_moment_solutions():
+    # every tuple meeting (b), (c) and (d), and no other, reaches the LR test
+    pairs = {degree_partitions(bg) for bg in connected_bipartite_graphs(7)}
+    for alpha, beta in sorted(pairs, key=str) + _semiregular_pairs():
+        e, nu, cap = alpha.size, alpha.length + beta.length, alpha.part(1) + beta.part(1)
+        expected = [
+            g.parts
+            for g in enumerate_partitions(2 * e, nu - 1, cap)
+            if (nu == 2 or g.part(1) > g.part(2))
+            and moment_c(g, alpha, beta, e, nu)
+            and moment_d(g, alpha, beta, e, nu)
+        ]
+        need2, need3 = spectra._moment_targets(alpha, beta, e, nu)
+        assert list(spectra._moment_search(nu - 1, 2 * e, cap, need2, need3)) == expected
+
+
+def _k_pair(s, t):
+    return degree_partitions(complete_bipartite(s, t))
+
+
+def test_enumerate_p_on_long_unbalanced_pairs():
+    assert [g.parts for g in enumerate_p(*_k_pair(5, 14))] == [(19,) + (14,) * 4 + (5,) * 13]
+    assert [g.parts for g in enumerate_p(*_k_pair(2, 50))] == [(52, 50) + (2,) * 49]
+    # L(K_{1,3000}) = K_3000: spectrum 2998 and -1^2999, shifted by 2
+    assert [g.parts for g in enumerate_p(*_k_pair(1, 3000))] == [(3001,) + (1,) * 2999]
+
+
+@pytest.mark.parametrize(
+    "s, members, ramanujan",
+    [
+        (9, [(19,) + (10,) * 8 + (9,) * 9], True),  # lambda_2 = 8: 64 = 4 (17 - 1)
+        (10, [(21,) + (11,) * 9 + (10,) * 10], False),  # lambda_2 = 9: 81 > 72
+    ],
+    ids=["K_9_10", "K_10_11"],
+)
+def test_candidate_sets_at_the_ramanujan_threshold(s, members, ramanujan):
+    # L(K_{s,s+1}) is (2s - 1)-regular; its lambda_2 is gamma_2 - 2
+    cset = enumerate_p(*_k_pair(s, s + 1))
+    assert [g.parts for g in cset] == members
+    k = 2 * s - 1
+    assert ((members[0][1] - 2) ** 2 <= 4 * (k - 1)) == ramanujan
+
+
+@pytest.mark.parametrize("power", [2, 3])
+def test_power_sum_range_matches_brute_force(power):
+    for k in range(8):
+        for top in range(1, 9):
             seen = {}
             for parts in combinations_with_replacement(range(1, top + 1), k):
-                value = sum((g - 2) ** 2 for g in parts)
+                value = sum((g - 2) ** power for g in parts)
                 low, high = seen.get(sum(parts), (value, value))
                 seen[sum(parts)] = (min(low, value), max(high, value))
             assert sorted(seen) == list(range(k, k * top + 1))
             for total, expected in seen.items():
-                assert _square_sum_range(k, total, top) == expected, (k, total, top)
+                assert _power_sum_range(k, total, top, power) == expected, (k, total, top)
 
 
 # ---------------------------------------------------------------------------
