@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -319,13 +319,15 @@ def bipartite_complement(bg: BipartiteGraph) -> BipartiteGraph:
 
 
 def complete_bipartite(s: int, t: int) -> BipartiteGraph:
+    if not (_is_int(s) and _is_int(t)):
+        raise InputError(f"class sizes must be integers, got ({s!r},{t!r})")
     return BipartiteGraph(s, t, [(i, j) for i in range(s) for j in range(t)])
 
 
 def even_cycle(length: int) -> BipartiteGraph:
     """C_length as a bipartite graph; length must be even and >= 4."""
-    if length < 4 or length % 2:
-        raise InputError(f"cycle length must be even and >= 4, got {length}")
+    if not _is_int(length) or length < 4 or length % 2:
+        raise InputError(f"cycle length must be an even integer >= 4, got {length!r}")
     k = length // 2
     edges = [(i, i) for i in range(k)] + [((i + 1) % k, i) for i in range(k)]
     return BipartiteGraph(k, k, edges)
@@ -333,8 +335,8 @@ def even_cycle(length: int) -> BipartiteGraph:
 
 def matching(n: int) -> BipartiteGraph:
     """n disjoint edges (the graph nK_2 drawn across two classes)."""
-    if n < 1:
-        raise InputError(f"matching needs n >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise InputError(f"matching needs an integer n >= 1, got {n!r}")
     return BipartiteGraph(n, n, [(i, i) for i in range(n)])
 
 
@@ -753,72 +755,71 @@ def connected_bipartite_graphs(
     """All connected bipartite graphs without isolated vertices, one per
     isomorphism class, ordered by (order, smaller class size).
 
-    Graphs are generated as multisets of biadjacency bitmask rows, one
-    per vertex of the smaller class X, and deduplicated by a canonical
-    signature: the sorted column masks, maximised over the orders of X
-    that list its vertices by descending degree, freely within a block
-    of equal degree (and the same over Y when the classes have equal
-    size). Isomorphisms preserve degrees, so isomorphic graphs have the
-    same admissible orders up to relabelling and share the maximum; the
-    signature is the graph itself under one such order, so it decodes
-    to an isomorphic graph. For a connected bipartite graph the
-    bipartition is unique up to swapping the classes, so this signature
-    is a complete isomorphism invariant.
+    A graph is a multiset of column masks, one per vertex of the larger
+    class Y, each over the m vertices of the smaller class X. Each
+    descending tuple of masks is visited once and emitted when it is
+    connected and its own canonical form: no order of X (nor of Y, rows
+    read as columns, when m == n) gives a larger descending tuple. A
+    connected graph's bipartition is unique up to swapping equal classes,
+    so each isomorphism class has one canonical form, and no record of
+    emitted graphs is kept (orderly generation; Read, "Every one a
+    winner", 1978).
     """
+    if not (_is_int(max_order) and _is_int(min_order)):
+        raise InputError(f"orders must be integers, got ({max_order!r},{min_order!r})")
     for order in range(min_order, max_order + 1):
         for m in range(1, order // 2 + 1):
             n = order - m
-            full = (1 << n) - 1
-            seen: set[tuple[int, ...]] = set()
-            for rows in combinations_with_replacement(range(1, 1 << n), m):
-                if not _masks_connected(rows, full):
-                    continue
-                sig = _max_sorted_columns(rows, n)
-                if m == n:
-                    sig = max(sig, _max_sorted_columns(_columns_of(rows, n), m))
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                yield _graph_from_columns(sig, m, n)
+            # relabel[p][mask]: the mask with bit i moved to bit p[i]
+            relabel = [
+                [sum(1 << p[i] for i in range(m) if mask >> i & 1) for mask in range(1 << m)]
+                for p in permutations(range(m))
+            ]
+            for cols in combinations_with_replacement(range((1 << m) - 1, 0, -1), n):
+                if _masks_connected(cols, (1 << m) - 1) and _is_canonical(cols, m, n, relabel):
+                    yield _graph_from_columns(cols, m, n)
+
+
+def _is_canonical(cols: tuple[int, ...], m: int, n: int, relabel: list[list[int]]) -> bool:
+    """Whether no table of `relabel` (applied to X, and to Y when m == n)
+    makes the descending masks `cols` a larger descending tuple. Some
+    order of X puts a column of the largest degree d on the top d bits,
+    and no column exceeds that mask, so the first must equal it."""
+    d = max(map(int.bit_count, cols))
+    if cols[0] != (1 << m) - (1 << (m - d)):
+        return False
+    sides = (cols, _columns_of(cols, m)) if m == n else (cols,)
+    return all(
+        tuple(sorted([t[c] for c in side], reverse=True)) <= cols
+        for side in sides
+        for t in relabel
+    )
 
 
 def _columns_of(rows: Sequence[int], n: int) -> list[int]:
     cols = [0] * n
     for i, rm in enumerate(rows):
-        for j in range(n):
-            if rm >> j & 1:
-                cols[j] |= 1 << i
+        while rm:
+            low = rm & -rm
+            cols[low.bit_length() - 1] |= 1 << i
+            rm ^= low
     return cols
 
 
-def _masks_connected(rows: Sequence[int], full: int) -> bool:
-    """Whether the columns reached from the first row through shared
-    columns are all of `full` (rows are non-empty, so then every row is)."""
-    reach = rows[0]
+def _masks_connected(masks: Sequence[int], full: int) -> bool:
+    """Whether the bits reached from the first mask through masks that
+    share one are all of `full` (masks are non-empty, so then all are)."""
+    reach = masks[0]
     while True:
         grown = reach
-        for rm in rows:
-            if rm & reach:
-                grown |= rm
+        for mask in masks:
+            if mask & reach:
+                grown |= mask
         if grown == reach:
             return reach == full
         reach = grown
 
 
-def _max_sorted_columns(rows: Sequence[int], n: int) -> tuple[int, ...]:
-    """Sorted column masks, maximised over the degree-descending row orders."""
-    blocks: dict[int, list[int]] = {}
-    for rm in rows:
-        blocks.setdefault(rm.bit_count(), []).append(rm)
-    orders = product(*(permutations(blocks[d]) for d in sorted(blocks, reverse=True)))
-    return max(
-        tuple(sorted(_columns_of(list(chain.from_iterable(order)), n), reverse=True))
-        for order in orders
-    )
-
-
 def _graph_from_columns(cols: Sequence[int], m: int, n: int) -> BipartiteGraph:
-    edges = [
-        (i, j) for j, cm in enumerate(cols) for i in range(m) if cm >> i & 1
-    ]
+    edges = [(i, j) for j, cm in enumerate(cols) for i in range(m) if cm >> i & 1]
     return BipartiteGraph(m, n, edges)

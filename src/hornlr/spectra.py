@@ -51,7 +51,9 @@ from .graphs import (
     line_graph,
     numeric_spectrum,
     root_multiplicity,
+    _is_int,
 )
+from .horn import DEFAULT_TOL, _tolerance
 from .lr import lr_positive
 from .partitions import Partition, _descending_parts
 
@@ -228,19 +230,23 @@ class RamanujanVerdict:
 
 
 def ramanujan_verdict(
-    g: Graph, k: Optional[int] = None, tol: float = 1e-9
+    g: Graph, k: Optional[int] = None, tol: Optional[float] = DEFAULT_TOL
 ) -> RamanujanVerdict:
     """Evaluate the spectral-gap bounds for a k-regular graph.
 
     k defaults to the graph's common degree and is validated against it;
     k >= 1 and order >= 2 are required so that the bound and a second
-    eigenvalue exist.
+    eigenvalue exist. `tol` widens the bound on a numeric spectrum; None
+    means DEFAULT_TOL, and it must be a real number on every graph.
     """
+    tol = _tolerance(tol)
     actual = g.regular_degree()
     if actual is None:
         raise InputError("Ramanujan verdicts require a regular graph")
     if k is None:
         k = actual
+    elif not _is_int(k):
+        raise InputError(f"degree must be an integer, got {k!r}")
     elif k != actual:
         raise InputError(f"graph is {actual}-regular, not {k}-regular")
     if k < 1:
@@ -258,7 +264,7 @@ def _eigenvalues(
     return expand_root_multiset(roots) if roots is not None else numeric_spectrum(g)
 
 
-def _verdict(g: Graph, k: int, eigs: list, tol: float = 1e-9) -> RamanujanVerdict:
+def _verdict(g: Graph, k: int, eigs: list, tol: float = DEFAULT_TOL) -> RamanujanVerdict:
     """The verdict for a k-regular graph from its descending eigenvalues
     `eigs`: ints when the spectrum is integral, floats otherwise.
 

@@ -643,15 +643,19 @@ def test_connected_bipartite_counts_order_9():
 
 
 def test_corpus_matches_full_permutation_oracle():
-    # the degree-refined signature emits one graph per class of the
-    # full-permutation signature, for each (order, smaller class size)
+    # the generator emits one graph per class of the full-permutation
+    # signature, for each (order, smaller class size), and each emitted
+    # graph is its own signature: its sorted column masks
     emitted = {}
     for bg in connected_bipartite_graphs(7):
         m, n = bg.x_size, bg.y_size
-        rows = [0] * m
+        rows, cols = [0] * m, [0] * n
         for x, y in bg.sorted_edges:
             rows[x] |= 1 << y
-        emitted.setdefault((bg.order, m), []).append(bipartite_signature(rows, m, n))
+            cols[y] |= 1 << x
+        sig = bipartite_signature(rows, m, n)
+        assert tuple(sorted(cols, reverse=True)) == sig
+        emitted.setdefault((bg.order, m), []).append(sig)
     for sigs in emitted.values():
         assert len(set(sigs)) == len(sigs)
     expected = {
@@ -660,6 +664,23 @@ def test_corpus_matches_full_permutation_oracle():
         for m in range(1, order // 2 + 1)
     }
     assert {key: set(sigs) for key, sigs in emitted.items()} == expected
+
+
+def test_generators_reject_non_integer_sizes():
+    with pytest.raises(InputError):
+        list(connected_bipartite_graphs(4.5))
+    with pytest.raises(InputError):
+        list(connected_bipartite_graphs("4"))
+    with pytest.raises(InputError):
+        list(connected_bipartite_graphs(4, min_order=True))
+    with pytest.raises(InputError):
+        even_cycle(4.0)
+    with pytest.raises(InputError):
+        matching(2.5)
+    with pytest.raises(InputError):
+        complete_bipartite(2, "3")
+    with pytest.raises(InputError):
+        complete_bipartite(2.0, 3)
 
 
 def test_corpus_members_are_connected_and_isolated_free():

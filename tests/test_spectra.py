@@ -168,8 +168,11 @@ def _assert_matches_exhaustive(pairs):
 
 
 def test_enumerate_p_matches_exhaustive_on_corpus_pairs():
+    # both orders of each pair, so the count does not depend on which
+    # class of a graph with equal classes the generator calls X
     pairs = {degree_partitions(bg) for bg in connected_bipartite_graphs(8)}
-    assert len(pairs) == 201
+    pairs |= {(beta, alpha) for alpha, beta in pairs}
+    assert len(pairs) == 365
     _assert_matches_exhaustive(sorted(pairs, key=str))
 
 
@@ -370,6 +373,20 @@ def test_ramanujan_rejects_non_regular():
         ramanujan_verdict(path)
     with pytest.raises(InputError):
         ramanujan_verdict(Graph(2, [(0, 1)]), 2)
+
+
+def test_ramanujan_checks_its_arguments():
+    # L(C_8) = C_8 is not integral; L(K_{3,2}) is 3-regular and integral
+    for lg in (line_graph(even_cycle(8))[0], line_graph(complete_bipartite(3, 2))[0]):
+        k = lg.regular_degree()
+        assert ramanujan_verdict(lg, tol=None) == ramanujan_verdict(lg)
+        for tol in ("x", [1e-9], 1j):
+            with pytest.raises(InputError, match="tolerance"):
+                ramanujan_verdict(lg, tol=tol)
+        for bad_k in (float(k), str(k), True):
+            with pytest.raises(InputError, match="degree must be an integer"):
+                ramanujan_verdict(lg, bad_k)
+        assert ramanujan_verdict(lg, k).degree == k
 
 
 def test_ramanujan_l_k_3_2():
