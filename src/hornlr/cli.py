@@ -118,6 +118,9 @@ def _cmd_horn_weyl(args) -> int:
 
 
 def _cmd_horn_sample(args) -> int:
+    # under a negative tolerance a count is not a theorem violation
+    if args.tol < 0:
+        raise InputError(f"--tol must be >= 0, got {args.tol!r}")
     report = sample_necessity(args.n, args.trials, args.tol, args.seed)
     print(
         f"n={report.n} trials={report.trials} tol={_fmt(report.tol)} "

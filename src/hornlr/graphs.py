@@ -388,11 +388,10 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     coeffs = _char_poly(adj, [len(nb) - 2 for nb in adj])
     for _ in range(bg.edge_count - bg.order):
         coeffs = [a + 2 * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    for _ in range(bg.order - bg.edge_count):
-        quotient = _synthetic_division(coeffs, -2)
-        if quotient is None:
-            raise ArithmeticError("(x+2) deflation of the line-graph polynomial was not exact")
-        coeffs = quotient
+    missing = max(bg.order - bg.edge_count, 0)
+    coeffs, count = _deflate(coeffs, -2, missing)
+    if count < missing:
+        raise ArithmeticError("(x+2) deflation of the line-graph polynomial was not exact")
     return tuple(coeffs)
 
 
@@ -432,12 +431,11 @@ def exact_spectrum(g: Graph) -> ExactSpectrum:
     """Characteristic polynomial plus integer root extraction.
 
     Candidate roots are bounded by the maximum degree (every eigenvalue
-    of an adjacency matrix is) and must divide the running constant
-    term; zero roots are stripped as a power of x first. The polynomial
-    is deflated by synthetic division until it stops splitting.
+    of an adjacency matrix is) and are tried from the largest down, each
+    divided out as often as it divides (`_deflate`).
     """
     coeffs = char_poly_exact(g)
-    roots = _integer_roots(list(coeffs), g.max_degree())
+    roots = _integer_roots(coeffs, g.max_degree())
     return ExactSpectrum(coeffs, roots)
 
 
@@ -447,47 +445,40 @@ def integer_spectrum(g: Graph) -> Optional[tuple[tuple[int, int], ...]]:
 
 
 def _integer_roots(
-    coeffs: list[int], bound: int
+    coeffs: Sequence[int], bound: int
 ) -> Optional[tuple[tuple[int, int], ...]]:
-    roots: dict[int, int] = {}
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-        roots[0] = roots.get(0, 0) + 1
-    for t in range(-bound, bound + 1):
-        if t == 0:
-            continue
-        while len(coeffs) > 1 and coeffs[-1] % t == 0:
-            quotient = _synthetic_division(coeffs, t)
-            if quotient is None:
-                break
-            coeffs = quotient
-            roots[t] = roots.get(t, 0) + 1
-    if len(coeffs) != 1:
-        return None
-    return tuple(sorted(roots.items(), reverse=True))
+    roots = []
+    for t in range(bound, -bound - 1, -1):
+        coeffs, count = _deflate(coeffs, t)
+        if count:
+            roots.append((t, count))
+    return tuple(roots) if len(coeffs) == 1 else None
 
 
-def _synthetic_division(coeffs: list[int], t: int) -> Optional[list[int]]:
-    """Divide by (x - t); returns the quotient or None on remainder."""
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(c + t * out[-1])
-    if out[-1] != 0:
-        return None
-    return out[:-1]
+def _deflate(
+    coeffs: Sequence[int], t: int, most: Optional[int] = None
+) -> tuple[Sequence[int], int]:
+    """(quotient, count): (x - t) divided out of the polynomial as long
+    as it divides, at most `most` times, by synthetic division. A root
+    t divides the constant term, so a t that does not costs no division.
+    """
+    count = 0
+    while len(coeffs) > 1 and count != most:
+        if coeffs[-1] % t if t else coeffs[-1]:
+            break
+        out = [coeffs[0]]
+        for c in coeffs[1:]:
+            out.append(c + t * out[-1])
+        if out[-1]:
+            break
+        coeffs = out[:-1]
+        count += 1
+    return coeffs, count
 
 
 def root_multiplicity(coeffs: Sequence[int], t: int) -> int:
     """Multiplicity of the integer t as a root of the polynomial."""
-    current = list(coeffs)
-    mult = 0
-    while len(current) > 1:
-        quotient = _synthetic_division(current, t)
-        if quotient is None:
-            break
-        current = quotient
-        mult += 1
-    return mult
+    return _deflate(list(coeffs), t)[1]
 
 
 def expand_root_multiset(

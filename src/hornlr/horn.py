@@ -257,11 +257,13 @@ def _trace_holds(alpha, beta, gamma, slack) -> bool:
 
 
 def _tolerance(tol: Optional[float]):
-    """`tol`, or DEFAULT_TOL for None; anything else must be a real number."""
+    """`tol`, or DEFAULT_TOL for None; anything else must be a finite real
+    number. (`tol != tol` catches NaN; math.isfinite would overflow on a
+    huge int, which `_inspect` rejects with its own message.)"""
     if tol is None:
         return DEFAULT_TOL
-    if not isinstance(tol, Real):
-        raise InputError(f"tolerance must be a real number or None, got {tol!r}")
+    if not isinstance(tol, Real) or tol != tol or tol in (math.inf, -math.inf):
+        raise InputError(f"tolerance must be a finite real number or None, got {tol!r}")
     return tol
 
 
@@ -408,12 +410,14 @@ def sample_necessity(
     trace and Weyl tests screen a block with the rounding margin of
     find_horn_violation, and a trial they flag is decided by the scalar
     comparisons. Any nonzero count in the returned report falsifies a
-    theorem and means a bug.
+    theorem and means a bug. `seed` must be an int >= 0.
     """
     if type(n) is not int or type(trials) is not int or n < 1 or trials < 0:
         raise InputError(
             f"need integers n >= 1 and trials >= 0, got n={n!r}, trials={trials!r}"
         )
+    if type(seed) is not int or seed < 0:
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
     tol = _tolerance(tol)
     rng = np.random.default_rng(seed)
     triples, matrix = _horn_system(n)

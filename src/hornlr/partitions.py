@@ -62,8 +62,8 @@ class Partition:
 
     def part(self, i: int) -> int:
         """1-based part access; indices past the length read as 0."""
-        if i < 1:
-            raise InputError(f"part index must be >= 1, got {i}")
+        if type(i) is not int or i < 1:
+            raise InputError(f"part index must be an integer >= 1, got {i!r}")
         return self._parts[i - 1] if i <= len(self._parts) else 0
 
     def contains(self, inner: "Partition") -> bool:
@@ -74,6 +74,8 @@ class Partition:
 
     def padded(self, n: int) -> tuple[int, ...]:
         """Parts extended with zeros to length n; n must fit the partition."""
+        if type(n) is not int:
+            raise InputError(f"padded length must be an integer, got {n!r}")
         if n < len(self._parts):
             raise InputError(
                 f"cannot pad a partition of length {len(self._parts)} to {n}"
@@ -126,8 +128,13 @@ def enumerate_partitions(
     and first part at most `max_first_part`, in descending lexicographic order.
 
     Streamed so callers can stop early; yields nothing when the constraints
-    are unsatisfiable.
+    are unsatisfiable. The arguments must be ints; others raise InputError
+    on iteration.
     """
+    if not all(type(v) is int for v in (total, exact_length, max_first_part)):
+        raise InputError(
+            f"need integer arguments, got {(total, exact_length, max_first_part)!r}"
+        )
     if total < 0 or exact_length < 1 or max_first_part < 1:
         if total == 0 and exact_length == 0:
             yield Partition()

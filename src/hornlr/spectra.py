@@ -467,6 +467,8 @@ def regular_line_spectrum_template(
     The total multiplicity always works out to sn, the number of edges;
     it is asserted anyway.
     """
+    if not all(map(_is_int, (s, n, x, y))):
+        raise InputError(f"need integer s, n, x and y; got {(s, n, x, y)!r}")
     if s < 2 or n < 1 or x < 0 or y < 0:
         raise InputError(f"need s >= 2, n >= 1, x, y >= 0; got {(s, n, x, y)}")
     middle = 2 * n - 2 * x - 2 * y - 2

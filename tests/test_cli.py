@@ -255,11 +255,19 @@ def test_malformed_graph_files_are_format_errors(capsys, tmp_path, k22_file, nam
     assert "2 graphs: 1 integral, 0 non-integral, 0 violations, 1 failed" in out
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "lr", "--alpha", "3")[0] == 2  # missing flags
     assert run(capsys, "horn", "triples", "--n", "2", "--r", "5")[0] == 2
     assert run(capsys, "lr", "--alpha", "x", "--beta", "1", "--gamma", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    # a negative seed, a non-finite tolerance, and a negative one under
+    # which a violation count proves nothing
+    for flags in (["--seed", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-0.5"]):
+        assert run(capsys, "horn", "sample", "--n", "3", "--trials", "5", *flags)[0] == 2
+    assert run(capsys, "horn", "check", "--alpha", "1", "--beta", "1", "--gamma", "2", "--tol", "nan")[0] == 2
+    c8 = tmp_path / "c8.txt"
+    c8.write_text(graph_to_text(even_cycle(8)))
+    assert run(capsys, "spectra", "ramanujan", "--file", str(c8), "--tol", "nan")[0] == 2
 
 
 def test_missing_file_exits_3(capsys, tmp_path):

@@ -291,6 +291,27 @@ def test_root_multiplicity():
     assert root_multiplicity(poly, 1) == 0
 
 
+def test_integer_roots_match_sympy_factorisation():
+    # the integer roots are the linear factors over the integers; every
+    # root is an integer exactly when every irreducible factor is linear
+    x = sympy.symbols("x")
+    rng = random.Random(14)
+    graphs = [Graph(4), complete_bipartite(2, 8).as_graph()]  # 0 with multiplicity 4 and 8
+    for bg in connected_bipartite_graphs(7):
+        graphs += [line_graph(bg)[0], bg.as_graph()]
+    graphs += [_random_graph(rng, rng.randint(1, 8)) for _ in range(12)]
+    for g in graphs:
+        poly = char_poly_exact(g)
+        _, factors = sympy.Poly(poly, x).factor_list()
+        linear = {-int(f.all_coeffs()[1]): m for f, m in factors if f.degree() == 1}
+        split = all(f.degree() == 1 for f, _ in factors)
+        expected = tuple(sorted(linear.items(), reverse=True)) if split else None
+        assert integer_spectrum(g) == expected, g
+        bound = g.max_degree() + 1
+        for t in range(-bound, bound + 1):
+            assert root_multiplicity(poly, t) == linear.get(t, 0), (g, t)
+
+
 def test_numeric_spectrum_examples():
     assert numeric_spectrum(Graph(2, [(0, 1)])) == pytest.approx([1, -1])
     assert numeric_spectrum(_cycle_graph(4)) == pytest.approx([2, 0, 0, -2])

@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -379,6 +380,13 @@ def test_sample_necessity_rejects_bad_args():
             sample_necessity(n, trials)
 
 
+def test_sample_necessity_rejects_bad_seeds():
+    for seed in (-1, 1.5, "x", None, True, np.int64(3)):
+        with pytest.raises(InputError, match="seed"):
+            sample_necessity(2, 1, seed=seed)
+    assert sample_necessity(2, 1, seed=2**70).trials == 1
+
+
 def test_exact_mode_ignores_tolerance():
     # an exact off-by-one is never forgiven, whatever tol says
     assert not trace_condition((1, 0), (1, 0), (3, 0), tol=10.0)
@@ -402,9 +410,11 @@ def test_non_real_entries_and_tolerances_rejected():
         weyl_bounds((1, "a"), (1, 0), 1)
     with pytest.raises(InputError):
         weyl_bounds((1, None), (1, 0), 2)
-    for tol in ["x", 1j, [1e-9]]:
+    for tol in ["x", 1j, [1e-9], math.nan, math.inf, -math.inf, np.float64("nan")]:
         with pytest.raises(InputError):
             horn_compatible((1, 0), (1, 0), (2, 0), tol=tol)
+        with pytest.raises(InputError):
+            horn_compatible((1.0, 0), (1.0, 0), (2.0, 0), tol=tol)
         with pytest.raises(InputError):
             trace_condition((1.0, 0.0), (1.0, 0.0), (2.0, 0.0), tol=tol)
         with pytest.raises(InputError):

@@ -55,6 +55,11 @@ def test_part_access_and_padding():
         lam.padded(2)
     with pytest.raises(InputError):
         lam.part(0)
+    for bad in (1.5, "a", True):
+        with pytest.raises(InputError):
+            lam.part(bad)
+    with pytest.raises(InputError):
+        lam.padded(2.5)
 
 
 def test_text_round_trip():
@@ -68,6 +73,9 @@ def test_enumerate_examples():
     # a cap beyond the feasible first part changes nothing
     assert [p.parts for p in enumerate_partitions(6, 3, 100)] == got
     assert list(enumerate_partitions(2, 3, 5)) == []
+    for bad in ((4.5, 2, 3), ("4", 2, 3)):
+        with pytest.raises(InputError):
+            list(enumerate_partitions(*bad))
 
 
 def test_enumerate_beyond_recursion_limit():

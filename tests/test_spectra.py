@@ -380,7 +380,7 @@ def test_ramanujan_checks_its_arguments():
     for lg in (line_graph(even_cycle(8))[0], line_graph(complete_bipartite(3, 2))[0]):
         k = lg.regular_degree()
         assert ramanujan_verdict(lg, tol=None) == ramanujan_verdict(lg)
-        for tol in ("x", [1e-9], 1j):
+        for tol in ("x", [1e-9], 1j, math.nan, math.inf):
             with pytest.raises(InputError, match="tolerance"):
                 ramanujan_verdict(lg, tol=tol)
         for bad_k in (float(k), str(k), True):
@@ -480,6 +480,8 @@ def test_template_validation():
         regular_line_spectrum_template(3, 1, 1, 1)  # 2n-2x-2y-2 < 0
     with pytest.raises(InputError):
         regular_line_spectrum_template(3, 3, -1, 0)
+    with pytest.raises(InputError):
+        regular_line_spectrum_template(3.0, 3, 0, 0)
 
 
 def test_template_on_matching_complement():
