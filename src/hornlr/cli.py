@@ -94,6 +94,8 @@ def _cmd_horn_triples(args) -> int:
 
 def _cmd_horn_check(args) -> int:
     vectors = [args.alpha, args.beta, args.gamma]
+    if args.n is not None and args.n < 1:
+        raise InputError(f"--n must be >= 1, got {args.n}")
     n = args.n if args.n is not None else max(len(v) for v in vectors)
     if n < 1:
         raise InputError("spectra must not all be empty")

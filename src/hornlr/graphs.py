@@ -17,9 +17,10 @@ instead of its e vertices:
 * its edges are the pairs of base edges within each star (the edges at
   one vertex), which lists every adjacent pair once, since two edges
   share at most one endpoint;
-* its distances: two distinct edges lie at distance 1 + the least base
-  distance over the four pairs of their endpoints, so the diameter takes
-  nu BFS runs on the base graph;
+* its diameter: two distinct edges lie at distance 1 + the least base
+  distance over the four pairs of their endpoints, and by parity that
+  makes the diameter D or D - 1, D the base graph's, decided from nu BFS
+  runs on the base graph;
 * its clique number is the base graph's largest degree: edges that meet
   pairwise share one vertex or form a triangle, and a bipartite graph is
   triangle-free;
@@ -45,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -539,18 +541,10 @@ def is_bipartite_graph(g: Graph) -> bool:
 
 def diameter(g: Graph) -> Union[int, float]:
     """Longest distance between two vertices, an int; math.inf when
-    disconnected.
-
-    For a line graph made by `line_graph(bg)` the distances come from the
-    base graph. Consecutive edges on a path e = e_0, ..., e_k = f of
-    L(bg) share a vertex, and consecutive shared vertices lie on a common
-    edge, so they trace a walk of length at most k - 1 in `bg` from an
-    end of e to an end of f; conversely a path of length l between such
-    ends, with e and f added, is a path of length l + 1 in L(bg). So for
-    distinct edges, d(e, f) = 1 + the least of the four base distances
-    between their endpoints, and nu BFS runs on `bg` replace e runs on
-    L(bg). Every other graph runs a BFS from each of its vertices.
-    """
+    disconnected. For a line graph made by `line_graph(bg)` it is D or
+    D - 1, D the diameter of `bg`, decided from the base graph's
+    distances (`_line_diameter`); every other graph runs a BFS from each
+    of its vertices."""
     if g._base is not None:
         return _line_diameter(g._base)
     best = 0
@@ -562,35 +556,41 @@ def diameter(g: Graph) -> Union[int, float]:
     return best
 
 
-# Entries of the edge-by-edge distance table that _line_diameter holds at
-# once: bounds its memory, whatever the size of the graph.
-_DISTANCE_BLOCK = 1 << 20
-
-
 def _line_diameter(bg: BipartiteGraph) -> Union[int, float]:
-    """Diameter of L(bg) from the distances between the vertices of `bg`
-    (X vertices 0..m-1, then Y vertices)."""
-    m, nu = bg.x_size, bg.order
+    """Diameter of L(bg), decided by parity from the distances between
+    the vertices of `bg` (X vertices 0..m-1, then Y vertices).
+
+    The shared vertices along a path e = e_0, ..., e_k = f of L(bg)
+    trace a walk of length at most k - 1 in `bg` from an end of e to an
+    end of f, and a base path of length l between such ends gives a path
+    of length l + 1 in L(bg). So for distinct edges ab and cd, d(ab, cd)
+    = 1 + the least of d(a, c), d(a, d), d(b, c) and d(b, d).
+
+    Let the edges lie in one component, of diameter D >= 2. The ends of
+    an edge lie at distances of opposite parity, so one apart, from every
+    vertex, and the least of the four is at most D - 1. It equals D - 1
+    exactly when d(a, c) = d(b, d) = D for one orientation of cd; then a
+    and b both have eccentricity D. The edges at the two ends of a
+    diametral path lie at least D - 2 apart. So L(bg) has diameter D when
+    some vertex at distance D from a has a neighbour at distance D from b,
+    for some edge ab, and D - 1 otherwise.
+    """
+    m = bg.x_size
     edges = bg.sorted_edges
-    e = len(edges)
-    if e == 1:  # the diagonal below would read as distance 1
+    if len(edges) == 1:
         return 0
     adj = _adjacency(bg)
-    dist = np.array([_distances(adj, src) for src in range(nu)])
-    # nu marks an unreachable pair: every distance in bg is at most nu - 1
-    dist[dist < 0] = nu
-    xs = np.array([x for x, _ in edges])
-    ys = np.array([m + y for _, y in edges])
-    # near[v, f]: distance from base vertex v to the nearer end of edge f;
-    # d(e, f) - 1 is the smaller of near[x_e, f] and near[y_e, f], and 0
-    # on the diagonal, below every other entry
-    near = np.minimum(dist[:, xs], dist[:, ys])
-    rows = max(1, _DISTANCE_BLOCK // e)
-    longest = max(
-        int(np.minimum(near[xs[i : i + rows]], near[ys[i : i + rows]]).max())
-        for i in range(0, e, rows)
-    )
-    return math.inf if longest >= nu else longest + 1
+    dist = [_distances(adj, src) for src in range(bg.order)]
+    if -1 in (dist[edges[0][0]][x] for x, _ in edges):
+        return math.inf
+    ecc = list(map(max, dist))  # within each vertex's component: unreachable reads -1
+    d = max(ecc)
+    far = cache(lambda v: {w for w, dw in enumerate(dist[v]) if dw == d})
+    reach = cache(lambda v: {w for c in far(v) for w in adj[c]})  # neighbours of far(v)
+    for x, y in edges:
+        if ecc[x] == d == ecc[m + y] and not reach(x).isdisjoint(far(m + y)):
+            return d
+    return d - 1
 
 
 def clique_number(g: Graph) -> int:

@@ -271,7 +271,7 @@ def _inspect(vectors, tol=0.0):
     """(exact, vectors): whether every entry is an int or a Fraction, and
     the vectors with numpy integers turned into Python ints, which sum
     without wrapping; they still count as inexact, so the tolerance
-    applies to them as before. Entries must be real numbers.
+    applies to them as before. Entries must be finite real numbers.
 
     When some entries are inexact, the ints and Fractions among the
     entries and `tol` are added to floats, and each must stay within the
@@ -285,12 +285,13 @@ def _inspect(vectors, tol=0.0):
             if isinstance(v, (int, Fraction)):
                 continue
             inexact += 1
-            if isinstance(v, float):
-                continue
             if isinstance(v, np.integer):
                 widen = True
-            elif not isinstance(v, Real):
+                continue
+            if not isinstance(v, (float, Real)):
                 raise InputError(f"spectrum entries must be real numbers, got {v!r}")
+            if v != v or v in (math.inf, -math.inf):
+                raise InputError(f"spectrum entries must be finite real numbers, got {v!r}")
     if widen:
         vectors = tuple([int(v) if isinstance(v, np.integer) else v for v in vec] for vec in vectors)
     terms = sum(map(len, vectors)) + 1

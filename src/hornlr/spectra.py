@@ -235,9 +235,10 @@ def ramanujan_verdict(
     """Evaluate the spectral-gap bounds for a k-regular graph.
 
     k defaults to the graph's common degree and is validated against it;
-    k >= 1 and order >= 2 are required so that the bound and a second
-    eigenvalue exist. `tol` widens the bound on a numeric spectrum; None
-    means DEFAULT_TOL, and it must be a real number on every graph.
+    k >= 1 is required so that the bound and a second eigenvalue exist (a
+    k-regular graph has at least k + 1 vertices). `tol` widens the bound
+    on a numeric spectrum; None means DEFAULT_TOL, and it must be a real
+    number on every graph.
     """
     tol = _tolerance(tol)
     actual = g.regular_degree()
@@ -251,8 +252,6 @@ def ramanujan_verdict(
         raise InputError(f"graph is {actual}-regular, not {k}-regular")
     if k < 1:
         raise InputError("degree must be at least 1")
-    if g.order < 2:
-        raise InputError("need at least two vertices for a second eigenvalue")
     return _verdict(g, k, _eigenvalues(g, integer_spectrum(g)), tol)
 
 
@@ -403,7 +402,7 @@ def analyze_line_graph(bg: BipartiteGraph, include_p_set: bool = False) -> Spect
     two_omega = 2 * omega
     degree = lg.regular_degree()
     ram = None
-    if degree is not None and degree >= 1 and lg.order >= 2:
+    if degree is not None and degree >= 1:
         ram = _verdict(lg, degree, eigs)
 
     gamma_matched: Optional[Partition] = None

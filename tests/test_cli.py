@@ -265,6 +265,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for flags in (["--seed", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-0.5"]):
         assert run(capsys, "horn", "sample", "--n", "3", "--trials", "5", *flags)[0] == 2
     assert run(capsys, "horn", "check", "--alpha", "1", "--beta", "1", "--gamma", "2", "--tol", "nan")[0] == 2
+    # a non-finite spectrum entry is an input error, not a verdict or a window
+    for alpha in ("inf,0", "nan,0", "-inf,0"):
+        code, _, err = run(capsys, "horn", "check", f"--alpha={alpha}", "--beta", "1,0", "--gamma", "inf,1")
+        assert code == 2 and "finite" in err
+    code, _, err = run(capsys, "horn", "weyl", "--alpha", "inf,0", "--beta", "1,0", "--k", "1")
+    assert code == 2 and "finite" in err
+    # --n below 1 is named as such, not reported as empty spectra
+    code, _, err = run(capsys, "horn", "check", "--n", "0", "--alpha", "1", "--beta", "1", "--gamma", "2")
+    assert code == 2 and "--n" in err
+    code, _, err = run(capsys, "horn", "check", "--alpha", "-", "--beta", "-", "--gamma", "-")
+    assert code == 2 and "empty" in err
     c8 = tmp_path / "c8.txt"
     c8.write_text(graph_to_text(even_cycle(8)))
     assert run(capsys, "spectra", "ramanujan", "--file", str(c8), "--tol", "nan")[0] == 2

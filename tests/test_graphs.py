@@ -379,10 +379,14 @@ def _line_metrics_agree(bg):
 
 def test_line_metrics_from_base_on_corpus():
     count = 0
+    outcomes = Counter()  # diam L(bg) - diam bg: 0 or -1 by parity
     for bg in connected_bipartite_graphs(8):
-        assert type(_line_metrics_agree(bg)) is int
+        diam = _line_metrics_agree(bg)
+        assert type(diam) is int
+        outcomes[diam - bfs_diameter(bg.as_graph())] += 1
         count += 1
     assert count == 253
+    assert set(outcomes) == {0, -1}
 
 
 def test_line_metrics_from_base_on_complete_bipartite():
@@ -410,9 +414,7 @@ def test_line_metrics_from_base_on_random_graphs():
     assert kinds[True, False] + kinds[False, False] >= 5
 
 
-def test_line_diameter_in_blocks_of_edges(monkeypatch):
-    # a small table block splits the edges into many row blocks
-    monkeypatch.setattr(hornlr.graphs, "_DISTANCE_BLOCK", 7)
+def test_line_diameter_on_seeded_random_graphs():
     rng = random.Random(41)
     for _ in range(20):
         bg = _random_bipartite(rng, max_side=6, p=rng.choice([0.3, 0.6]))
@@ -433,6 +435,29 @@ def test_line_diameter_in_blocks_of_edges(monkeypatch):
         (matching(1), 0),
         (matching(3), math.inf),
         (disjoint_union([even_cycle(4), complete_bipartite(1, 3)]), math.inf),
+        # diameter D - 1 of the base graph's D
+        (complete_bipartite(1, 4), 1),  # star, centre in X
+        (complete_bipartite(4, 1), 1),  # star, centre in Y
+        (BipartiteGraph(5, 5, [(i, j) for i in range(5) for j in range(i, 5)]), 2),  # half graph
+        # double broom: centres x0, x1 joined through y0, two leaves each; D = 4
+        (BipartiteGraph(2, 5, [(0, 0), (1, 0), (0, 1), (0, 2), (1, 3), (1, 4)]), 3),
+        (BipartiteGraph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)]), 3),  # path P5
+        # diameter D
+        (BipartiteGraph(4, 4, [(i, j) for i in range(4) for j in range(4) if i != j]), 3),
+        # the 3-cube, the same graph labelled by bit strings: X even weight, Y odd
+        (
+            BipartiteGraph(
+                4,
+                4,
+                [
+                    (i, j)
+                    for i, u in enumerate((0, 3, 5, 6))
+                    for j, v in enumerate((1, 2, 4, 7))
+                    if (u ^ v).bit_count() == 1
+                ],
+            ),
+            3,
+        ),
     ],
 )
 def test_line_diameter_examples(bg, expected):

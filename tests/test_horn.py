@@ -396,7 +396,8 @@ def test_exact_mode_ignores_tolerance():
 
 def test_non_real_entries_and_tolerances_rejected():
     t = IndexTriple((1,), (1,), (1,), 2)
-    for bad in ["a", None, 1j, Decimal(1), [1]]:
+    non_finite = [math.inf, -math.inf, math.nan, np.float32("inf")]
+    for bad in ["a", None, 1j, Decimal(1), [1], *non_finite]:
         gamma = (2, bad)
         with pytest.raises(InputError):
             horn_compatible((1, 0), (1, 0), gamma)
@@ -410,6 +411,14 @@ def test_non_real_entries_and_tolerances_rejected():
         weyl_bounds((1, "a"), (1, 0), 1)
     with pytest.raises(InputError):
         weyl_bounds((1, None), (1, 0), 2)
+    # not a "trace" witness, an inverted window or a NaN one
+    for bad in non_finite:
+        with pytest.raises(InputError, match="finite"):
+            weyl_bounds((bad, 0.0), (1.0, 0.0), 1)
+        with pytest.raises(InputError, match="finite"):
+            find_horn_violation((bad, 0.0), (1.0, 0.0), (bad, 1.0))
+        with pytest.raises(InputError, match="finite"):
+            as_spectrum((bad, 0.0))
     for tol in ["x", 1j, [1e-9], math.nan, math.inf, -math.inf, np.float64("nan")]:
         with pytest.raises(InputError):
             horn_compatible((1, 0), (1, 0), (2, 0), tol=tol)
