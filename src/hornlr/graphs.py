@@ -402,30 +402,49 @@ def _char_poly(neighbours: Sequence[Sequence[int]], diagonal: Sequence[int]) -> 
     with 1 at (i, j) for each j in neighbours[i], diagonal[i] at (i, i)
     and 0 elsewhere: an adjacency matrix, or Q - 2I.
 
-    Uses the Faddeev-LeVerrier recurrence over Python integers; the
-    division by the step index is exact at every step. Row i of A M is
-    the sum of the rows of M at the neighbours of i, plus d_i times row i
-    of M for a nonzero diagonal entry d_i, so no zero term is touched.
+    Uses the Faddeev-LeVerrier recurrence M_1 = I, c_k = -tr(A M_k) / k,
+    M_{k+1} = A M_k + c_k I over Python integers; the division by k is
+    exact at every step. Each row of the work matrix is packed into one
+    integer, entry j in a w-bit field at bit w*j (Kronecker
+    substitution). Packing is linear, so row i of A M is the sum of the
+    packed rows at the neighbours of i, one integer addition each, plus
+    d_i times row i for a nonzero diagonal entry d_i, and c I adds
+    c << (w*i) to row i; negative entries need no care while adding. An
+    entry is read by adding the bias 2^(w-1) to every field, which makes
+    each field nonnegative, so none borrows from the next, and
+    subtracting it again.
+
+    Field width. Let R = max_i(deg_i + |d_i|), the largest absolute row
+    sum of A. By Gershgorin every eigenvalue has |lambda| <= R, so the
+    coefficients, elementary symmetric functions of the eigenvalues,
+    obey |c_j| <= C(n, j) R^j; and the row-sum norm is submultiplicative,
+    so |(A^i)_uv| <= R^i. For R >= 1 and k <= n, every entry of
+    M_k = sum_{j<k} c_j A^(k-1-j) and of A M_k = sum_{j<k} c_j A^(k-j)
+    is then at most sum_j C(n, j) R^j R^(k-j) <= 2^n R^n; for R = 0,
+    A = 0 and every entry is 0 or 1. With
+    w = (n + 1) * R.bit_length() + n + 2, 2^n R^n < 2^(w-1), so each
+    field holds its entry exactly.
     """
     n = len(neighbours)
+    r = max((len(nb) + abs(d) for nb, d in zip(neighbours, diagonal)), default=0)
+    w = (n + 1) * r.bit_length() + n + 2
+    shifts = [w * i for i in range(n)]
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    bias = sum(half << s for s in shifts)
     diagonal = [(i, d) for i, d in enumerate(diagonal) if d]
-    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    work = [1 << s for s in shifts]
     coeffs = [1]
     for k in range(1, n + 1):
-        prod = [
-            [sum(col) for col in zip(*(work[t] for t in nb))] if nb else [0] * n
-            for nb in neighbours
-        ]
+        prod = [sum(map(work.__getitem__, nb)) for nb in neighbours]
         for i, d in diagonal:
-            prod[i] = [a + d * b for a, b in zip(prod[i], work[i])]
-        trace = sum(prod[i][i] for i in range(n))
+            prod[i] += d * work[i]
+        trace = sum((p + bias) >> s & mask for p, s in zip(prod, shifts)) - n * half
         c, rem = divmod(-trace, k)
         if rem:
             raise ArithmeticError("Faddeev-LeVerrier division was not exact")
         coeffs.append(c)
-        for i in range(n):
-            prod[i][i] += c
-        work = prod
+        work = [p + (c << s) for p, s in zip(prod, shifts)]
     return coeffs
 
 

@@ -19,7 +19,9 @@ graph instead of from each of the nu vertices of its base graph, and
 bipartiteness by trying every 2-colouring instead of colouring by BFS
 distance, and the case label of a regular graph with an integral
 Ramanujan line graph from the base graph's own spectrum instead of the
-line spectrum shifted by s - 2.
+line spectrum shifted by s - 2, and characteristic polynomials by the
+Faddeev-LeVerrier recurrence on rows kept as lists of integers instead
+of rows packed into one integer each.
 """
 
 import math
@@ -175,6 +177,32 @@ def poly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
+
+
+def char_poly_by_rows(neighbours, diagonal):
+    """Coefficients of det(xI - A), descending, for the matrix with 1 at
+    (i, j) for each j in neighbours[i] and diagonal[i] at (i, i), by the
+    Faddeev-LeVerrier recurrence with each row of the work matrix a list
+    of integers: row i of A M sums the rows at the neighbours of i."""
+    n = len(neighbours)
+    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        prod = [
+            [sum(col) for col in zip(*(work[t] for t in nb))] if nb else [0] * n
+            for nb in neighbours
+        ]
+        for i, d in enumerate(diagonal):
+            prod[i] = [a + d * b for a, b in zip(prod[i], work[i])]
+        trace = sum(prod[i][i] for i in range(n))
+        c, rem = divmod(-trace, k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
+        coeffs.append(c)
+        for i in range(n):
+            prod[i][i] += c
+        work = prod
+    return coeffs
 
 
 def all_partitions(max_size, max_part=None, max_length=None):

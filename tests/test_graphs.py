@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -45,6 +46,7 @@ from oracles import (
     bipartite_signature,
     brute_force_bipartite,
     brute_force_clique,
+    char_poly_by_rows,
     connected_bipartite_signatures,
     line_graph_by_pairs,
     poly_mul,
@@ -213,11 +215,47 @@ def test_char_poly_kernel_with_diagonal_matches_sympy():
         for a, b in bg.sorted_edges:
             rows[a][m + b] = rows[m + b][a] = 1
         matrices.append(rows)
+    for n, extreme in ((22, 0), (30, 2**70), (40, -(2**70))):
+        # dense, and well past the orders above
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice([-2, -1, 0, 3])
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = int(rng.random() < 0.7)
+        if extreme:
+            rows[n - 1][n - 1] = extreme
+        matrices.append(rows)
     for rows in matrices:
         expected = sympy.Matrix(rows).charpoly(x).all_coeffs()
         neighbours = [[j for j, v in enumerate(r) if v and j != i] for i, r in enumerate(rows)]
         diagonal = [r[i] for i, r in enumerate(rows)]
         assert _char_poly(neighbours, diagonal) == [int(c) for c in expected]
+
+
+def _neighbour_lists(g):
+    return [g.neighbors(v) for v in range(g.order)]
+
+
+def test_packed_char_poly_matches_row_lists():
+    # packed rows against the row-list recurrence, with the field width
+    # pushed by degree 39 and by diagonal entries of 2^70
+    big = 2**70
+    cases = []
+    bases = list(connected_bipartite_graphs(8)) + [complete_bipartite(s, s) for s in range(1, 12)]
+    for bg in bases:
+        adj = _neighbour_lists(bg.as_graph())
+        cases += [(adj, [0] * len(adj)), (adj, [len(nb) - 2 for nb in adj])]  # A, then Q - 2I
+    for n in (1, 2, 5, 40):
+        adj = _neighbour_lists(Graph(n, list(itertools.combinations(range(n), 2))))
+        for diagonal in ([0] * n, [-big] * n, [(big, -big, -3, 5)[i % 4] for i in range(n)]):
+            cases.append((adj, diagonal))
+    rng = random.Random(16)
+    for n in (30, 60):
+        adj = _neighbour_lists(_random_graph(rng, n, 0.3))
+        cases.append((adj, [rng.choice([-2, -1, 0, 1, 7]) for _ in range(n)]))
+    assert len(cases) == 2 * (253 + 11) + 14
+    for adj, diagonal in cases:
+        assert _char_poly(adj, diagonal) == char_poly_by_rows(adj, diagonal)
 
 
 def _direct_routes_agree(bg):
