@@ -9,12 +9,11 @@ in T(n, r), the inequality
 
 holds. U(n, r) consists of all triples of r-subsets of {1..n} with
 sum(I) + sum(J) = sum(K) + r(r+1)/2. Horn defined T(n, r) inside it by
-a recursion over T(r, p), p < r; by the saturation theorem (Knutson and
-Tao, JAMS 1999; Fulton, Bull. AMS 2000) it is exactly the set of triples
-of U(n, r) whose Littlewood-Richardson coefficient c^{l(K)}_{l(I), l(J)}
-is positive, where l(I) = (i_r - r, ..., i_2 - 2, i_1 - 1). So T(n, r)
-is built from one LR-positivity test per triple of U(n, r); the
-recursive construction is kept in the tests as an independent check.
+recursion, and it is built that way: a triple is kept when its shapes,
+l(I) = (i_r - r, ..., i_1 - 1) and so on, satisfy the inequalities of
+T(r). By saturation (Knutson and Tao, JAMS 1999; Fulton, Bull. AMS 2000)
+these are the triples with c^{l(K)}_{l(I), l(J)} > 0; the tests check
+both routes.
 
 For each n the inequalities of T(n, 1), ..., T(n, n - 1), in that
 (r, lexicographic) order, form one matrix, built on first use and cached:
@@ -37,8 +36,9 @@ the tolerance are exactly those of comparing the sums directly.
 Magnitudes too large to screen are compared row by row. Numpy integer
 entries are summed as Python ints, so they never wrap, and keep the
 tolerance of inexact input. Spectrum entries and tolerances that are not
-real numbers raise InputError, and so do ints and Fractions too large to
-be added to the floats of the same call.
+real numbers raise InputError, and so do tolerances beyond the float
+range and ints and Fractions too large to be added to the floats of the
+same call.
 
 |U(n, r)| grows combinatorially; n <= 8 stays comfortable on a desk
 machine and nothing larger is refused, it just costs time.
@@ -51,15 +51,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from numbers import Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InputError
-from .lr import lr_positive
-from .partitions import Partition
 
 Number = Union[int, float, Fraction]
 
@@ -116,19 +114,21 @@ def generate_u(n: int, r: int) -> tuple[IndexTriple, ...]:
 
 @lru_cache(maxsize=None, typed=True)
 def generate_t(n: int, r: int) -> tuple[IndexTriple, ...]:
-    """Horn's family T(n, r): the triples (I, J, K) of generate_u(n, r)
-    with c^{l(K)}_{l(I), l(J)} > 0, in the same lexicographic order.
+    """Horn's family T(n, r): the triples of generate_u(n, r), in its
+    order, whose shapes (l(I), l(J), l(K)) satisfy every row of the
+    cached matrix of T(r); generate_u's sum condition is their trace.
 
-    l(I) is the partition (i_r - r, ..., i_1 - 1). By saturation this is
-    the family Horn defined recursively through T(r, p), p < r.
+    Shape entries are integers in 0..n - r, summed 3r at a time, so
+    float64 is exact. T(1) has no rows, so T(n, 1) = U(n, 1).
     """
-    return tuple(
-        t for t in generate_u(n, r) if lr_positive(_shape(t.i), _shape(t.j), _shape(t.k))
-    )
-
-
-def _shape(indices: tuple[int, ...]) -> Partition:
-    return Partition(i - a for a, i in enumerate(indices, 1))
+    family = generate_u(n, r)
+    reversed_sets = chain.from_iterable(t.i[::-1] + t.j[::-1] + t.k[::-1] for t in family)
+    shapes = np.fromiter(reversed_sets, np.float64, 3 * r * len(family)).reshape(-1, 3 * r)
+    shapes -= np.tile(np.arange(r, 0, -1), 3)
+    keep = np.ones(len(family), dtype=bool)
+    for row in _horn_system(r)[1]:  # not one product: |U(n, r)| x |T(r)|
+        keep &= shapes @ row <= 0
+    return tuple(t for t, ok in zip(family, keep) if ok)
 
 
 @lru_cache(maxsize=None)
@@ -235,7 +235,7 @@ def check_inequality(
     for vec in (alpha, beta, gamma):
         if len(vec) != t.n:
             raise InputError(f"spectrum length {len(vec)} does not match n={t.n}")
-    (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
+    _, (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
     return _holds(t, alpha, beta, gamma, slack)
 
 
@@ -248,7 +248,7 @@ def trace_condition(
     """sum(gamma) equals sum(alpha) + sum(beta) up to `tol`."""
     if len(alpha) != len(beta) or len(beta) != len(gamma):
         raise InputError("spectra must have equal length")
-    (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
+    _, (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
     return _trace_holds(alpha, beta, gamma, slack)
 
 
@@ -257,13 +257,16 @@ def _trace_holds(alpha, beta, gamma, slack) -> bool:
 
 
 def _tolerance(tol: Optional[float]):
-    """`tol`, or DEFAULT_TOL for None; anything else must be a finite real
-    number. (`tol != tol` catches NaN; math.isfinite would overflow on a
-    huge int, which `_inspect` rejects with its own message.)"""
+    """`tol`, or DEFAULT_TOL for None; anything else must be a real number
+    within the float range, as callers add it to floats, on exact input
+    too. (NaN fails `<=`; ints and Fractions compare exactly, unconverted.)"""
     if tol is None:
         return DEFAULT_TOL
-    if not isinstance(tol, Real) or tol != tol or tol in (math.inf, -math.inf):
-        raise InputError(f"tolerance must be a finite real number or None, got {tol!r}")
+    exact = isinstance(tol, (int, Fraction))
+    if not isinstance(tol, Real) or not abs(tol if exact else float(tol)) <= sys.float_info.max:
+        raise InputError(
+            f"tolerance must be a real number within the float range or None, got {tol!r}"
+        )
     return tol
 
 
@@ -308,12 +311,11 @@ def _inspect(vectors, tol=0.0):
 
 
 def _prepared(vectors, tol: Optional[float]):
-    """(vectors, slack) for comparing these vectors: the vectors as
-    `_inspect` returns them, and 0 when every entry is an int or Fraction,
-    else the tolerance."""
+    """(exact, vectors, slack): `_inspect`'s answer, and 0 when every
+    entry is an int or Fraction, else the tolerance."""
     tol = _tolerance(tol)
     exact, vectors = _inspect(vectors, tol)
-    return vectors, (0 if exact else tol)
+    return exact, vectors, (0 if exact else tol)
 
 
 def find_horn_violation(
@@ -336,9 +338,7 @@ def find_horn_violation(
     n = len(alpha)
     if len(beta) != n or len(gamma) != n:
         raise InputError("spectra must have equal length")
-    tol = _tolerance(tol)
-    exact, (alpha, beta, gamma) = _inspect((alpha, beta, gamma), tol)
-    slack = 0 if exact else tol
+    exact, (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
     if not _trace_holds(alpha, beta, gamma, slack):
         return "trace"
     return _first_violation(alpha, beta, gamma, exact, slack)
@@ -484,7 +484,7 @@ def is_weakly_decreasing(values: Sequence[Number], tol: float = 0.0) -> bool:
 def as_spectrum(values: Sequence[Number], tol: Optional[float] = None) -> tuple[Number, ...]:
     """Validate and freeze a weakly decreasing spectrum vector."""
     vec = tuple(values)
-    (checked,), slack = _prepared((vec,), tol)
+    _, (checked,), slack = _prepared((vec,), tol)
     if not is_weakly_decreasing(checked, slack):
         raise InputError(f"spectrum must be weakly decreasing: {vec}")
     return vec

@@ -88,8 +88,6 @@ def _lr_count(
     ncells = len(cells)
     if ncells == 0:
         return 1
-    if nvals == 0:
-        return 0
 
     index = {cell: t for t, cell in enumerate(cells)}
     above = [index.get((r - 1, c), -1) for r, c in cells]

@@ -7,12 +7,13 @@ instead of enumeration, cliques by subset enumeration instead of branch
 and bound, Pieri products by the closed-form interleaving rule, bipartite
 graph canonical forms by maximising over every order of a class instead
 of the degree-sorted ones only, Horn's families T(n, r) by Horn's
-recursion over T(r, p), p < r, instead of LR positivity, candidate
-sets P(alpha, beta) by filtering every partition of 2e into nu - 1 parts
-instead of a moment-pruned search, and Horn's inequalities by checking
-the triples of T(n, r) one at a time, in order, instead of one product
-with a matrix of all of them (for single checks and, trial by trial,
-for the sampler), line graphs by testing every pair of edges for a
+recursion over T(r, p), p < r, written out triple by triple, and by LR
+positivity, instead of the matrix of T(r) applied to every shape at
+once, candidate sets P(alpha, beta) by filtering every partition of 2e
+into nu - 1 parts instead of a moment-pruned search, and Horn's
+inequalities by checking the triples of T(n, r) one at a time, in order,
+instead of one product with a matrix of all of them (for single checks
+and, trial by trial, for the sampler), line graphs by testing every pair of edges for a
 shared endpoint instead of pairing the edges within each star, and
 line-graph diameters by a BFS from each of the e vertices of the line
 graph instead of from each of the nu vertices of its base graph, and
@@ -34,6 +35,7 @@ from hornlr import (
     BipartiteGraph,
     Graph,
     InputError,
+    Partition,
     TheoremViolation,
     check_inequality,
     enumerate_partitions,
@@ -282,6 +284,18 @@ def recursive_t(n, r):
         if ok:
             out.append(triple)
     return tuple(out)
+
+
+def t_by_lr(n, r):
+    """T(n, r) by saturation: the triples of U(n, r) whose LR coefficient
+    c^{l(K)}_{l(I), l(J)} is positive, l(I) = (i_r - r, ..., i_1 - 1)."""
+
+    def shape(indices):
+        return Partition(i - a for a, i in enumerate(indices, 1))
+
+    return tuple(
+        t for t in generate_u(n, r) if lr_positive(shape(t.i), shape(t.j), shape(t.k))
+    )
 
 
 def exhaustive_p(alpha, beta):

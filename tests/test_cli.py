@@ -98,10 +98,14 @@ def test_horn_sample(capsys):
     assert "trace_violations=0" in out
 
 
-def test_graph_spectrum_exact(capsys, k22_file):
+def test_graph_spectrum_exact(capsys, k22_file, p4_file):
     code, out, _ = run(capsys, "graph", "spectrum", "--file", str(k22_file))
     assert code == 0
     assert out.splitlines() == ["integral", "2 1", "0 2", "-2 1"]
+    # the path x0-y0-x1-y1 has eigenvalues (+-1 +-sqrt(5)) / 2
+    code, out, _ = run(capsys, "graph", "spectrum", "--file", str(p4_file))
+    assert code == 0
+    assert out.splitlines() == ["not integral", "char-poly 1 0 -3 0 1"]
 
 
 def test_graph_spectrum_numeric(capsys, k13_file):
@@ -129,7 +133,7 @@ def test_graph_complement(capsys, tmp_path):
     assert out == "X 2\nY 2\n0 1\n1 0\n"
 
 
-def test_spectra_analyze_json_round_trip(capsys, k13_file, tmp_path):
+def test_spectra_analyze_json_round_trip(capsys, k13_file, p4_file, tmp_path):
     report_path = tmp_path / "report.json"
     code, out, _ = run(
         capsys, "spectra", "analyze", "--file", str(k13_file), "--json", str(report_path)
@@ -146,6 +150,23 @@ def test_spectra_analyze_json_round_trip(capsys, k13_file, tmp_path):
     assert payload["max_k_gamma"] == 2
     assert payload["two_omega"] == 6
     # canonical form: parse and re-serialize byte-identically
+    assert json.dumps(payload, indent=2, sort_keys=False) + "\n" == raw
+    # the line graph of the path x0-y0-x1-y1 is P3, not integral: its
+    # spectrum sqrt(2), 0, -sqrt(2) is written as floats of 12 digits
+    code, out, _ = run(
+        capsys, "spectra", "analyze", "--file", str(p4_file), "--json", str(report_path)
+    )
+    assert code == 0
+    assert "not integral" in out
+    raw = report_path.read_text()
+    payload = json.loads(raw)
+    assert payload["is_integral"] is False
+    assert payload["char_poly"] == [1, 0, -2, 0]
+    assert payload["gamma"] is None and payload["p_set"] is None and payload["ramanujan"] is None
+    top, middle, least = payload["spectrum"]
+    assert (top, least) == (1.41421356237, -1.41421356237)
+    assert abs(middle) < 1e-9
+    assert all(float(f"{v:.12g}") == v for v in payload["spectrum"])
     assert json.dumps(payload, indent=2, sort_keys=False) + "\n" == raw
 
 
@@ -271,6 +292,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert code == 2 and "finite" in err
     code, _, err = run(capsys, "horn", "weyl", "--alpha", "inf,0", "--beta", "1,0", "--k", "1")
     assert code == 2 and "finite" in err
+    code, _, err = run(capsys, "horn", "weyl", "--alpha", "1,0", "--beta", "1", "--k", "1")
+    assert code == 2 and "equal length" in err
     # --n below 1 is named as such, not reported as empty spectra
     code, _, err = run(capsys, "horn", "check", "--n", "0", "--alpha", "1", "--beta", "1", "--gamma", "2")
     assert code == 2 and "--n" in err

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,7 +23,13 @@ from hornlr import (
 )
 from hornlr.horn import _SAMPLE_BLOCK, _horn_system, _screen_block, as_spectrum
 
-from oracles import all_partitions, recursive_t, sample_by_trial, scan_first_violation
+from oracles import (
+    all_partitions,
+    recursive_t,
+    sample_by_trial,
+    scan_first_violation,
+    t_by_lr,
+)
 
 
 def _sets(family):
@@ -74,10 +81,19 @@ def test_t_subset_of_u():
 
 
 def test_generate_t_matches_recursive_oracle():
-    # T(n, r) from LR positivity is Horn's recursive family, order included
+    # T(n, r) from the matrix of T(r) is Horn's recursion written out
+    # triple by triple, order included
     for n in range(1, 8):
         for r in range(1, n + 1):
             assert generate_t(n, r) == recursive_t(n, r), (n, r)
+
+
+def test_generate_t_matches_lr_positivity():
+    # by saturation, T(n, r) is the set of triples with a positive LR
+    # coefficient; r = 1 and r = n included
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            assert generate_t(n, r) == t_by_lr(n, r), (n, r)
 
 
 def test_invalid_dimensions_rejected():
@@ -469,6 +485,16 @@ def test_huge_exact_entries_mixed_with_floats_rejected():
         as_spectrum((Fraction(10**400, 3), 0.5))
     with pytest.raises(InputError):
         horn_compatible((0.5, 0.5), (0.5, 0.5), (1.0, 1.0), tol=10**400)
+    # a tolerance beyond the float range, which the sampler adds to
+    # floats, is rejected on exact input too
+    for tol in (10**400, -(10**400), Fraction(10**400, 3)):
+        with pytest.raises(InputError, match="tolerance"):
+            sample_necessity(2, 3, tol=tol)
+        with pytest.raises(InputError, match="tolerance"):
+            horn_compatible((1, 0), (1, 0), (2, 0), tol=tol)
+        with pytest.raises(InputError, match="tolerance"):
+            trace_condition((1, 0), (1, 0), (2, 0), tol=tol)
+    assert sample_necessity(2, 3, tol=int(sys.float_info.max)).total_violations == 0
     # partial sums of entries within range can still pass the float range
     with pytest.raises(InputError):
         horn_compatible((10**308, 10**308), (0.5, -0.5), (10**308, 10**308))

@@ -73,6 +73,7 @@ def test_enumerate_examples():
     # a cap beyond the feasible first part changes nothing
     assert [p.parts for p in enumerate_partitions(6, 3, 100)] == got
     assert list(enumerate_partitions(2, 3, 5)) == []
+    assert [p.parts for p in enumerate_partitions(0, 0, 1)] == [()]
     for bad in ((4.5, 2, 3), ("4", 2, 3)):
         with pytest.raises(InputError):
             list(enumerate_partitions(*bad))

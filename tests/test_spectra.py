@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -373,6 +374,8 @@ def test_ramanujan_rejects_non_regular():
         ramanujan_verdict(path)
     with pytest.raises(InputError):
         ramanujan_verdict(Graph(2, [(0, 1)]), 2)
+    with pytest.raises(InputError, match="degree must be at least 1"):
+        ramanujan_verdict(Graph(3))
 
 
 def test_ramanujan_checks_its_arguments():
@@ -380,7 +383,8 @@ def test_ramanujan_checks_its_arguments():
     for lg in (line_graph(even_cycle(8))[0], line_graph(complete_bipartite(3, 2))[0]):
         k = lg.regular_degree()
         assert ramanujan_verdict(lg, tol=None) == ramanujan_verdict(lg)
-        for tol in ("x", [1e-9], 1j, math.nan, math.inf):
+        # 10**400 is beyond the float range that the bound is added to
+        for tol in ("x", [1e-9], 1j, math.nan, math.inf, 10**400, Fraction(10**400, 3)):
             with pytest.raises(InputError, match="tolerance"):
                 ramanujan_verdict(lg, tol=tol)
         for bad_k in (float(k), str(k), True):
