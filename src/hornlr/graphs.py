@@ -523,14 +523,10 @@ def numeric_spectrum(g: Graph) -> list[float]:
 # metrics
 
 
-def _distances(
-    adj: Sequence[Sequence[int]], src: int, dist: Optional[list[int]] = None
-) -> list[int]:
+def _distances(adj: Sequence[Sequence[int]], src: int) -> list[int]:
     """BFS distances from `src` over the neighbour lists `adj`, -1 where
-    a vertex is unreachable. Given `dist`, the search fills it in place
-    and does not enter vertices it already holds a distance for."""
-    if dist is None:
-        dist = [-1] * len(adj)
+    a vertex is unreachable."""
+    dist = [-1] * len(adj)
     dist[src] = 0
     queue = [src]
     for v in queue:
@@ -540,22 +536,6 @@ def _distances(
                 dist[w] = d
                 queue.append(w)
     return dist
-
-
-def is_connected(g: Graph) -> bool:
-    return -1 not in _distances(g._adj, 0)
-
-
-def is_bipartite_graph(g: Graph) -> bool:
-    """Two-colourability by BFS, component by component, into one table
-    of distances: colour by their parity. An edge never joins distances
-    two apart, so a graph is bipartite exactly when no edge joins two
-    equal distances (that would close an odd cycle)."""
-    dist = [-1] * g.order
-    for src in range(g.order):
-        if dist[src] < 0:
-            _distances(g._adj, src, dist)
-    return all(dist[u] != dist[v] for u, nb in enumerate(g._adj) for v in nb)
 
 
 def diameter(g: Graph) -> Union[int, float]:

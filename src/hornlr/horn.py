@@ -47,6 +47,7 @@ machine and nothing larger is refused, it just costs time.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,8 +265,12 @@ def _tolerance(tol: Optional[float]):
         return DEFAULT_TOL
     exact = isinstance(tol, (int, Fraction))
     if not isinstance(tol, Real) or not abs(tol if exact else float(tol)) <= sys.float_info.max:
+        try:
+            shown = reprlib.repr(tol)
+        except ValueError:  # an int past the limit of decimal conversion
+            shown = f"an int of {tol.bit_length()} bits"
         raise InputError(
-            f"tolerance must be a real number within the float range or None, got {tol!r}"
+            f"tolerance must be a real number within the float range or None, got {shown}"
         )
     return tol
 

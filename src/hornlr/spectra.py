@@ -40,14 +40,13 @@ from typing import Iterator, Optional, Union
 from .errors import InputError, TheoremViolation
 from .graphs import (
     BipartiteGraph,
+    ExactSpectrum,
     Graph,
     clique_number,
     degree_partitions,
     diameter,
     exact_spectrum,
     expand_root_multiset,
-    integer_spectrum,
-    is_bipartite_graph,
     line_graph,
     numeric_spectrum,
     root_multiplicity,
@@ -208,10 +207,11 @@ class RamanujanVerdict:
     Two readings of the defining bound are reported side by side:
     `second_largest_ok` bounds |lambda_2| by 2*sqrt(k-1);
     `all_nontrivial_ok` bounds every eigenvalue except one Perron copy
-    of k and, on bipartite graphs, one copy of -k. Both come from one
-    descending eigenvalue list: exact integers, compared as squares,
-    when the spectrum is integral (`exact`), and floats from the
-    numeric eigensolver, compared within a tolerance, otherwise.
+    of k and, on bipartite graphs, one copy of -k; bipartiteness is read
+    exactly from the parity of the characteristic polynomial. Both come
+    from one descending eigenvalue list: exact integers, compared as
+    squares, when the spectrum is integral (`exact`), and floats from
+    the numeric eigensolver, compared within a tolerance, otherwise.
     """
 
     degree: int
@@ -229,30 +229,22 @@ class RamanujanVerdict:
         return self.second_largest_ok
 
 
-def ramanujan_verdict(
-    g: Graph, k: Optional[int] = None, tol: Optional[float] = DEFAULT_TOL
-) -> RamanujanVerdict:
-    """Evaluate the spectral-gap bounds for a k-regular graph.
+def ramanujan_verdict(g: Graph, *, tol: Optional[float] = DEFAULT_TOL) -> RamanujanVerdict:
+    """Evaluate the spectral-gap bounds for a regular graph of degree k.
 
-    k defaults to the graph's common degree and is validated against it;
     k >= 1 is required so that the bound and a second eigenvalue exist (a
     k-regular graph has at least k + 1 vertices). `tol` widens the bound
     on a numeric spectrum; None means DEFAULT_TOL, and it must be a real
     number on every graph.
     """
     tol = _tolerance(tol)
-    actual = g.regular_degree()
-    if actual is None:
-        raise InputError("Ramanujan verdicts require a regular graph")
+    k = g.regular_degree()
     if k is None:
-        k = actual
-    elif not _is_int(k):
-        raise InputError(f"degree must be an integer, got {k!r}")
-    elif k != actual:
-        raise InputError(f"graph is {actual}-regular, not {k}-regular")
+        raise InputError("Ramanujan verdicts require a regular graph")
     if k < 1:
         raise InputError("degree must be at least 1")
-    return _verdict(g, k, _eigenvalues(g, integer_spectrum(g)), tol)
+    spec = exact_spectrum(g)
+    return _verdict(spec, k, _eigenvalues(g, spec.integer_roots), tol)
 
 
 def _eigenvalues(
@@ -263,13 +255,25 @@ def _eigenvalues(
     return expand_root_multiset(roots) if roots is not None else numeric_spectrum(g)
 
 
-def _verdict(g: Graph, k: int, eigs: list, tol: float = DEFAULT_TOL) -> RamanujanVerdict:
-    """The verdict for a k-regular graph from its descending eigenvalues
-    `eigs`: ints when the spectrum is integral, floats otherwise.
+def _verdict(
+    spec: ExactSpectrum, k: int, eigs: list, tol: float = DEFAULT_TOL
+) -> RamanujanVerdict:
+    """The verdict for a k-regular graph from its exact spectrum `spec`
+    and its descending eigenvalues `eigs`: ints when the spectrum is
+    integral, floats otherwise.
 
     The largest eigenvalue is the Perron copy of k and, on a bipartite
     graph, the least is -k, so the nontrivial eigenvalues are a slice of
     `eigs`; each reading applies the same test to its eigenvalues.
+
+    The graph is bipartite exactly when every coefficient of its
+    characteristic polynomial at an odd offset from the leading one is 0,
+    that is, when p(-x) = (-1)^n p(x) and the spectrum is symmetric about
+    0. A bipartite graph has a symmetric spectrum (Coulson-Rushbrooke:
+    flipping the sign on one colour class maps A to -A). Conversely, a
+    symmetric spectrum gives tr A^(2j+1) = 0 for every j, and that trace
+    counts the closed walks of length 2j + 1, so there is no odd cycle.
+    The test is exact, on integral and non-integral graphs alike.
     """
     bound = 2.0 * math.sqrt(k - 1)
     exact = isinstance(eigs[0], int)
@@ -278,7 +282,7 @@ def _verdict(g: Graph, k: int, eigs: list, tol: float = DEFAULT_TOL) -> Ramanuja
         within = lambda v: v * v <= bound_sq
     else:
         within = lambda v: abs(v) <= bound + tol
-    nontrivial = eigs[1:-1] if is_bipartite_graph(g) else eigs[1:]
+    nontrivial = eigs[1:] if any(spec.char_poly[1::2]) else eigs[1:-1]
     return RamanujanVerdict(
         degree=k,
         second_largest=eigs[1],
@@ -403,7 +407,7 @@ def analyze_line_graph(bg: BipartiteGraph, include_p_set: bool = False) -> Spect
     degree = lg.regular_degree()
     ram = None
     if degree is not None and degree >= 1:
-        ram = _verdict(lg, degree, eigs)
+        ram = _verdict(spec, degree, eigs)
 
     gamma_matched: Optional[Partition] = None
     p_set: Optional[CandidateSet] = None
@@ -519,10 +523,10 @@ def classify_regular_ramanujan_case(bg: BipartiteGraph) -> str:
             f"line graph degree 2s-2 = {2 * s - 2} is below the Ramanujan range (s >= 3)"
         )
     lg, _ = line_graph(bg)
-    roots = integer_spectrum(lg)
-    if roots is None:
+    spec = exact_spectrum(lg)
+    if spec.integer_roots is None:
         raise InputError("line graph is not integral")
-    verdict = _verdict(lg, 2 * s - 2, expand_root_multiset(roots))
+    verdict = _verdict(spec, 2 * s - 2, expand_root_multiset(spec.integer_roots))
     if not verdict.second_largest_ok:
         raise InputError("line graph is not Ramanujan")
     lam = verdict.second_largest - (s - 2)

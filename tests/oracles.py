@@ -17,12 +17,12 @@ and, trial by trial, for the sampler), line graphs by testing every pair of edge
 shared endpoint instead of pairing the edges within each star, and
 line-graph diameters by a BFS from each of the e vertices of the line
 graph instead of from each of the nu vertices of its base graph, and
-bipartiteness by trying every 2-colouring instead of colouring by BFS
-distance, and the case label of a regular graph with an integral
-Ramanujan line graph from the base graph's own spectrum instead of the
-line spectrum shifted by s - 2, and characteristic polynomials by the
-Faddeev-LeVerrier recurrence on rows kept as lists of integers instead
-of rows packed into one integer each.
+bipartiteness by trying every 2-colouring instead of reading the parity
+of the characteristic polynomial, and the case label of a regular graph
+with an integral Ramanujan line graph from the base graph's own spectrum
+instead of the line spectrum shifted by s - 2, and characteristic
+polynomials by the Faddeev-LeVerrier recurrence on rows kept as lists
+of integers instead of rows packed into one integer each.
 """
 
 import math
@@ -48,7 +48,7 @@ from hornlr import (
     trace_condition,
     weyl_bounds,
 )
-from hornlr.graphs import expand_root_multiset, is_bipartite_graph
+from hornlr.graphs import expand_root_multiset
 from hornlr.horn import SampleReport
 from hornlr.lr import lr_positive
 
@@ -380,8 +380,8 @@ def classify_by_base_spectrum(bg):
     eigs = expand_root_multiset(roots)
     nontrivial = list(eigs)
     nontrivial.remove(k)
-    if is_bipartite_graph(lg):
-        nontrivial.remove(-k)
+    # no copy of -k to drop: with s >= 3, three edges at one base vertex
+    # form a triangle of the line graph, which is therefore not bipartite
     ok_second = eigs[1] * eigs[1] <= 4 * (k - 1)
     ok_all = all(v * v <= 4 * (k - 1) for v in nontrivial)
     if ok_second != ok_all:

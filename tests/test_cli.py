@@ -299,9 +299,16 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "--n" in err
     code, _, err = run(capsys, "horn", "check", "--alpha", "-", "--beta", "-", "--gamma", "-")
     assert code == 2 and "empty" in err
+    code, _, err = run(capsys, "horn", "check", "--alpha", "1,2", "--beta", "0,0", "--gamma", "1,2")
+    assert code == 2 and "weakly decreasing" in err
+    assert run(capsys, "horn", "check", "--alpha", "1,x", "--beta", "0,0", "--gamma", "1,0")[0] == 2
+    code, _, err = run(capsys, "horn", "check", "--n", "1", "--alpha", "1,0", "--beta", "1", "--gamma", "2")
+    assert code == 2 and "longer than n=1" in err
     c8 = tmp_path / "c8.txt"
     c8.write_text(graph_to_text(even_cycle(8)))
     assert run(capsys, "spectra", "ramanujan", "--file", str(c8), "--tol", "nan")[0] == 2
+    code, _, err = run(capsys, "corpus", "verify", "--dir", str(c8))
+    assert code == 2 and "not a directory" in err
 
 
 def test_missing_file_exits_3(capsys, tmp_path):

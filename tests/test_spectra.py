@@ -361,7 +361,7 @@ def test_theorem_corpus_order_six():
 
 def test_ramanujan_complete_graph():
     k4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    verdict = ramanujan_verdict(k4, 3)
+    verdict = ramanujan_verdict(k4)
     assert verdict.exact
     assert verdict.second_largest == -1
     assert verdict.bound == pytest.approx(2 * math.sqrt(2))
@@ -372,8 +372,6 @@ def test_ramanujan_rejects_non_regular():
     path = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(InputError):
         ramanujan_verdict(path)
-    with pytest.raises(InputError):
-        ramanujan_verdict(Graph(2, [(0, 1)]), 2)
     with pytest.raises(InputError, match="degree must be at least 1"):
         ramanujan_verdict(Graph(3))
 
@@ -381,16 +379,14 @@ def test_ramanujan_rejects_non_regular():
 def test_ramanujan_checks_its_arguments():
     # L(C_8) = C_8 is not integral; L(K_{3,2}) is 3-regular and integral
     for lg in (line_graph(even_cycle(8))[0], line_graph(complete_bipartite(3, 2))[0]):
-        k = lg.regular_degree()
         assert ramanujan_verdict(lg, tol=None) == ramanujan_verdict(lg)
         # 10**400 is beyond the float range that the bound is added to
         for tol in ("x", [1e-9], 1j, math.nan, math.inf, 10**400, Fraction(10**400, 3)):
             with pytest.raises(InputError, match="tolerance"):
                 ramanujan_verdict(lg, tol=tol)
-        for bad_k in (float(k), str(k), True):
-            with pytest.raises(InputError, match="degree must be an integer"):
-                ramanujan_verdict(lg, bad_k)
-        assert ramanujan_verdict(lg, k).degree == k
+        # the tolerance is keyword-only: a positional 3 is not read as one
+        with pytest.raises(TypeError):
+            ramanujan_verdict(lg, 3)
 
 
 def test_ramanujan_l_k_3_2():
