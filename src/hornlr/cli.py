@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import FormatError, InputError, TheoremViolation
+from .errors import FormatError, InputError, TheoremViolation, brief
 from .graphs import (
     bipartite_complement,
     graph_to_text,
@@ -62,7 +62,7 @@ def spectrum(text: str) -> tuple:
             try:
                 values.append(float(tok))
             except ValueError:
-                raise FormatError(f"bad spectrum entry {tok!r}") from None
+                raise FormatError(f"bad spectrum entry {brief(tok)}") from None
     return tuple(values)
 
 
@@ -122,7 +122,7 @@ def _cmd_horn_weyl(args) -> int:
 def _cmd_horn_sample(args) -> int:
     # under a negative tolerance a count is not a theorem violation
     if args.tol < 0:
-        raise InputError(f"--tol must be >= 0, got {args.tol!r}")
+        raise InputError(f"--tol must be >= 0, got {brief(args.tol)}")
     report = sample_necessity(args.n, args.trials, args.tol, args.seed)
     print(
         f"n={report.n} trials={report.trials} tol={_fmt(report.tol)} "

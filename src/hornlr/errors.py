@@ -1,10 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and `brief`, which every
+error message uses to show a caller's value.
 
 The CLI maps these onto exit codes: bad input or unmet preconditions exit
 with 2, a theorem violation (a check that is mathematically guaranteed to
 pass reported a failure, signalling a bug) exits with 1, I/O problems
 exit with 3.
 """
+
+import reprlib
 
 
 class InputError(ValueError):
@@ -17,3 +20,19 @@ class FormatError(InputError):
 
 class TheoremViolation(RuntimeError):
     """A verified mathematical identity failed on concrete data."""
+
+
+class _Brief(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # past the limit of int-to-decimal conversion
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+
+
+def brief(value) -> str:
+    """`value` abbreviated for an error message, as `reprlib.repr` does;
+    an int with more digits than Python converts to a decimal string
+    (4300 by default) is shown by its bit length instead of raising
+    ValueError, so the InputError being built is the one raised."""
+    return _Brief().repr(value)

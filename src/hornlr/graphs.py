@@ -30,7 +30,15 @@ instead of its e vertices:
   Laplacian, so det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)). When
   e < nu (a forest, or a base graph with isolated vertices) the factor
   (x+2)^(nu-e) is divided out instead; the division is exact, because Q
-  of a bipartite graph has one zero eigenvalue per component.
+  of a bipartite graph has one zero eigenvalue per component;
+* its spectrum: that of the nu x nu matrix Q - 2I, with -2 added e - nu
+  times (or removed nu - e times). Q = B B^T is positive semidefinite,
+  and its nonzero eigenvalues are those of B^T B = A(L) + 2I, so every
+  eigenvalue of Q - 2I lies in [-2, Delta(L)], Delta(L) the line graph's
+  largest degree. The integer roots are searched in that window on the
+  degree-nu factor alone, and the numeric eigenvalues are those of Q - 2I,
+  padded with -2.0. The factor is computed once for all three answers
+  (`_signless_factor` keeps the last one).
 
 A `Graph` built directly, or by `BipartiteGraph.as_graph`, has no base
 graph and takes the general routes: BFS from every vertex, branch and
@@ -46,13 +54,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, brief
 from .partitions import Partition
 
 
@@ -67,26 +75,28 @@ class Graph:
 
     Equality and hashing look at the adjacency only. A line graph built
     by `line_graph` also keeps its base graph in `_base`, from which
-    `char_poly_exact`, `diameter` and `clique_number` compute their
-    answers.
+    `char_poly_exact`, `exact_spectrum`, `numeric_spectrum`, `diameter`
+    and `clique_number` compute their answers.
     """
 
     __slots__ = ("_adj", "_base")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]] = ()):
         if not _is_int(order) or order < 1:
-            raise InputError(f"graph order must be a positive integer, got {order!r}")
+            raise InputError(f"graph order must be a positive integer, got {brief(order)}")
         adj: list[set[int]] = [set() for _ in range(order)]
         try:
             for u, v in edges:
                 if not (type(u) is int and type(v) is int):
-                    raise InputError(f"edge ({u!r},{v!r}) has non-integer endpoints")
+                    raise InputError(f"edge {brief((u, v))} has non-integer endpoints")
                 if not (0 <= u < order and 0 <= v < order):
-                    raise InputError(f"edge ({u},{v}) out of range for order {order}")
+                    raise InputError(f"edge {brief((u, v))} out of range for order {order}")
                 if u == v:
                     raise InputError(f"loops are not allowed: ({u},{v})")
                 adj[u].add(v)
                 adj[v].add(u)
+        except InputError:
+            raise
         except (TypeError, ValueError):
             raise InputError("edges must be an iterable of integer pairs") from None
         self._adj = tuple(tuple(sorted(s)) for s in adj)
@@ -145,18 +155,20 @@ class BipartiteGraph:
     def __init__(self, x_size: int, y_size: int, edges: Iterable[tuple[int, int]] = ()):
         if not (_is_int(x_size) and _is_int(y_size)) or x_size < 1 or y_size < 1:
             raise InputError(
-                f"colour class sizes must be positive integers, got ({x_size!r},{y_size!r})"
+                f"colour class sizes must be positive integers, got {brief((x_size, y_size))}"
             )
         edge_set = set()
         try:
             for x, y in edges:
                 if not (type(x) is int and type(y) is int):
-                    raise InputError(f"edge ({x!r},{y!r}) has non-integer endpoints")
+                    raise InputError(f"edge {brief((x, y))} has non-integer endpoints")
                 if not (0 <= x < x_size and 0 <= y < y_size):
                     raise InputError(
-                        f"edge ({x},{y}) out of range for classes ({x_size},{y_size})"
+                        f"edge {brief((x, y))} out of range for classes {brief((x_size, y_size))}"
                     )
                 edge_set.add((x, y))
+        except InputError:
+            raise
         except (TypeError, ValueError):
             raise InputError("edges must be an iterable of integer pairs") from None
         self._m = x_size
@@ -239,7 +251,7 @@ def line_graph(bg: BipartiteGraph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     the result are the pairs within each star: the edges at one X
     vertex, then those at one Y vertex. Two edges share at most one
     endpoint, so no pair is listed twice. The result keeps `bg` as its
-    base graph, for `char_poly_exact`, `diameter` and `clique_number`.
+    base graph, from which its spectra and metrics are computed.
     """
     edges = bg.sorted_edges
     if not edges:
@@ -322,14 +334,14 @@ def bipartite_complement(bg: BipartiteGraph) -> BipartiteGraph:
 
 def complete_bipartite(s: int, t: int) -> BipartiteGraph:
     if not (_is_int(s) and _is_int(t)):
-        raise InputError(f"class sizes must be integers, got ({s!r},{t!r})")
+        raise InputError(f"class sizes must be integers, got {brief((s, t))}")
     return BipartiteGraph(s, t, [(i, j) for i in range(s) for j in range(t)])
 
 
 def even_cycle(length: int) -> BipartiteGraph:
     """C_length as a bipartite graph; length must be even and >= 4."""
     if not _is_int(length) or length < 4 or length % 2:
-        raise InputError(f"cycle length must be an even integer >= 4, got {length!r}")
+        raise InputError(f"cycle length must be an even integer >= 4, got {brief(length)}")
     k = length // 2
     edges = [(i, i) for i in range(k)] + [((i + 1) % k, i) for i in range(k)]
     return BipartiteGraph(k, k, edges)
@@ -338,7 +350,7 @@ def even_cycle(length: int) -> BipartiteGraph:
 def matching(n: int) -> BipartiteGraph:
     """n disjoint edges (the graph nK_2 drawn across two classes)."""
     if not _is_int(n) or n < 1:
-        raise InputError(f"matching needs an integer n >= 1, got {n!r}")
+        raise InputError(f"matching needs an integer n >= 1, got {brief(n)}")
     return BipartiteGraph(n, n, [(i, i) for i in range(n)])
 
 
@@ -378,23 +390,45 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     the base graph: det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)),
     with Q = D + A the signless Laplacian of `bg` on its nu vertices and
     e its edge count (A(L) = B^T B - 2I and B B^T = Q for the incidence
-    matrix B). When e < nu, a forest or a base graph with isolated
-    vertices, (x+2)^(nu-e) is divided out; Q has a zero eigenvalue per
-    component, so the division is exact, and a remainder raises
-    ArithmeticError. Every other graph takes its own neighbour lists.
+    matrix B). The factor of degree nu (`_signless_factor`) is multiplied
+    by the binomial expansion of (x+2)^(e-nu) in one convolution. When
+    e < nu, a forest or a base graph with isolated vertices, (x+2)^(nu-e)
+    is divided out instead; Q has a zero eigenvalue per component, so the
+    division is exact, and a remainder raises ArithmeticError. Every
+    other graph takes its own neighbour lists.
     """
     bg = g._base
     if bg is None:
         return tuple(_char_poly(g._adj, [0] * g.order))
-    adj = _adjacency(bg)
-    coeffs = _char_poly(adj, [len(nb) - 2 for nb in adj])
-    for _ in range(bg.edge_count - bg.order):
-        coeffs = [a + 2 * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    missing = max(bg.order - bg.edge_count, 0)
-    coeffs, count = _deflate(coeffs, -2, missing)
-    if count < missing:
+    factor = _signless_factor(bg)
+    extra = bg.edge_count - bg.order
+    if extra >= 0:
+        binomial = [math.comb(extra, j) << j for j in range(extra + 1)]
+        coeffs = [0] * (len(factor) + extra)
+        for i, a in enumerate(factor):
+            if a:
+                for j, b in enumerate(binomial):
+                    coeffs[i + j] += a * b
+        return tuple(coeffs)
+    coeffs, count = _deflate(factor, -2, -extra)
+    if count < -extra:
         raise ArithmeticError("(x+2) deflation of the line-graph polynomial was not exact")
     return tuple(coeffs)
+
+
+@lru_cache(maxsize=1)
+def _signless_factor(bg: BipartiteGraph) -> tuple[int, ...]:
+    """det(xI - (Q - 2I)) for the signless Laplacian Q of `bg`: the
+    base graph's neighbour lists with deg - 2 on the diagonal. The last
+    factor is kept, so `exact_spectrum` reads the one that its own
+    `char_poly_exact` call has just built."""
+    return tuple(_char_poly(*_signless(bg)))
+
+
+def _signless(bg: BipartiteGraph) -> tuple[list[list[int]], list[int]]:
+    """Q - 2I of `bg` as neighbour lists (`_adjacency`) and a diagonal."""
+    adj = _adjacency(bg)
+    return adj, [len(nb) - 2 for nb in adj]
 
 
 def _char_poly(neighbours: Sequence[Sequence[int]], diagonal: Sequence[int]) -> list[int]:
@@ -453,10 +487,23 @@ def exact_spectrum(g: Graph) -> ExactSpectrum:
 
     Candidate roots are bounded by the maximum degree (every eigenvalue
     of an adjacency matrix is) and are tried from the largest down, each
-    divided out as often as it divides (`_deflate`).
+    divided out as often as it divides (`_deflate`). For a line graph
+    made by `line_graph(bg)` only the degree-nu factor det(xI - (Q - 2I))
+    is searched, from Delta(L) down to -2, since Q is positive
+    semidefinite; e - nu is then added to the multiplicity of -2. The
+    window goes down to -2 even when Delta(L) < 2: the factor of a single
+    edge, Delta(L) = 0, has the root -2.
     """
     coeffs = char_poly_exact(g)
-    roots = _integer_roots(coeffs, g.max_degree())
+    bg = g._base
+    top = g.max_degree()
+    if bg is None:
+        return ExactSpectrum(coeffs, _integer_roots(coeffs, top, -top))
+    roots = _integer_roots(_signless_factor(bg), top, -2)
+    if roots is not None:
+        counts = dict(roots)  # descending, and -2 is the least root
+        counts[-2] = counts.get(-2, 0) + bg.edge_count - bg.order
+        roots = tuple((t, c) for t, c in counts.items() if c)
     return ExactSpectrum(coeffs, roots)
 
 
@@ -466,10 +513,12 @@ def integer_spectrum(g: Graph) -> Optional[tuple[tuple[int, int], ...]]:
 
 
 def _integer_roots(
-    coeffs: Sequence[int], bound: int
+    coeffs: Sequence[int], top: int, bottom: int
 ) -> Optional[tuple[tuple[int, int], ...]]:
+    """The integer roots of the polynomial when every root is an integer
+    in [bottom, top], descending with multiplicities; else None."""
     roots = []
-    for t in range(bound, -bound - 1, -1):
+    for t in range(top, bottom - 1, -1):
         coeffs, count = _deflate(coeffs, t)
         if count:
             roots.append((t, count))
@@ -514,9 +563,25 @@ def expand_root_multiset(
 
 def numeric_spectrum(g: Graph) -> list[float]:
     """All adjacency eigenvalues, descending, via a symmetric eigensolver
-    (LAPACK through numpy; relative accuracy well inside 1e-9)."""
-    a = np.array(g.adjacency_rows(), dtype=float)
-    return [float(v) for v in np.linalg.eigvalsh(a)[::-1]]
+    (LAPACK through numpy; relative accuracy well inside 1e-9).
+
+    For a line graph made by `line_graph(bg)` the solver runs on the
+    nu x nu matrix Q - 2I of the base graph, and -2.0 fills the other
+    e - nu places; when e < nu the e largest are kept, since the nu - e
+    eigenvalues dropped are copies of -2, the least."""
+    bg = g._base
+    if bg is None:
+        a = np.array(g.adjacency_rows(), dtype=float)
+        return [float(v) for v in np.linalg.eigvalsh(a)[::-1]]
+    adj, diagonal = _signless(bg)
+    rows = [[0.0] * len(adj) for _ in adj]
+    for u, (nb, d) in enumerate(zip(adj, diagonal)):
+        for v in nb:
+            rows[u][v] = 1.0
+        rows[u][u] = d
+    values = np.linalg.eigvalsh(np.array(rows, dtype=float)).tolist()
+    values += [-2.0] * (bg.edge_count - bg.order)
+    return sorted(values, reverse=True)[: bg.edge_count]
 
 
 # ---------------------------------------------------------------------------
@@ -662,18 +727,18 @@ def parse_graph_text(text: str) -> BipartiteGraph:
     for expected, ln in zip(("X", "Y"), lines[:2]):
         parts = ln.split()
         if len(parts) != 2 or parts[0] != expected or not parts[1].isdecimal():
-            raise FormatError(f"bad header line {ln!r}, expected `{expected} <size>`")
+            raise FormatError(f"bad header line {brief(ln)}, expected `{expected} <size>`")
         sizes.append(int(parts[1]))
     edges: dict[tuple[int, int], None] = {}  # insertion-ordered, with a constant-time lookup
     for ln in lines[2:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}, expected `xi yj`")
+            raise FormatError(f"bad edge line {brief(ln)}, expected `xi yj`")
         if not (parts[0].isdecimal() and parts[1].isdecimal()):
-            raise FormatError(f"bad edge line {ln!r}, expected integers")
+            raise FormatError(f"bad edge line {brief(ln)}, expected integers")
         edge = (int(parts[0]), int(parts[1]))
         if edge in edges:
-            raise FormatError(f"duplicate edge {ln!r}")
+            raise FormatError(f"duplicate edge {brief(ln)}")
         edges[edge] = None
     try:
         return BipartiteGraph(sizes[0], sizes[1], edges)
@@ -701,11 +766,11 @@ def parse_graph_json(text: str) -> BipartiteGraph:
     except KeyError as exc:
         raise FormatError(f"graph JSON missing key {exc}") from None
     if not isinstance(raw_edges, list):
-        raise FormatError(f"graph JSON edges must be a list, got {raw_edges!r}")
+        raise FormatError(f"graph JSON edges must be a list, got {brief(raw_edges)}")
     edges = []
     for item in raw_edges:
         if not (isinstance(item, list) and len(item) == 2 and all(map(_is_int, item))):
-            raise FormatError(f"bad edge entry {item!r}, expected [xi, yj]")
+            raise FormatError(f"bad edge entry {brief(item)}, expected [xi, yj]")
         edges.append(tuple(item))
     if len(set(edges)) != len(edges):
         raise FormatError("duplicate edge in JSON edge list")
@@ -756,7 +821,7 @@ def connected_bipartite_graphs(
     winner", 1978).
     """
     if not (_is_int(max_order) and _is_int(min_order)):
-        raise InputError(f"orders must be integers, got ({max_order!r},{min_order!r})")
+        raise InputError(f"orders must be integers, got {brief((max_order, min_order))}")
     for order in range(min_order, max_order + 1):
         for m in range(1, order // 2 + 1):
             n = order - m

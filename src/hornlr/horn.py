@@ -47,7 +47,6 @@ machine and nothing larger is refused, it just costs time.
 from __future__ import annotations
 
 import math
-import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +57,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, brief
 
 Number = Union[int, float, Fraction]
 
@@ -77,14 +76,14 @@ class IndexTriple:
     def __post_init__(self):
         r = len(self.i)
         if type(self.n) is not int:
-            raise InputError(f"n must be an integer, got {self.n!r}")
+            raise InputError(f"n must be an integer, got {brief(self.n)}")
         if not (1 <= r <= self.n) or len(self.j) != r or len(self.k) != r:
-            raise InputError(f"index sets must share a cardinality in 1..{self.n}")
+            raise InputError(f"index sets must share a cardinality in 1..{brief(self.n)}")
         for seq in (self.i, self.j, self.k):
             if any(type(v) is not int or not 1 <= v <= self.n for v in seq):
-                raise InputError(f"indices must be integers in 1..{self.n}: {seq}")
+                raise InputError(f"indices must be integers in 1..{brief(self.n)}: {brief(seq)}")
             if any(seq[t] >= seq[t + 1] for t in range(r - 1)):
-                raise InputError(f"index sets must be strictly increasing: {seq}")
+                raise InputError(f"index sets must be strictly increasing: {brief(seq)}")
 
     @property
     def r(self) -> int:
@@ -100,7 +99,7 @@ def generate_u(n: int, r: int) -> tuple[IndexTriple, ...]:
     sum(I) + sum(J) = sum(K) + r(r+1)/2, in lexicographic (I, J, K) order.
     """
     if type(n) is not int or type(r) is not int or not 1 <= r <= n:
-        raise InputError(f"need integers 1 <= r <= n, got n={n!r}, r={r!r}")
+        raise InputError(f"need integers 1 <= r <= n, got n={brief(n)}, r={brief(r)}")
     by_sum: dict[int, list[tuple[int, ...]]] = {}
     for k_set in combinations(range(1, n + 1), r):
         by_sum.setdefault(sum(k_set), []).append(k_set)
@@ -265,12 +264,8 @@ def _tolerance(tol: Optional[float]):
         return DEFAULT_TOL
     exact = isinstance(tol, (int, Fraction))
     if not isinstance(tol, Real) or not abs(tol if exact else float(tol)) <= sys.float_info.max:
-        try:
-            shown = reprlib.repr(tol)
-        except ValueError:  # an int past the limit of decimal conversion
-            shown = f"an int of {tol.bit_length()} bits"
         raise InputError(
-            f"tolerance must be a real number within the float range or None, got {shown}"
+            f"tolerance must be a real number within the float range or None, got {brief(tol)}"
         )
     return tol
 
@@ -297,9 +292,9 @@ def _inspect(vectors, tol=0.0):
                 widen = True
                 continue
             if not isinstance(v, (float, Real)):
-                raise InputError(f"spectrum entries must be real numbers, got {v!r}")
+                raise InputError(f"spectrum entries must be real numbers, got {brief(v)}")
             if v != v or v in (math.inf, -math.inf):
-                raise InputError(f"spectrum entries must be finite real numbers, got {v!r}")
+                raise InputError(f"spectrum entries must be finite real numbers, got {brief(v)}")
     if widen:
         vectors = tuple([int(v) if isinstance(v, np.integer) else v for v in vec] for vec in vectors)
     terms = sum(map(len, vectors)) + 1
@@ -373,7 +368,7 @@ def weyl_bounds(
     if len(beta) != n:
         raise InputError("spectra must have equal length")
     if type(k) is not int or not 1 <= k <= n:
-        raise InputError(f"need an integer 1 <= k <= n, got k={k!r}, n={n}")
+        raise InputError(f"need an integer 1 <= k <= n, got k={brief(k)}, n={n}")
     _, (alpha, beta) = _inspect((alpha, beta))
     lower = max(alpha[i - 1] + beta[n + k - i - 1] for i in range(k, n + 1))
     upper = min(alpha[i - 1] + beta[k - i] for i in range(1, k + 1))
@@ -420,10 +415,10 @@ def sample_necessity(
     """
     if type(n) is not int or type(trials) is not int or n < 1 or trials < 0:
         raise InputError(
-            f"need integers n >= 1 and trials >= 0, got n={n!r}, trials={trials!r}"
+            f"need integers n >= 1 and trials >= 0, got n={brief(n)}, trials={brief(trials)}"
         )
     if type(seed) is not int or seed < 0:
-        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
+        raise InputError(f"seed must be an integer >= 0, got {brief(seed)}")
     tol = _tolerance(tol)
     rng = np.random.default_rng(seed)
     triples, matrix = _horn_system(n)
@@ -491,5 +486,5 @@ def as_spectrum(values: Sequence[Number], tol: Optional[float] = None) -> tuple[
     vec = tuple(values)
     _, (checked,), slack = _prepared((vec,), tol)
     if not is_weakly_decreasing(checked, slack):
-        raise InputError(f"spectrum must be weakly decreasing: {vec}")
+        raise InputError(f"spectrum must be weakly decreasing: {brief(vec)}")
     return vec

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, brief
 
 
 class Partition:
@@ -32,10 +32,10 @@ class Partition:
             except (TypeError, ValueError, OverflowError):
                 whole = False
             if not whole:
-                raise InputError(f"partition parts must be integers, got {p!r}")
+                raise InputError(f"partition parts must be integers, got {brief(p)}")
             p = int(p)
             if p < 0:
-                raise InputError(f"partition parts must be non-negative, got {p}")
+                raise InputError(f"partition parts must be non-negative, got {brief(p)}")
             if p > 0:
                 cleaned.append(p)
         cleaned.sort(reverse=True)
@@ -63,7 +63,7 @@ class Partition:
     def part(self, i: int) -> int:
         """1-based part access; indices past the length read as 0."""
         if type(i) is not int or i < 1:
-            raise InputError(f"part index must be an integer >= 1, got {i!r}")
+            raise InputError(f"part index must be an integer >= 1, got {brief(i)}")
         return self._parts[i - 1] if i <= len(self._parts) else 0
 
     def contains(self, inner: "Partition") -> bool:
@@ -75,10 +75,10 @@ class Partition:
     def padded(self, n: int) -> tuple[int, ...]:
         """Parts extended with zeros to length n; n must fit the partition."""
         if type(n) is not int:
-            raise InputError(f"padded length must be an integer, got {n!r}")
+            raise InputError(f"padded length must be an integer, got {brief(n)}")
         if n < len(self._parts):
             raise InputError(
-                f"cannot pad a partition of length {len(self._parts)} to {n}"
+                f"cannot pad a partition of length {len(self._parts)} to {brief(n)}"
             )
         return self._parts + (0,) * (n - len(self._parts))
 
@@ -91,7 +91,7 @@ class Partition:
         try:
             return cls(int(tok) for tok in text.split(","))
         except (ValueError, InputError) as exc:
-            raise FormatError(f"bad partition literal {text!r}: {exc}") from None
+            raise FormatError(f"bad partition literal {brief(text)}: {exc}") from None
 
     def to_text(self) -> str:
         return ",".join(str(p) for p in self._parts) if self._parts else "-"
@@ -133,7 +133,7 @@ def enumerate_partitions(
     """
     if not all(type(v) is int for v in (total, exact_length, max_first_part)):
         raise InputError(
-            f"need integer arguments, got {(total, exact_length, max_first_part)!r}"
+            f"need integer arguments, got {brief((total, exact_length, max_first_part))}"
         )
     if total < 0 or exact_length < 1 or max_first_part < 1:
         if total == 0 and exact_length == 0:

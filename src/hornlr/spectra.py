@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import InputError, TheoremViolation
+from .errors import InputError, TheoremViolation, brief
 from .graphs import (
     BipartiteGraph,
     ExactSpectrum,
@@ -470,9 +470,9 @@ def regular_line_spectrum_template(
     The total multiplicity always works out to sn, the number of edges.
     """
     if not all(map(_is_int, (s, n, x, y))):
-        raise InputError(f"need integer s, n, x and y; got {(s, n, x, y)!r}")
+        raise InputError(f"need integer s, n, x and y; got {brief((s, n, x, y))}")
     if s < 2 or n < 1 or x < 0 or y < 0:
-        raise InputError(f"need s >= 2, n >= 1, x, y >= 0; got {(s, n, x, y)}")
+        raise InputError(f"need s >= 2, n >= 1, x, y >= 0; got {brief((s, n, x, y))}")
     middle = 2 * n - 2 * x - 2 * y - 2
     if middle < 0:
         raise InputError(

@@ -23,12 +23,14 @@ from hornlr import (
     diameter,
     disjoint_union,
     even_cycle,
+    exact_spectrum,
     integer_spectrum,
     line_graph,
     matching,
     numeric_spectrum,
     star_decomposition,
 )
+from hornlr import graphs
 from hornlr.graphs import (
     _char_poly,
     expand_root_multiset,
@@ -128,6 +130,30 @@ def test_star_decomposition_sums_to_line_graph():
 def test_constructors_refuse_non_integers(build):
     with pytest.raises(InputError):
         build()
+
+
+HUGE = 10**5000  # more digits than Python converts to a decimal string
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph(-HUGE), "graph order"),
+        (lambda: BipartiteGraph(-HUGE, 1), "colour class sizes"),
+        (lambda: complete_bipartite(1.5, HUGE), "class sizes"),
+        (lambda: even_cycle(HUGE + 1), "cycle length"),
+        (lambda: matching(-HUGE), "matching"),
+        (lambda: Graph(3, [(0, HUGE)]), "out of range"),
+        (lambda: BipartiteGraph(2, 2, [(0, HUGE)]), "out of range"),
+        (lambda: Graph(3, [(1, 1)]), "loops"),
+    ],
+)
+def test_rejections_show_the_value_briefly(build, message):
+    # the message names the fault, and an int past the conversion limit
+    # is shown by its bit length instead of raising ValueError
+    with pytest.raises(InputError, match=message) as info:
+        build()
+    assert len(str(info.value)) < 200
 
 
 def _random_bipartite(rng, max_side=4, p=0.5):
@@ -260,14 +286,24 @@ def test_packed_char_poly_matches_row_lists():
 
 
 def _direct_routes_agree(bg):
+    # L(bg) takes every spectral answer from the degree-nu factor
+    # det(xI - (Q - 2I)); the same graph built pair by pair has no base
+    # graph and takes the e x e routes
     lg, _ = line_graph(bg)
+    plain = line_graph_by_pairs(bg)
     poly = char_poly_exact(lg)
     assert len(poly) == bg.edge_count + 1
-    assert poly == char_poly_exact(Graph(lg.order, lg.edges()))
+    assert poly == char_poly_exact(plain), bg
+    assert exact_spectrum(lg) == exact_spectrum(plain), bg
+    numeric, direct = numeric_spectrum(lg), numeric_spectrum(plain)
+    assert len(numeric) == bg.edge_count
+    assert numeric == sorted(numeric, reverse=True)
+    assert max(abs(a - b) for a, b in zip(numeric, direct)) < 1e-9, bg
 
 
 def test_line_graph_char_poly_matches_direct_route_on_corpus():
-    # the nu x nu signless-Laplacian route against the e x e adjacency
+    # polynomial, integer roots and numeric eigenvalues of the line graph
+    # of every connected bipartite graph of order <= 8, both routes
     count = 0
     for bg in connected_bipartite_graphs(8):
         _direct_routes_agree(bg)
@@ -291,6 +327,40 @@ def test_line_graph_char_poly_matches_direct_route_on_corpus():
 def test_line_graph_char_poly_matches_direct_route(bg):
     # trees and forests divide (x+2) out instead of multiplying it in
     _direct_routes_agree(bg)
+
+
+def _path(edges):
+    """The path on `edges` + 1 vertices, alternating between the classes."""
+    return BipartiteGraph(
+        (edges + 2) // 2, (edges + 1) // 2, [(i // 2 + i % 2, i // 2) for i in range(edges)]
+    )
+
+
+def test_line_spectra_from_signless_factor():
+    # the corpus to order 8 takes the same comparison above
+    rng = random.Random(19)
+    bases = [complete_bipartite(1, t) for t in range(1, 9)]  # K_{1,1} and stars
+    bases += [_path(e) for e in range(1, 12)]
+    bases += [complete_bipartite(s, t) for s in range(1, 7) for t in range(1, 7)]
+    for _ in range(60):  # isolated vertices and several components
+        m, n = rng.randint(2, 7), rng.randint(2, 7)
+        p = rng.choice([0.15, 0.3, 0.5])
+        edges = [(i, j) for i in range(m) for j in range(n) if rng.random() < p]
+        parts = [BipartiteGraph(m, n, edges or [(0, 0)]), matching(rng.randint(1, 3))]
+        bases.append(disjoint_union(parts[: rng.randint(1, 2)]))
+    for bg in bases:
+        _direct_routes_agree(bg)
+    # the single edge: Delta(L) = 0, and the factor's root -2 is divided out
+    assert integer_spectrum(line_graph(complete_bipartite(1, 1))[0]) == ((0, 1),)
+
+
+def test_line_graph_char_poly_rejects_an_inexact_division(monkeypatch):
+    # a forest divides (x+2)^(nu-e) out of the factor; a factor without
+    # the root -2 leaves a remainder, which is an error, not a polynomial
+    lg, _ = line_graph(_path(3))  # nu - e = 1
+    monkeypatch.setattr(graphs, "_signless_factor", lambda bg: (1, 0, 0, 0, 1))
+    with pytest.raises(ArithmeticError):
+        char_poly_exact(lg)
 
 
 def test_line_graph_keeps_equality_on_adjacency():

@@ -505,6 +505,16 @@ def test_huge_exact_entries_mixed_with_floats_rejected():
         with pytest.raises(InputError, match="tolerance"):
             trace_condition((1, 0), (1, 0), (2, 0), tol=tol)
     assert sample_necessity(2, 3, tol=int(sys.float_info.max)).total_violations == 0
+    # other messages that show such an int abbreviate it too
+    for call in (
+        lambda: weyl_bounds((1, 0), (1, 0), 10**5000),
+        lambda: generate_u(1, 10**5000),
+        lambda: IndexTriple((1,), (1,), (1,), -(10**5000)),
+        lambda: IndexTriple((10**5000,), (1,), (1,), 3),
+    ):
+        with pytest.raises(InputError) as info:
+            call()
+        assert len(str(info.value)) < 200
     # partial sums of entries within range can still pass the float range
     with pytest.raises(InputError):
         horn_compatible((10**308, 10**308), (0.5, -0.5), (10**308, 10**308))
