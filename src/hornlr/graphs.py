@@ -728,7 +728,7 @@ def parse_graph_text(text: str) -> BipartiteGraph:
         parts = ln.split()
         if len(parts) != 2 or parts[0] != expected or not parts[1].isdecimal():
             raise FormatError(f"bad header line {brief(ln)}, expected `{expected} <size>`")
-        sizes.append(int(parts[1]))
+        sizes.append(_decimal(parts[1], ln))
     edges: dict[tuple[int, int], None] = {}  # insertion-ordered, with a constant-time lookup
     for ln in lines[2:]:
         parts = ln.split()
@@ -736,7 +736,7 @@ def parse_graph_text(text: str) -> BipartiteGraph:
             raise FormatError(f"bad edge line {brief(ln)}, expected `xi yj`")
         if not (parts[0].isdecimal() and parts[1].isdecimal()):
             raise FormatError(f"bad edge line {brief(ln)}, expected integers")
-        edge = (int(parts[0]), int(parts[1]))
+        edge = (_decimal(parts[0], ln), _decimal(parts[1], ln))
         if edge in edges:
             raise FormatError(f"duplicate edge {brief(ln)}")
         edges[edge] = None
@@ -744,6 +744,16 @@ def parse_graph_text(text: str) -> BipartiteGraph:
         return BipartiteGraph(sizes[0], sizes[1], edges)
     except InputError as exc:
         raise FormatError(str(exc)) from None
+
+
+def _decimal(token: str, ln: str) -> int:
+    """The int that a token of decimal digits on line `ln` spells;
+    FormatError for one with more digits than int() converts (4300 by
+    default), where int() raises ValueError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"number with too many digits on line {brief(ln)}") from None
 
 
 def graph_to_text(bg: BipartiteGraph) -> str:

@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from numbers import Real
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -94,41 +94,59 @@ class IndexTriple:
         return f"I={fmt(self.i)} J={fmt(self.j)} K={fmt(self.k)}"
 
 
-def generate_u(n: int, r: int) -> tuple[IndexTriple, ...]:
-    """All triples of r-subsets of {1..n} whose index sums satisfy
-    sum(I) + sum(J) = sum(K) + r(r+1)/2, in lexicographic (I, J, K) order.
-    """
+def _check_dimensions(n, r) -> None:
     if type(n) is not int or type(r) is not int or not 1 <= r <= n:
         raise InputError(f"need integers 1 <= r <= n, got n={brief(n)}, r={brief(r)}")
+
+
+def _u_sets(n: int, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The index sets (I, J, K) of U(n, r), as tuples of ints, in
+    lexicographic (I, J, K) order."""
+    _check_dimensions(n, r)
     by_sum: dict[int, list[tuple[int, ...]]] = {}
     for k_set in combinations(range(1, n + 1), r):
         by_sum.setdefault(sum(k_set), []).append(k_set)
     offset = r * (r + 1) // 2
-    out = []
     for i_set in combinations(range(1, n + 1), r):
         for j_set in combinations(range(1, n + 1), r):
             for k_set in by_sum.get(sum(i_set) + sum(j_set) - offset, ()):
-                out.append(IndexTriple(i_set, j_set, k_set, n))
-    return tuple(out)
+                yield i_set, j_set, k_set
 
 
-@lru_cache(maxsize=None, typed=True)
+def generate_u(n: int, r: int) -> tuple[IndexTriple, ...]:
+    """All triples of r-subsets of {1..n} whose index sums satisfy
+    sum(I) + sum(J) = sum(K) + r(r+1)/2, in lexicographic (I, J, K) order,
+    each made an IndexTriple from the tuples that `_u_sets` yields.
+    """
+    return tuple(IndexTriple(i, j, k, n) for i, j, k in _u_sets(n, r))
+
+
 def generate_t(n: int, r: int) -> tuple[IndexTriple, ...]:
     """Horn's family T(n, r): the triples of generate_u(n, r), in its
     order, whose shapes (l(I), l(J), l(K)) satisfy every row of the
     cached matrix of T(r); generate_u's sum condition is their trace.
 
-    Shape entries are integers in 0..n - r, summed 3r at a time, so
-    float64 is exact. T(1) has no rows, so T(n, 1) = U(n, 1).
+    The index sets stay tuples of ints while the rows are applied, and
+    an IndexTriple is made only for each triple kept. Shape entries are
+    integers in 0..n - r, summed 3r at a time, so float64 is exact.
+    T(1) has no rows, so T(n, 1) = U(n, 1). Cached per (n, r); the
+    arguments are checked first, as the cache would hash a list before
+    the check could reject it.
     """
-    family = generate_u(n, r)
-    reversed_sets = chain.from_iterable(t.i[::-1] + t.j[::-1] + t.k[::-1] for t in family)
+    _check_dimensions(n, r)
+    return _t_family(n, r)
+
+
+@lru_cache(maxsize=None)
+def _t_family(n: int, r: int) -> tuple[IndexTriple, ...]:
+    family = list(_u_sets(n, r))
+    reversed_sets = chain.from_iterable(i[::-1] + j[::-1] + k[::-1] for i, j, k in family)
     shapes = np.fromiter(reversed_sets, np.float64, 3 * r * len(family)).reshape(-1, 3 * r)
     shapes -= np.tile(np.arange(r, 0, -1), 3)
     keep = np.ones(len(family), dtype=bool)
     for row in _horn_system(r)[1]:  # not one product: |U(n, r)| x |T(r)|
         keep &= shapes @ row <= 0
-    return tuple(t for t, ok in zip(family, keep) if ok)
+    return tuple(IndexTriple(i, j, k, n) for (i, j, k), ok in zip(family, keep) if ok)
 
 
 @lru_cache(maxsize=None)

@@ -309,6 +309,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "spectra", "ramanujan", "--file", str(c8), "--tol", "nan")[0] == 2
     code, _, err = run(capsys, "corpus", "verify", "--dir", str(c8))
     assert code == 2 and "not a directory" in err
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"X {'9' * 5000}\nY 1\n")
+    code, _, err = run(capsys, "spectra", "analyze", "--file", str(huge))
+    assert code == 2 and "too many digits" in err
 
 
 def test_missing_file_exits_3(capsys, tmp_path):

@@ -775,6 +775,9 @@ def test_format_errors():
         "X 1\nY 1\n0\n",
         "X 1\nY 1\n0 0\n0 0\n",
         "X 1\nY 11\n0 1_0\n",  # int() would read 10
+        # isdecimal() passes these, int() refuses more than 4300 digits
+        f"X {'9' * 5000}\nY 1\n",
+        f"X 1\nY 1\n0 {'9' * 5000}\n",
     ]:
         with pytest.raises(FormatError):
             parse_graph_text(bad)

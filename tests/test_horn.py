@@ -21,7 +21,14 @@ from hornlr import (
     trace_condition,
     weyl_bounds,
 )
-from hornlr.horn import _SAMPLE_BLOCK, _horn_system, _screen_block, as_spectrum
+from hornlr.horn import (
+    _SAMPLE_BLOCK,
+    _horn_system,
+    _screen_block,
+    _t_family,
+    _u_sets,
+    as_spectrum,
+)
 
 from oracles import (
     all_partitions,
@@ -96,9 +103,33 @@ def test_generate_t_matches_lr_positivity():
             assert generate_t(n, r) == t_by_lr(n, r), (n, r)
 
 
+def test_index_triples_made_only_for_kept_triples(monkeypatch):
+    # U(n, r) stays tuples while the rows of T(r) are applied; each kept
+    # triple is then made an IndexTriple once, through its one constructor
+    made = 0
+    validate = IndexTriple.__post_init__
+
+    def counting(self):
+        nonlocal made
+        made += 1
+        validate(self)
+
+    for r in range(2, 7):
+        _horn_system(r)
+    monkeypatch.setattr(IndexTriple, "__post_init__", counting)
+    for n in range(3, 8):
+        for r in range(2, n):
+            made = 0
+            family = _t_family.__wrapped__(n, r)
+            assert made == len(family), (n, r)
+            assert family == generate_t(n, r)
+            assert [(t.i, t.j, t.k) for t in generate_u(n, r)] == list(_u_sets(n, r))
+
+
 def test_invalid_dimensions_rejected():
     generate_t(1, 1)  # cached: a later bool 1 must not hit this entry
-    for bad in [(0, 1), (3, 0), (3, 4), (-1, 1), (2.5, 1), ("3", 1), (True, 1), (3, 1.0)]:
+    # lists too: the cache of generate_t must not hash them before the check
+    for bad in [(0, 1), (3, 0), (3, 4), (-1, 1), (2.5, 1), ("3", 1), (True, 1), (3, 1.0), ([8], 1), (8, [1])]:
         with pytest.raises(InputError):
             generate_u(*bad)
         with pytest.raises(InputError):
