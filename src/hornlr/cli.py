@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 theorem violation (a mathematically guaranteed
-check failed on concrete data, i.e. a bug), 2 usage or input error,
-3 I/O failure.
+check failed on concrete data, i.e. a bug), 2 usage or input error
+(an input too large for the memory at hand among them), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ def _cmd_corpus_verify(args) -> int:
     for path in files:
         try:
             report = analyze_line_graph(load_graph(path))
-        except InputError as exc:
-            print(f"{path.name}: error: {exc}", file=sys.stderr)
+        except (InputError, MemoryError) as exc:
+            print(f"{path.name}: error: {_message(exc)}", file=sys.stderr)
             failed += 1
             continue
         _print_report_summary(path.name, report)
@@ -376,6 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(exc: Exception) -> str:
+    """One line for an input error. The library tries an allocation that
+    its input asks for before it fails, so a size past the machine's
+    memory arrives as a MemoryError, often with an empty message."""
+    if isinstance(exc, MemoryError):
+        return f"out of memory: {exc}" if str(exc) else "out of memory"
+    return str(exc)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -384,8 +393,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (InputError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, MemoryError) as exc:
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)

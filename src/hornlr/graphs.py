@@ -12,7 +12,9 @@ splits over the integers or it does not.
 
 A line graph made by :func:`line_graph` keeps its base graph, and the
 metrics of the line graph come from the nu vertices of the base graph
-instead of its e vertices:
+instead of its e vertices. `_source` is the one place that decides which
+graph a routine reads: the base graph when there is one, else the graph
+itself (a `Graph` built directly, or by `BipartiteGraph.as_graph`).
 
 * its edges are the pairs of base edges within each star (the edges at
   one vertex), which lists every adjacent pair once, since two edges
@@ -23,26 +25,30 @@ instead of its e vertices:
   runs on the base graph;
 * its clique number is the base graph's largest degree: edges that meet
   pairwise share one vertex or form a triangle, and a bipartite graph is
-  triangle-free;
-* its polynomial comes from the base graph's neighbour lists with
-  deg - 2 on the diagonal. With B the nu x e vertex-edge incidence
-  matrix, A(L) = B^T B - 2I and B B^T = Q = D + A, the signless
-  Laplacian, so det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)). When
-  e < nu (a forest, or a base graph with isolated vertices) the factor
-  (x+2)^(nu-e) is divided out instead; the division is exact, because Q
-  of a bipartite graph has one zero eigenvalue per component;
-* its spectrum: that of the nu x nu matrix Q - 2I, with -2 added e - nu
-  times (or removed nu - e times). Q = B B^T is positive semidefinite,
-  and its nonzero eigenvalues are those of B^T B = A(L) + 2I, so every
-  eigenvalue of Q - 2I lies in [-2, Delta(L)], Delta(L) the line graph's
-  largest degree. The integer roots are searched in that window on the
-  degree-nu factor alone, and the numeric eigenvalues are those of Q - 2I,
-  padded with -2.0. The factor is computed once for all three answers
-  (`_signless_factor` keeps the last one).
+  triangle-free.
 
-A `Graph` built directly, or by `BipartiteGraph.as_graph`, has no base
-graph and takes the general routes: BFS from every vertex, branch and
-bound, and the polynomial of its own neighbour lists.
+A graph without a base takes a BFS from each vertex and a branch and
+bound for those two.
+
+Every graph, with a base or without, has one spectral description
+(`_matrix`): an integer matrix M and a count of extra -2s, so that its
+spectrum is that of M with -2 added that many times, or removed when the
+count is negative. A graph without a base is its own adjacency matrix
+with no extra -2. For a line graph, with B the nu x e vertex-edge
+incidence matrix of the base graph, A(L) = B^T B - 2I and B B^T = Q =
+D + A, the signless Laplacian, so M = Q - 2I (the base graph's neighbour
+lists with deg - 2 on the diagonal) and the count is e - nu:
+det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)). When e < nu (a forest,
+or a base graph with isolated vertices) the division by (x+2)^(nu-e) is
+exact, because Q of a bipartite graph has one zero eigenvalue per
+component. Every eigenvalue of M lies in [lowest, Delta], Delta the
+graph's largest degree and lowest the Gershgorin floor min(M_ii - deg_i):
+-Delta for an adjacency matrix, and -2 for Q - 2I (Q = B B^T is positive
+semidefinite, and its nonzero eigenvalues are those of B^T B =
+A(L) + 2I). So the integer roots are searched in that window on
+det(xI - M) alone, and the numeric eigenvalues are those of M, padded
+with -2.0. That factor is computed once for all three spectral answers
+(`_factor` keeps the last one).
 
 Vertex order of a line graph is the lexicographic order of the base
 graph's edges by (x-index, y-index); every operation that returns
@@ -76,7 +82,7 @@ class Graph:
     Equality and hashing look at the adjacency only. A line graph built
     by `line_graph` also keeps its base graph in `_base`, from which
     `char_poly_exact`, `exact_spectrum`, `numeric_spectrum`, `diameter`
-    and `clique_number` compute their answers.
+    and `clique_number` compute their answers (through `_source`).
     """
 
     __slots__ = ("_adj", "_base")
@@ -383,52 +389,61 @@ class ExactSpectrum:
     integer_roots: Optional[tuple[tuple[int, int], ...]]
 
 
+def _source(g: Graph) -> Union[Graph, BipartiteGraph]:
+    """The graph whose matrix describes `g`: its base graph when it was
+    made by `line_graph`, else `g` itself."""
+    return g if g._base is None else g._base
+
+
 def char_poly_exact(g: Graph) -> tuple[int, ...]:
     """Integer coefficients of det(xI - A), descending degree.
 
-    For a line graph made by `line_graph(bg)` the polynomial comes from
-    the base graph: det(xI - A(L)) = (x+2)^(e-nu) det(xI - (Q - 2I)),
-    with Q = D + A the signless Laplacian of `bg` on its nu vertices and
-    e its edge count (A(L) = B^T B - 2I and B B^T = Q for the incidence
-    matrix B). The factor of degree nu (`_signless_factor`) is multiplied
-    by the binomial expansion of (x+2)^(e-nu) in one convolution. When
-    e < nu, a forest or a base graph with isolated vertices, (x+2)^(nu-e)
-    is divided out instead; Q has a zero eigenvalue per component, so the
-    division is exact, and a remainder raises ArithmeticError. Every
-    other graph takes its own neighbour lists.
+    The factor det(xI - M) of the graph's spectral description
+    (`_factor`) is multiplied by the binomial expansion of (x+2)^extra in
+    one convolution: for a graph without a base M is its adjacency and
+    the binomial is [1]; for a line graph made by `line_graph(bg)`, M is
+    Q - 2I of `bg` on its nu vertices and extra = e - nu. When extra < 0,
+    a forest or a base graph with isolated vertices, (x+2)^(-extra) is
+    divided out instead; Q has a zero eigenvalue per component, so the
+    division is exact, and a remainder raises ArithmeticError.
     """
-    bg = g._base
-    if bg is None:
-        return tuple(_char_poly(g._adj, [0] * g.order))
-    factor = _signless_factor(bg)
-    extra = bg.edge_count - bg.order
-    if extra >= 0:
-        binomial = [math.comb(extra, j) << j for j in range(extra + 1)]
-        coeffs = [0] * (len(factor) + extra)
-        for i, a in enumerate(factor):
-            if a:
-                for j, b in enumerate(binomial):
-                    coeffs[i + j] += a * b
+    factor, extra, _ = _factor(_source(g))
+    if extra < 0:
+        coeffs, count = _deflate(factor, -2, -extra)
+        if count < -extra:
+            raise ArithmeticError("(x+2) deflation of the line-graph polynomial was not exact")
         return tuple(coeffs)
-    coeffs, count = _deflate(factor, -2, -extra)
-    if count < -extra:
-        raise ArithmeticError("(x+2) deflation of the line-graph polynomial was not exact")
+    binomial = [math.comb(extra, j) << j for j in range(extra + 1)]
+    coeffs = [0] * (len(factor) + extra)
+    for i, a in enumerate(factor):
+        if a:
+            for j, b in enumerate(binomial):
+                coeffs[i + j] += a * b
     return tuple(coeffs)
 
 
+def _matrix(
+    source: Union[Graph, BipartiteGraph]
+) -> tuple[Sequence[Sequence[int]], list[int], int]:
+    """(neighbours, diagonal, extra): the integer matrix M and the count
+    of extra -2s whose spectrum, padded, is the graph's. A `Graph` gives
+    its adjacency, a zero diagonal and 0; a base graph gives Q - 2I on
+    its nu vertices (`_adjacency`, deg - 2 on the diagonal) and e - nu."""
+    if isinstance(source, Graph):
+        return source._adj, [0] * source.order, 0
+    adj = _adjacency(source)
+    return adj, [len(nb) - 2 for nb in adj], source.edge_count - source.order
+
+
 @lru_cache(maxsize=1)
-def _signless_factor(bg: BipartiteGraph) -> tuple[int, ...]:
-    """det(xI - (Q - 2I)) for the signless Laplacian Q of `bg`: the
-    base graph's neighbour lists with deg - 2 on the diagonal. The last
+def _factor(source: Union[Graph, BipartiteGraph]) -> tuple[tuple[int, ...], int, int]:
+    """(det(xI - M), extra, lowest) for `_matrix(source)`, lowest the
+    Gershgorin floor min(M_ii - deg_i) of M's eigenvalues. The last
     factor is kept, so `exact_spectrum` reads the one that its own
     `char_poly_exact` call has just built."""
-    return tuple(_char_poly(*_signless(bg)))
-
-
-def _signless(bg: BipartiteGraph) -> tuple[list[list[int]], list[int]]:
-    """Q - 2I of `bg` as neighbour lists (`_adjacency`) and a diagonal."""
-    adj = _adjacency(bg)
-    return adj, [len(nb) - 2 for nb in adj]
+    neighbours, diagonal, extra = _matrix(source)
+    lowest = min(d - len(nb) for nb, d in zip(neighbours, diagonal))
+    return tuple(_char_poly(neighbours, diagonal)), extra, lowest
 
 
 def _char_poly(neighbours: Sequence[Sequence[int]], diagonal: Sequence[int]) -> list[int]:
@@ -485,24 +500,20 @@ def _char_poly(neighbours: Sequence[Sequence[int]], diagonal: Sequence[int]) -> 
 def exact_spectrum(g: Graph) -> ExactSpectrum:
     """Characteristic polynomial plus integer root extraction.
 
-    Candidate roots are bounded by the maximum degree (every eigenvalue
-    of an adjacency matrix is) and are tried from the largest down, each
-    divided out as often as it divides (`_deflate`). For a line graph
-    made by `line_graph(bg)` only the degree-nu factor det(xI - (Q - 2I))
-    is searched, from Delta(L) down to -2, since Q is positive
-    semidefinite; e - nu is then added to the multiplicity of -2. The
-    window goes down to -2 even when Delta(L) < 2: the factor of a single
-    edge, Delta(L) = 0, has the root -2.
+    Only the factor det(xI - M) of the graph's spectral description is
+    searched, from the largest degree (no eigenvalue exceeds it) down to
+    M's Gershgorin floor, each candidate divided out as often as it
+    divides (`_deflate`); the extra -2s are then added to the
+    multiplicity of -2. For a line graph the floor is -2 even when
+    Delta(L) < 2: the factor of a single edge, Delta(L) = 0, has the root
+    -2, which its extra count of -1 cancels.
     """
     coeffs = char_poly_exact(g)
-    bg = g._base
-    top = g.max_degree()
-    if bg is None:
-        return ExactSpectrum(coeffs, _integer_roots(coeffs, top, -top))
-    roots = _integer_roots(_signless_factor(bg), top, -2)
-    if roots is not None:
+    factor, extra, lowest = _factor(_source(g))
+    roots = _integer_roots(factor, g.max_degree(), lowest)
+    if roots is not None and extra:
         counts = dict(roots)  # descending, and -2 is the least root
-        counts[-2] = counts.get(-2, 0) + bg.edge_count - bg.order
+        counts[-2] = counts.get(-2, 0) + extra
         roots = tuple((t, c) for t, c in counts.items() if c)
     return ExactSpectrum(coeffs, roots)
 
@@ -565,23 +576,18 @@ def numeric_spectrum(g: Graph) -> list[float]:
     """All adjacency eigenvalues, descending, via a symmetric eigensolver
     (LAPACK through numpy; relative accuracy well inside 1e-9).
 
-    For a line graph made by `line_graph(bg)` the solver runs on the
-    nu x nu matrix Q - 2I of the base graph, and -2.0 fills the other
-    e - nu places; when e < nu the e largest are kept, since the nu - e
-    eigenvalues dropped are copies of -2, the least."""
-    bg = g._base
-    if bg is None:
-        a = np.array(g.adjacency_rows(), dtype=float)
-        return [float(v) for v in np.linalg.eigvalsh(a)[::-1]]
-    adj, diagonal = _signless(bg)
-    rows = [[0.0] * len(adj) for _ in adj]
-    for u, (nb, d) in enumerate(zip(adj, diagonal)):
+    The solver runs on the matrix M of the graph's spectral description,
+    nu x nu Q - 2I for a line graph made by `line_graph(bg)`, and -2.0
+    fills the e - nu other places; when e < nu the e largest are kept,
+    since the nu - e eigenvalues dropped are copies of -2, the least."""
+    neighbours, diagonal, extra = _matrix(_source(g))
+    rows = [[0.0] * len(neighbours) for _ in neighbours]
+    for u, (nb, d) in enumerate(zip(neighbours, diagonal)):
         for v in nb:
             rows[u][v] = 1.0
         rows[u][u] = d
-    values = np.linalg.eigvalsh(np.array(rows, dtype=float)).tolist()
-    values += [-2.0] * (bg.edge_count - bg.order)
-    return sorted(values, reverse=True)[: bg.edge_count]
+    values = np.linalg.eigvalsh(np.array(rows, dtype=float)).tolist() + [-2.0] * extra
+    return sorted(values, reverse=True)[: g.order]
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +615,9 @@ def diameter(g: Graph) -> Union[int, float]:
     D - 1, D the diameter of `bg`, decided from the base graph's
     distances (`_line_diameter`); every other graph runs a BFS from each
     of its vertices."""
-    if g._base is not None:
-        return _line_diameter(g._base)
+    source = _source(g)
+    if isinstance(source, BipartiteGraph):
+        return _line_diameter(source)
     best = 0
     for src in range(g.order):
         dist = _distances(g._adj, src)
@@ -666,9 +673,9 @@ def clique_number(g: Graph) -> int:
     triangles. Every other graph takes a branch and bound with a greedy
     colouring bound (candidates are pruned when even one vertex per
     colour class cannot beat the incumbent)."""
-    bg = g._base
-    if bg is not None:
-        return max(bg.x_degrees() + bg.y_degrees())
+    source = _source(g)
+    if isinstance(source, BipartiteGraph):
+        return max(source.x_degrees() + source.y_degrees())
     n = g.order
     adj = [0] * n
     for v in range(n):

@@ -247,6 +247,30 @@ def test_corpus_verify_reports_bad_files_and_finishes(capsys, tmp_path, k22_file
     assert "3 graphs: 1 integral, 0 non-integral, 0 violations, 2 failed" in out
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch, tmp_path, k22_file):
+    # a graph past the machine's memory fails as an input, not as a theorem
+    # violation; `load_graph` raises here without allocating anything
+    def loading(path):
+        if "huge" in str(path):
+            raise MemoryError
+        return load_graph(path)
+
+    monkeypatch.setattr("hornlr.cli.load_graph", loading)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    huge = corpus / "a_huge.txt"
+    huge.write_text("X 99999999999\nY 1\n")
+    (corpus / "b_k22.txt").write_text(k22_file.read_text())
+    for command in (("spectra", "analyze"), ("graph", "spectrum")):
+        code, _, err = run(capsys, *command, "--file", str(huge))
+        assert (code, err) == (2, "error: out of memory\n")
+    code, out, err = run(capsys, "corpus", "verify", "--dir", str(corpus))
+    assert code == 2
+    assert err == "a_huge.txt: error: out of memory\n"
+    assert "b_k22.txt: integral" in out
+    assert "2 graphs: 1 integral, 0 non-integral, 0 violations, 1 failed" in out
+
+
 # one malformed file each: a typed FormatError, never a traceback or a misread graph
 MALFORMED = {
     "edge_str.json": b'{"x_size": 1, "y_size": 1, "edges": [["a", 0]]}',

@@ -358,9 +358,46 @@ def test_line_graph_char_poly_rejects_an_inexact_division(monkeypatch):
     # a forest divides (x+2)^(nu-e) out of the factor; a factor without
     # the root -2 leaves a remainder, which is an error, not a polynomial
     lg, _ = line_graph(_path(3))  # nu - e = 1
-    monkeypatch.setattr(graphs, "_signless_factor", lambda bg: (1, 0, 0, 0, 1))
+    monkeypatch.setattr(graphs, "_factor", lambda source: ((1, 0, 0, 0, 1), -1, -2))
     with pytest.raises(ArithmeticError):
         char_poly_exact(lg)
+
+
+def test_factor_cache_tells_a_line_graph_from_its_plain_copy(monkeypatch):
+    # the kept factor is keyed on the graph that `_source` picks: the base
+    # graph for a line graph, the graph itself for its equal plain copy
+    rows = []
+    real = graphs._char_poly
+
+    def counting(neighbours, diagonal):
+        rows.append(len(neighbours))
+        return real(neighbours, diagonal)
+
+    monkeypatch.setattr(graphs, "_char_poly", counting)
+    lg = line_graph(complete_bipartite(3, 4))[0]
+    plain = Graph(lg.order, lg.edges())
+    assert plain == lg and plain._base is None
+    # lg == plain, so the expected row counts go by position, not by key
+    for order, expected in (((lg, plain), [7, 12]), ((plain, lg), [12, 7])):
+        graphs._factor.cache_clear()
+        rows.clear()
+        (poly, spec, numeric), (poly2, spec2, numeric2) = [
+            (char_poly_exact(g), exact_spectrum(g), numeric_spectrum(g)) for g in order
+        ]
+        assert poly == poly2 and spec == spec2
+        assert numeric2 == pytest.approx(numeric, abs=1e-9)
+        assert rows == expected
+    assert exact_spectrum(lg).integer_roots == ((5, 1), (2, 2), (1, 3), (-2, 6))
+
+
+def test_plain_numeric_spectrum_matches_the_adjacency_rows():
+    # a graph without a base solves the float matrix built from its
+    # neighbour lists; it must be the one that `adjacency_rows` gives
+    cases = [Graph(1), Graph(3), Graph(6, [(0, 1), (1, 2), (0, 2), (4, 5)])]
+    cases += [bg.as_graph() for bg in connected_bipartite_graphs(6)]
+    for g in cases:
+        rows = np.array(g.adjacency_rows(), dtype=float)
+        assert numeric_spectrum(g) == sorted(np.linalg.eigvalsh(rows), reverse=True), g
 
 
 def test_line_graph_keeps_equality_on_adjacency():

@@ -523,12 +523,12 @@ def test_char_poly_computed_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(graphs, "_char_poly", counting)
     # the last factor det(xI - (Q - 2I)) is kept; start each count without it
-    graphs._signless_factor.cache_clear()
+    graphs._factor.cache_clear()
     report = analyze_line_graph(complete_bipartite(3, 3))
     assert report.ramanujan is not None
     assert calls == [6]  # Q - 2I of K_{3,3}, not the 9 x 9 adjacency
     calls.clear()
-    graphs._signless_factor.cache_clear()
+    graphs._factor.cache_clear()
     assert classify_regular_ramanujan_case(complete_bipartite(3, 3)) == "lambda0"
     assert calls == [6]  # the line graph only; lambda_2 is read off its spectrum
     calls.clear()
