@@ -19,9 +19,12 @@ For each n the inequalities of T(n, 1), ..., T(n, n - 1), in that
 (r, lexicographic) order, form one matrix, built on first use and cached:
 a row has -1 in the columns of I and J and +1 in those of K, so the
 product with (alpha, beta, gamma) gives each inequality's excess
-sum(gamma[K]) - sum(alpha[I]) - sum(beta[J]) at once. A compatibility
-check is one matrix-vector product, and the sampler checks a block of
-trials with one matrix product.
+sum(gamma[K]) - sum(alpha[I]) - sum(beta[J]) at once. Its rows are
+filled from the integer arrays of index sets, one row (I, J, K) per kept
+triple, with which each T(n, r) was filtered; their dtype is the
+smallest unsigned one that holds 3n, so every column index fits for any
+n. A compatibility check is one matrix-vector product, and the sampler
+checks a block of trials with one matrix product.
 
 Exact and floating inputs are both supported: when every entry is an
 `int` or `Fraction` the comparisons are exact and the tolerance is
@@ -126,27 +129,39 @@ def generate_t(n: int, r: int) -> tuple[IndexTriple, ...]:
     order, whose shapes (l(I), l(J), l(K)) satisfy every row of the
     cached matrix of T(r); generate_u's sum condition is their trace.
 
-    The index sets stay tuples of ints while the rows are applied, and
-    an IndexTriple is made only for each triple kept. Shape entries are
-    integers in 0..n - r, summed 3r at a time, so float64 is exact.
+    The index sets of U(n, r) are read once into an integer array, the
+    rows are applied to the shapes taken from it, and an IndexTriple is
+    made only for each triple kept. Shape entries are integers in
+    0..n - r, summed 3r at a time, so float64 is exact.
     T(1) has no rows, so T(n, 1) = U(n, 1). Cached per (n, r); the
     arguments are checked first, as the cache would hash a list before
     the check could reject it.
     """
     _check_dimensions(n, r)
-    return _t_family(n, r)
+    return _t_family(n, r)[0]
 
 
 @lru_cache(maxsize=None)
-def _t_family(n: int, r: int) -> tuple[IndexTriple, ...]:
-    family = list(_u_sets(n, r))
-    reversed_sets = chain.from_iterable(i[::-1] + j[::-1] + k[::-1] for i, j, k in family)
-    shapes = np.fromiter(reversed_sets, np.float64, 3 * r * len(family)).reshape(-1, 3 * r)
-    shapes -= np.tile(np.arange(r, 0, -1), 3)
-    keep = np.ones(len(family), dtype=bool)
+def _t_family(n: int, r: int) -> tuple[tuple[IndexTriple, ...], np.ndarray]:
+    """T(n, r) as generate_t returns it, and a read-only integer array
+    of the same triples' index sets, one row (I, J, K) per triple.
+
+    One np.fromiter reads the tuples of _u_sets(n, r) into that array; the
+    float64 shapes are its blocks of r columns reversed, less (r, ..., 1).
+    The kept triples reuse those tuples. The dtype is np.min_scalar_type(3n),
+    so it also holds every column index 0..3n - 1 of the matrix of T(n)."""
+    u_sets = list(_u_sets(n, r))
+    flat = chain.from_iterable(chain.from_iterable(u_sets))
+    sets = np.fromiter(flat, np.min_scalar_type(3 * n), 3 * r * len(u_sets)).reshape(-1, 3 * r)
+    shapes = np.subtract(sets.reshape(-1, 3, r)[:, :, ::-1], np.arange(r, 0, -1), dtype=np.float64)
+    shapes = shapes.reshape(-1, 3 * r)
+    keep = np.ones(len(sets), dtype=bool)
     for row in _horn_system(r)[1]:  # not one product: |U(n, r)| x |T(r)|
         keep &= shapes @ row <= 0
-    return tuple(IndexTriple(i, j, k, n) for (i, j, k), ok in zip(family, keep) if ok)
+    family = tuple(IndexTriple(i, j, k, n) for (i, j, k), ok in zip(u_sets, keep) if ok)
+    sets = sets[keep]
+    sets.flags.writeable = False
+    return family, sets
 
 
 @lru_cache(maxsize=None)
@@ -154,23 +169,22 @@ def _horn_system(n: int) -> tuple[tuple[IndexTriple, ...], np.ndarray]:
     """The triples of T(n, 1), ..., T(n, n - 1) in that order, and the
     matrix whose row t maps the concatenated vector (alpha, beta, gamma)
     to sum(gamma[K]) - sum(alpha[I]) - sum(beta[J]) for triple t: -1 in
-    the columns of I and J, +1 in those of K. Read-only: it is shared."""
-    families = [generate_t(n, r) for r in range(1, n)]
-    triples = tuple(t for family in families for t in family)
+    the columns of I and J, +1 in those of K. Read-only: it is shared.
+
+    Each block of rows is filled from the index array of _t_family(n, r);
+    no IndexTriple attribute is read."""
+    families = [_t_family(n, r) for r in range(1, n)]
+    triples = tuple(t for family, _ in families for t in family)
     matrix = np.zeros((len(triples), 3 * n))
     start = 0
-    for r, family in enumerate(families, 1):
+    for r, (_, sets) in enumerate(families, 1):
+        rows = np.arange(start, start + len(sets))
         # filled one column position at a time: no temporary the size of
         # the block, which would add to the peak memory of the first check
-        columns = np.fromiter(
-            (c - 1 for t in family for c in (*t.i, *(n + j for j in t.j), *(2 * n + k for k in t.k))),
-            dtype=np.int16,
-            count=3 * r * len(family),
-        ).reshape(-1, 3 * r)
-        rows = np.arange(start, start + len(family))
         for p in range(3 * r):
-            matrix[rows, columns[:, p]] = -1 if p < 2 * r else 1
-        start += len(family)
+            part = p // r  # I, J or K
+            matrix[rows, sets[:, p] - 1 + part * n] = 1 if part == 2 else -1
+        start += len(sets)
     matrix.flags.writeable = False
     return triples, matrix
 

@@ -13,7 +13,9 @@ once, candidate sets P(alpha, beta) by filtering every partition of 2e
 into nu - 1 parts instead of a moment-pruned search, and Horn's
 inequalities by checking the triples of T(n, r) one at a time, in order,
 instead of one product with a matrix of all of them (for single checks
-and, trial by trial, for the sampler), line graphs by testing every pair of edges for a
+and, trial by trial, for the sampler), that matrix by reading the index
+sets of each IndexTriple instead of the integer arrays that filtered
+T(n, r), line graphs by testing every pair of edges for a
 shared endpoint instead of pairing the edges within each star, and
 line-graph diameters by a BFS from each of the e vertices of the line
 graph instead of from each of the nu vertices of its base graph, and
@@ -284,6 +286,28 @@ def recursive_t(n, r):
         if ok:
             out.append(triple)
     return tuple(out)
+
+
+def horn_matrix_by_triples(n):
+    """The triples of T(n, 1), ..., T(n, n - 1) in that order, and the
+    matrix of their inequalities (-1 in the columns of I and J, +1 in
+    those of K), filled from the i, j and k attributes of the IndexTriples
+    that generate_t returns."""
+    families = [generate_t(n, r) for r in range(1, n)]
+    triples = tuple(t for family in families for t in family)
+    matrix = np.zeros((len(triples), 3 * n))
+    start = 0
+    for r, family in enumerate(families, 1):
+        columns = np.fromiter(
+            (c - 1 for t in family for c in (*t.i, *(n + j for j in t.j), *(2 * n + k for k in t.k))),
+            dtype=np.intp,
+            count=3 * r * len(family),
+        ).reshape(-1, 3 * r)
+        rows = np.arange(start, start + len(family))
+        for p in range(3 * r):
+            matrix[rows, columns[:, p]] = -1 if p < 2 * r else 1
+        start += len(family)
+    return triples, matrix
 
 
 def t_by_lr(n, r):

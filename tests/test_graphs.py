@@ -336,7 +336,7 @@ def _path(edges):
     )
 
 
-def test_line_spectra_from_signless_factor():
+def test_line_spectra_from_base_factor():
     # the corpus to order 8 takes the same comparison above
     rng = random.Random(19)
     bases = [complete_bipartite(1, t) for t in range(1, 9)]  # K_{1,1} and stars

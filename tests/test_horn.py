@@ -32,6 +32,7 @@ from hornlr.horn import (
 
 from oracles import (
     all_partitions,
+    horn_matrix_by_triples,
     recursive_t,
     sample_by_trial,
     scan_first_violation,
@@ -120,10 +121,36 @@ def test_index_triples_made_only_for_kept_triples(monkeypatch):
     for n in range(3, 8):
         for r in range(2, n):
             made = 0
-            family = _t_family.__wrapped__(n, r)
+            family, sets = _t_family.__wrapped__(n, r)
             assert made == len(family), (n, r)
             assert family == generate_t(n, r)
             assert [(t.i, t.j, t.k) for t in generate_u(n, r)] == list(_u_sets(n, r))
+    # the matrix of T(n) is filled from the cached families' index arrays
+    for n in range(3, 8):
+        families = [generate_t(n, r) for r in range(1, n)]
+        made = 0
+        triples, _ = _horn_system.__wrapped__(n)
+        assert made == 0, n
+        assert triples == sum(families, ())
+
+
+def test_horn_system_matches_fill_by_triples():
+    # the matrix of T(n) from the index arrays that filtered T(n, r) equals
+    # the one filled from each IndexTriple's attributes; both are shared
+    for n in range(1, 9):
+        triples, matrix = _horn_system(n)
+        expected_triples, expected = horn_matrix_by_triples(n)
+        assert triples == expected_triples, n
+        assert (matrix.shape, matrix.dtype) == (expected.shape, expected.dtype), n
+        assert np.array_equal(matrix, expected), n
+        with pytest.raises(ValueError):
+            matrix[...] = 0
+        for r in range(1, n):
+            sets = _t_family(n, r)[1]
+            assert sets.dtype == np.min_scalar_type(3 * n), (n, r)
+            assert np.array_equal(sets, [t.i + t.j + t.k for t in generate_t(n, r)]), (n, r)
+            with pytest.raises(ValueError):
+                sets[0, 0] = 1
 
 
 def test_invalid_dimensions_rejected():
