@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and `brief`, which every
-error message uses to show a caller's value.
+"""Exception types shared across the package, `brief`, which every
+error message uses to show a caller's value, and `require_type`, which
+turns a wrong argument type into an InputError.
 
 The CLI maps these onto exit codes: bad input or unmet preconditions exit
 with 2, a theorem violation (a check that is mathematically guaranteed to
@@ -36,3 +37,13 @@ def brief(value) -> str:
     (4300 by default) is shown by its bit length instead of raising
     ValueError, so the InputError being built is the one raised."""
     return _Brief().repr(value)
+
+
+def require_type(kind: type, **values) -> None:
+    """Raise InputError naming the first of `values` (argument name to
+    value) that is not an instance of `kind`, so that a list or None in
+    place of a library object is a rejected input, not an AttributeError
+    from deep inside the call."""
+    for name, value in values.items():
+        if not isinstance(value, kind):
+            raise InputError(f"{name} must be a {kind.__name__}, got {brief(value)}")

@@ -66,7 +66,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import FormatError, InputError, brief
+from .errors import FormatError, InputError, brief, require_type
 from .partitions import Partition
 
 
@@ -315,6 +315,8 @@ def degree_partitions(bg: BipartiteGraph) -> tuple[Partition, Partition]:
     Both partitions have full class length, so every vertex must have
     degree >= 1; the error names the first isolated vertex found.
     """
+    if not isinstance(bg, BipartiteGraph):
+        require_type(BipartiteGraph, bg=bg)
     xd = bg.x_degrees()
     yd = bg.y_degrees()
     for i, d in enumerate(xd):

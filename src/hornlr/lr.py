@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError
+from .errors import InputError, require_type
 from .partitions import Partition
 
 
@@ -52,6 +52,8 @@ def lr_positive(alpha: Partition, beta: Partition, gamma: Partition) -> bool:
 
 
 def _count(alpha: Partition, beta: Partition, gamma: Partition, limit: int) -> int:
+    if not (isinstance(alpha, Partition) and isinstance(beta, Partition) and isinstance(gamma, Partition)):
+        require_type(Partition, alpha=alpha, beta=beta, gamma=gamma)
     if gamma.size != alpha.size + beta.size:
         return 0
     if not gamma.contains(alpha):

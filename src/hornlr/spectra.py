@@ -14,13 +14,17 @@ with exactly nu - 1 parts such that
      + 8 (e - nu + 1).
 
 `enumerate_p` finds P(alpha, beta) by a depth-first search that places
-the parts of gamma largest first, with the first part at most
-alpha_1 + beta_1 and the second below it (b). The parts still to place
-have a known sum and lie between 1 and the last part placed; since
-(g - 2)^2 and (g - 2)^3 have nondecreasing differences on g >= 1, the
-sum of either over them is smallest at the most balanced split and
-largest at the most extreme one (Karamata). A prefix whose range misses
-the value fixed by (c) or (d) is cut, and LR positivity tested last.
+the parts of gamma largest first, the second below the first (b) and
+each at most its Weyl cap: a positive LR coefficient forces
+gamma_{i+j-1} <= alpha_i + beta_j, and the rows i = 1, j = 1,
+i = l(alpha) + 1 and j = l(beta) + 1 of these bound every part, the
+first by alpha_1 + beta_1. The parts still to place have a known sum
+and lie between 1 and the lesser of the last part placed and the next
+cap; since (g - 2)^2 and (g - 2)^3 have nondecreasing differences on
+g >= 1, the sum of either over them is smallest at the most balanced
+split and largest at the most extreme one (Karamata). A prefix whose
+range misses the value fixed by (c) or (d) is cut, and LR positivity
+tested last.
 
 When the line graph of a connected bipartite graph is integral, its
 spectrum is gamma_1 - 2 >= ... >= gamma_{nu-1} - 2 together with -2
@@ -37,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import InputError, TheoremViolation, brief
+from .errors import InputError, TheoremViolation, brief, require_type
 from .graphs import (
     BipartiteGraph,
     ExactSpectrum,
@@ -122,14 +126,17 @@ def enumerate_p(alpha: Partition, beta: Partition) -> CandidateSet:
     """Compute P(alpha, beta) by a depth-first search cut by (c) and (d).
 
     The parts of gamma are placed largest first, each at most the one
-    before, so members come out in descending lexicographic order. The
-    first part is at most alpha_1 + beta_1 (a positive LR coefficient
-    forces the top Weyl bound) and the second is below the first, which
-    is (b). A prefix is cut once the parts still to place cannot bring
-    its sums of (g - 2)^2 and (g - 2)^3 to the values fixed by (c) and
-    (d) (see `_next_parts`), so every tuple found meets (b), (c) and (d).
-    LR positivity is tested last.
+    before, so members come out in descending lexicographic order. Each
+    part is at most its Weyl cap (see `_weyl_caps`: a positive LR
+    coefficient forces gamma_{i+j-1} <= alpha_i + beta_j), so the first
+    is at most alpha_1 + beta_1, and the second is below the first,
+    which is (b). A prefix is cut once the parts still to place cannot
+    bring its sums of (g - 2)^2 and (g - 2)^3 to the values fixed by (c)
+    and (d) (see `_next_parts`), so every tuple found meets (b), (c),
+    (d) and the caps. LR positivity is tested last.
     """
+    if not (isinstance(alpha, Partition) and isinstance(beta, Partition)):
+        require_type(Partition, alpha=alpha, beta=beta)
     if alpha.size != beta.size:
         raise InputError(
             f"partitions must have equal size, got {alpha.size} and {beta.size}"
@@ -140,44 +147,92 @@ def enumerate_p(alpha: Partition, beta: Partition) -> CandidateSet:
     nu = alpha.length + beta.length
     need2, need3 = _moment_targets(alpha, beta, e, nu)
     members = []
-    for parts in _moment_search(nu - 1, 2 * e, alpha.part(1) + beta.part(1), need2, need3):
+    for parts in _moment_search(_weyl_caps(alpha, beta, nu - 1), 2 * e, need2, need3):
         gamma = Partition(parts)
         if lr_positive(alpha, beta, gamma):
             members.append(gamma)
     return CandidateSet(alpha, beta, tuple(members), e, nu)
 
 
+def _weyl_caps(alpha: Partition, beta: Partition, length: int) -> tuple[int, ...]:
+    """Upper bounds on gamma_1, ..., gamma_length (0-based position p)
+    for every gamma with a positive LR coefficient in alpha * beta.
+
+    Such a gamma obeys Weyl's inequalities gamma_{i+j-1} <= alpha_i +
+    beta_j (Klyachko: then alpha, beta and gamma are the spectra of
+    Hermitian A, B and A + B, for which Weyl proved them). Four rows of
+    them, each O(1) per position, give the cap at p: i = 1 and j = 1,
+    alpha_1 + beta_{p+1} and alpha_{p+1} + beta_1; and i = l(alpha) + 1,
+    where alpha_i = 0, giving beta_{p+1-l(alpha)}, and likewise
+    alpha_{p+1-l(beta)}. Parts past a partition's length read as 0. Each
+    row is nonincreasing in p, so the caps are too. The minimum over
+    every i + j = p + 2 prunes little more on the search's inputs and
+    costs O(length^2).
+    """
+    a, b = alpha.parts, beta.parts
+    la, lb = len(a), len(b)
+    a += (0,) * length
+    b += (0,) * length
+    caps = []
+    for p in range(length):
+        cap = a[0] + b[p]
+        if a[p] + b[0] < cap:
+            cap = a[p] + b[0]
+        if p >= la and b[p - la] < cap:
+            cap = b[p - la]
+        if p >= lb and a[p - lb] < cap:
+            cap = a[p - lb]
+        caps.append(cap)
+    return tuple(caps)
+
+
 def _moment_search(
-    length: int, total: int, cap: int, need2: int, need3: int
+    caps: tuple[int, ...], total: int, need2: int, need3: int
 ) -> Iterator[tuple[int, ...]]:
-    """Descending tuples of `length` positive parts summing to `total`,
-    first part at most `cap` and, when length >= 2, above the second,
-    with sum((g - 2)^2) == need2 and sum((g - 2)^3) == need3; in
-    descending lexicographic order."""
-    return _descending_parts(length, _next_parts(length, total, cap, need2, need3, length >= 2))
+    """Descending tuples of len(caps) positive parts summing to `total`,
+    the part at each position p at most caps[p] and the first, when
+    there are two or more, above the second, with sum((g - 2)^2) ==
+    need2 and sum((g - 2)^3) == need3; in descending lexicographic
+    order."""
+    length = len(caps)
+    # after[k - 1] caps the part that follows one placed with k parts left
+    after = (0,) + caps[:0:-1]
+    return _descending_parts(
+        length, _next_parts(length, total, caps[0], need2, need3, length >= 2, after)
+    )
 
 
-def _next_parts(k: int, total: int, top: int, need2: int, need3: int, strict: bool):
+def _next_parts(
+    k: int, total: int, top: int, need2: int, need3: int, strict: bool, after: tuple[int, ...]
+):
     """Values g for the next of k parts that sum to `total`, each at most
     `top`, largest first, after which the remaining k - 1 parts can still
     add need2 - (g - 2)^2 to the sum of (g - 2)^2, for (c), and then
     need3 - (g - 2)^3 to the sum of (g - 2)^3, for (d). At the last part
     nothing remains, the range is (0, 0) and both tests are exact. Yields
     each g with the choices for the part after it (see
-    `_descending_parts`), which is at most g, or g - 1 when `strict`.
+    `_descending_parts`), which is at most g, or g - 1 when `strict`,
+    and at most its cap after[k - 1]. Parts never increase, so that
+    bound holds for every later part too, and the early return and the
+    Karamata ranges below use it.
     """
+    next_cap = after[k - 1]
     for g in range(min(top, total - k + 1), 0, -1):
         rest = total - g
         cap = g - 1 if strict else g
+        if cap > next_cap:
+            cap = next_cap
         if rest > (k - 1) * cap:
-            return  # a smaller g leaves more to place under a lower cap
+            return  # a smaller g leaves more to place under a cap no higher
         rest2 = need2 - (g - 2) ** 2
         low, high = _power_sum_range(k - 1, rest, cap, 2)
         if low <= rest2 <= high:
             rest3 = need3 - (g - 2) ** 3
             low, high = _power_sum_range(k - 1, rest, cap, 3)
             if low <= rest3 <= high:
-                yield g, (_next_parts(k - 1, rest, cap, rest2, rest3, False) if k > 1 else None)
+                yield g, (
+                    _next_parts(k - 1, rest, cap, rest2, rest3, False, after) if k > 1 else None
+                )
 
 
 def _power_sum_range(k: int, total: int, top: int, power: int) -> tuple[int, int]:
@@ -383,6 +438,8 @@ def analyze_line_graph(bg: BipartiteGraph, include_p_set: bool = False) -> Spect
     `include_p_set` is true. A regular line graph's Ramanujan verdict
     reads the spectrum computed here: integral roots or the numeric one.
     """
+    if not isinstance(bg, BipartiteGraph):
+        require_type(BipartiteGraph, bg=bg)
     if not bg.is_connected():
         raise InputError("analysis requires a connected bipartite graph")
     alpha, beta = degree_partitions(bg)

@@ -10,7 +10,9 @@ of the degree-sorted ones only, Horn's families T(n, r) by Horn's
 recursion over T(r, p), p < r, written out triple by triple, and by LR
 positivity, instead of the matrix of T(r) applied to every shape at
 once, candidate sets P(alpha, beta) by filtering every partition of 2e
-into nu - 1 parts instead of a moment-pruned search, and Horn's
+into nu - 1 parts instead of a moment-pruned search, and by the
+moment-pruned search with the single cap alpha_1 + beta_1 on the first
+part instead of a Weyl cap on every part, and Horn's
 inequalities by checking the triples of T(n, r) one at a time, in order,
 instead of one product with a matrix of all of them (for single checks
 and, trial by trial, for the sampler), that matrix by reading the index
@@ -53,6 +55,8 @@ from hornlr import (
 from hornlr.graphs import expand_root_multiset
 from hornlr.horn import SampleReport
 from hornlr.lr import lr_positive
+from hornlr.partitions import _descending_parts
+from hornlr.spectra import _moment_targets, _power_sum_range
 
 
 def brute_force_lr(gamma, alpha, beta):
@@ -340,6 +344,40 @@ def exhaustive_p(alpha, beta):
             continue
         members.append(gamma.parts)
     return members
+
+
+def uncapped_p(alpha, beta):
+    """Members of P(alpha, beta) as tuples, in descending lex order, from
+    the moment-pruned search whose only Weyl cap is gamma_1 <= alpha_1 +
+    beta_1, with LR positivity tested last."""
+    e = alpha.size
+    nu = alpha.length + beta.length
+    need2, need3 = _moment_targets(alpha, beta, e, nu)
+    length = nu - 1
+    choices = _uncapped_parts(length, 2 * e, alpha.part(1) + beta.part(1), need2, need3, length >= 2)
+    return [
+        parts
+        for parts in _descending_parts(length, choices)
+        if lr_positive(alpha, beta, Partition(parts))
+    ]
+
+
+def _uncapped_parts(k, total, top, need2, need3, strict):
+    """Choices for the next of k parts summing to `total`, each at most
+    `top` and, when `strict`, the part after below this one, kept while
+    the remaining parts can still meet the moment targets."""
+    for g in range(min(top, total - k + 1), 0, -1):
+        rest = total - g
+        cap = g - 1 if strict else g
+        if rest > (k - 1) * cap:
+            return
+        rest2 = need2 - (g - 2) ** 2
+        low, high = _power_sum_range(k - 1, rest, cap, 2)
+        if low <= rest2 <= high:
+            rest3 = need3 - (g - 2) ** 3
+            low, high = _power_sum_range(k - 1, rest, cap, 3)
+            if low <= rest3 <= high:
+                yield g, (_uncapped_parts(k - 1, rest, cap, rest2, rest3, False) if k > 1 else None)
 
 
 def scan_first_violation(alpha, beta, gamma, tol=None):

@@ -185,6 +185,12 @@ def test_degree_partitions_names_isolated_vertex():
         degree_partitions(bg)
 
 
+@pytest.mark.parametrize("wrong", [[(0, 0)], (1, 1), None, Graph(2, [(0, 1)])])
+def test_degree_partitions_rejects_wrong_argument_types(wrong):
+    with pytest.raises(InputError, match="must be a BipartiteGraph"):
+        degree_partitions(wrong)
+
+
 def test_degree_partition_sizes_match_edge_count():
     rng = random.Random(4)
     for _ in range(50):

@@ -89,6 +89,20 @@ def test_skew_shape_validation():
         SkewShape(P([2]), P([3]))
 
 
+@pytest.mark.parametrize("wrong", [[3], (1, 1, 1), None])
+def test_coefficient_rejects_wrong_argument_types(wrong):
+    for args in ((wrong, P([1]), P([4])), (P([3]), wrong, P([4])), (P([3]), P([1]), wrong)):
+        with pytest.raises(InputError, match="must be a Partition"):
+            lr_coefficient(*args)
+
+
+@pytest.mark.parametrize("wrong", [[3], (1, 1, 1), None])
+def test_positive_rejects_wrong_argument_types(wrong):
+    for args in ((wrong, P([1]), P([4])), (P([3]), wrong, P([4])), (P([3]), P([1]), wrong)):
+        with pytest.raises(InputError, match="must be a Partition"):
+            lr_positive(*args)
+
+
 def test_gamma_longer_than_both_factors_is_zero():
     assert lr_coefficient(P([2]), P([2]), P([1, 1, 1, 1])) == 0
     assert not lr_positive(P([2, 1]), P([1]), P([1, 1, 1, 1]))

@@ -35,7 +35,7 @@ from hornlr.graphs import Graph, expand_root_multiset
 from hornlr.lr import lr_positive
 from hornlr.spectra import _power_sum_range
 
-from oracles import classify_by_base_spectrum, exhaustive_p
+from oracles import all_partitions, classify_by_base_spectrum, exhaustive_p, uncapped_p
 
 P = Partition
 
@@ -121,6 +121,14 @@ def test_enumerate_p_validation():
         enumerate_p(P(), P())
 
 
+@pytest.mark.parametrize("wrong", [[3], (1, 1, 1), None])
+def test_enumerate_p_rejects_wrong_argument_types(wrong):
+    with pytest.raises(InputError, match="alpha must be a Partition"):
+        enumerate_p(wrong, P([1, 1, 1]))
+    with pytest.raises(InputError, match="beta must be a Partition"):
+        enumerate_p(P([3]), wrong)
+
+
 def test_moments_alone_do_not_decide_membership():
     # both moment identities hold here, yet the LR coefficient vanishes
     # (confirmed by the brute-force oracle), so the candidate is rejected
@@ -134,7 +142,8 @@ def test_moments_alone_do_not_decide_membership():
 
 
 def test_enumerate_p_cap_loses_nothing():
-    # re-run the search without the first-part cap and compare
+    # re-run the search without any cap and compare; no LR-positive gamma,
+    # member or not, breaks a Weyl cap
     pairs = [
         (P([3]), P([1, 1, 1])),
         (P([2, 2]), P([2, 2])),
@@ -145,20 +154,44 @@ def test_enumerate_p_cap_loses_nothing():
     for alpha, beta in pairs:
         e = alpha.size
         nu = alpha.length + beta.length
+        caps = spectra._weyl_caps(alpha, beta, nu - 1)
         capped = {g.parts for g in enumerate_p(alpha, beta)}
         uncapped = set()
         for gamma in enumerate_partitions(2 * e, nu - 1, 2 * e):
+            if not lr_positive(alpha, beta, gamma):
+                continue
+            assert all(g <= cap for g, cap in zip(gamma, caps)), (alpha, beta, gamma)
             if nu - 1 >= 2 and gamma.part(1) == gamma.part(2):
                 continue
             if not moment_c(gamma, alpha, beta, e, nu):
                 continue
             if not moment_d(gamma, alpha, beta, e, nu):
                 continue
-            if not lr_positive(alpha, beta, gamma):
-                continue
             uncapped.add(gamma.parts)
         assert capped == uncapped
         assert all(g[0] <= alpha.part(1) + beta.part(1) for g in uncapped)
+
+
+def test_weyl_caps_hold_for_every_lr_positive_gamma():
+    # checks each cap against the LR kernel, apart from the search: every
+    # gamma with a positive coefficient in alpha * beta, |alpha| = |beta| <= 6
+    by_size = {}
+    for parts in all_partitions(12):
+        by_size.setdefault(sum(parts), []).append(P(parts))
+    checked = 0
+    for size in range(1, 7):
+        for alpha in by_size[size]:
+            for beta in by_size[size]:
+                caps = spectra._weyl_caps(alpha, beta, alpha.length + beta.length)
+                for gamma in by_size[2 * size]:
+                    if lr_positive(alpha, beta, gamma):
+                        checked += 1
+                        assert gamma.length <= len(caps)
+                        assert all(g <= cap for g, cap in zip(gamma, caps)), (alpha, beta, gamma)
+    assert checked == 2233
+    # the rows j = l(beta) + 1 and i = l(alpha) + 1 cut below the first two
+    assert spectra._weyl_caps(P([6] * 20), P([15] * 8), 27) == (21,) * 8 + (6,) * 19
+    assert spectra._weyl_caps(P([2, 2]), P([3, 1, 1, 1]), 5) == (5, 3, 3, 1, 1)
 
 
 def _assert_matches_exhaustive(pairs):
@@ -213,39 +246,57 @@ def test_enumerate_p_matches_exhaustive_on_random_pairs():
     _assert_matches_exhaustive(sorted(pairs, key=str))
 
 
-def _semiregular_pairs():
-    # ((a^m), (b^n)) with a < b and m + n <= 12: the unbalanced pairs, every
-    # K_{s,t} with s != t among them, where the cube bound cuts the most
+def _semiregular_pairs(max_nu):
+    # ((a^m), (b^n)) with a <= b, am = bn and m + n <= max_nu, realisable
+    # (m >= b): K_{s,t} and the regular pairs among them; the unbalanced
+    # ones (a < b) are where the cube bound and the Weyl caps cut the most
     return [
         (P([a] * m), P([b] * n))
-        for a in range(1, 12)
-        for b in range(a + 1, 12)
-        for m in range(b, 12)
-        for n in range(a, 13 - m)
+        for a in range(1, max_nu)
+        for b in range(a, max_nu)
+        for m in range(b, max_nu)
+        for n in range(a, max_nu + 1 - m)
         if a * m == b * n
     ]
 
 
 def test_enumerate_p_matches_exhaustive_on_semiregular_pairs():
-    pairs = _semiregular_pairs()
+    pairs = [(alpha, beta) for alpha, beta in _semiregular_pairs(12) if alpha != beta]
     assert len(pairs) == 42
     _assert_matches_exhaustive(pairs)
 
 
+def test_enumerate_p_matches_uncapped_search():
+    # the same members in the same order as the search capped on the first
+    # part only, where the Weyl caps on the later parts cut the most
+    pairs = _semiregular_pairs(20)
+    assert len(pairs) == 195
+    corpus = {degree_partitions(bg) for bg in connected_bipartite_graphs(7)}
+    for alpha, beta in pairs + sorted(corpus, key=str):
+        assert [g.parts for g in enumerate_p(alpha, beta)] == uncapped_p(alpha, beta), (
+            alpha,
+            beta,
+        )
+
+
 def test_moment_search_yields_exactly_the_moment_solutions():
-    # every tuple meeting (b), (c) and (d), and no other, reaches the LR test
+    # every tuple meeting (b), (c), (d) and the Weyl caps, and no other,
+    # reaches the LR test
     pairs = {degree_partitions(bg) for bg in connected_bipartite_graphs(7)}
-    for alpha, beta in sorted(pairs, key=str) + _semiregular_pairs():
-        e, nu, cap = alpha.size, alpha.length + beta.length, alpha.part(1) + beta.part(1)
+    unbalanced = [(alpha, beta) for alpha, beta in _semiregular_pairs(12) if alpha != beta]
+    for alpha, beta in sorted(pairs, key=str) + unbalanced:
+        e, nu = alpha.size, alpha.length + beta.length
+        caps = spectra._weyl_caps(alpha, beta, nu - 1)
         expected = [
             g.parts
-            for g in enumerate_partitions(2 * e, nu - 1, cap)
+            for g in enumerate_partitions(2 * e, nu - 1, caps[0])
             if (nu == 2 or g.part(1) > g.part(2))
+            and all(part <= cap for part, cap in zip(g, caps))
             and moment_c(g, alpha, beta, e, nu)
             and moment_d(g, alpha, beta, e, nu)
         ]
         need2, need3 = spectra._moment_targets(alpha, beta, e, nu)
-        assert list(spectra._moment_search(nu - 1, 2 * e, cap, need2, need3)) == expected
+        assert list(spectra._moment_search(caps, 2 * e, need2, need3)) == expected
 
 
 def _k_pair(s, t):
@@ -334,6 +385,12 @@ def test_analyze_path_on_four_vertices():
 def test_analyze_requires_connected():
     with pytest.raises(InputError):
         analyze_line_graph(matching(2))
+
+
+@pytest.mark.parametrize("wrong", [[(0, 0)], (1, 1), None, Graph(2, [(0, 1)])])
+def test_analyze_rejects_wrong_argument_types(wrong):
+    with pytest.raises(InputError, match="must be a BipartiteGraph"):
+        analyze_line_graph(wrong)
 
 
 def test_analyze_single_edge():
