@@ -23,6 +23,7 @@ from .graphs import (
     exact_spectrum,
 )
 from .horn import (
+    DEFAULT_TOL,
     as_spectrum,
     find_horn_violation,
     generate_t,
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sample.add_argument("--n", type=int, required=True)
     p_sample.add_argument("--trials", type=int, default=1000)
-    p_sample.add_argument("--tol", type=float, default=1e-9)
+    p_sample.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.set_defaults(func=_cmd_horn_sample)
 
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ramanujan", help="spectral-gap verdict for the line graph of the input"
     )
     p_ram.add_argument("--file", required=True)
-    p_ram.add_argument("--tol", type=float, default=1e-9)
+    p_ram.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_ram.set_defaults(func=_cmd_spectra_ramanujan)
 
     p_corpus = sub.add_parser("corpus", help="batch verification")

@@ -259,6 +259,8 @@ def line_graph(bg: BipartiteGraph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     endpoint, so no pair is listed twice. The result keeps `bg` as its
     base graph, from which its spectra and metrics are computed.
     """
+    if not isinstance(bg, BipartiteGraph):
+        require_type(BipartiteGraph, bg=bg)
     edges = bg.sorted_edges
     if not edges:
         raise InputError("line graph of an edgeless graph is undefined")
@@ -276,6 +278,8 @@ def star_decomposition(bg: BipartiteGraph) -> tuple[Graph, Graph]:
     Their adjacency matrices sum to the line graph's, entrywise; G_X is
     a disjoint union of cliques, one per X vertex, and likewise G_Y.
     """
+    if not isinstance(bg, BipartiteGraph):
+        require_type(BipartiteGraph, bg=bg)
     edges = bg.sorted_edges
     if not edges:
         raise InputError("star decomposition of an edgeless graph is undefined")
@@ -393,7 +397,11 @@ class ExactSpectrum:
 
 def _source(g: Graph) -> Union[Graph, BipartiteGraph]:
     """The graph whose matrix describes `g`: its base graph when it was
-    made by `line_graph`, else `g` itself."""
+    made by `line_graph`, else `g` itself. Every routine that reads a
+    Graph's matrix or metrics comes here first, so a wrong argument type
+    raises InputError here."""
+    if not isinstance(g, Graph):
+        require_type(Graph, g=g)
     return g if g._base is None else g._base
 
 

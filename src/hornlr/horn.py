@@ -26,6 +26,14 @@ smallest unsigned one that holds 3n, so every column index fits for any
 n. A compatibility check is one matrix-vector product, and the sampler
 checks a block of trials with one matrix product.
 
+Weyl's inequalities are rows of the same system. T(n, 1), the triples
+{i}, {j}, {k} with i + j = k + 1, gives his upper bounds
+gamma_k <= alpha_i + beta_j; the same rows on the mirror image, each
+spectrum negated and reversed (the spectra of -A, -B and -A - B), give
+his lower bounds gamma_k >= alpha_i + beta_j with i + j = n + k. The
+sampler checks the windows of `weyl_bounds` that way, through the same
+screen as the rows of T(n).
+
 Exact and floating inputs are both supported: when every entry is an
 `int` or `Fraction` the comparisons are exact and the tolerance is
 ignored, otherwise comparisons allow the caller-supplied tolerance
@@ -36,7 +44,8 @@ exactly. Larger integers, and other input, are multiplied in float64
 only to screen, with a margin that bounds the rounding; each row it
 flags is then decided, in order, by the scalar comparison, so answers at
 the tolerance are exactly those of comparing the sums directly.
-Magnitudes too large to screen are compared row by row. Numpy integer
+Magnitudes too large to screen are compared row by row; negation commutes
+with rounding, so a mirrored row is decided exactly as well. Numpy integer
 entries are summed as Python ints, so they never wrap, and keep the
 tolerance of inexact input. Spectrum entries and tolerances that are not
 real numbers raise InputError, and so do tolerances beyond the float
@@ -438,12 +447,14 @@ def sample_necessity(
     triangle is sampled and mirrored), A before B, one pair after another.
     For each pair, the trace identity, every inequality in T(n, r) for
     r < n, and every per-index window from `weyl_bounds` are checked
-    against `tol` (None means DEFAULT_TOL). Trials run in blocks: one
-    batched eigensolve, one product with the matrix of T(n) and batched
-    trace and Weyl tests screen a block with the rounding margin of
-    find_horn_violation, and a trial they flag is decided by the scalar
-    comparisons. Any nonzero count in the returned report falsifies a
-    theorem and means a bug. `seed` must be an int >= 0.
+    against `tol` (None means DEFAULT_TOL). The windows are checked as
+    the rows of T(n, 1) on (alpha, beta, gamma), the upper bounds, and on
+    its mirror image, each vector negated and reversed, the lower ones.
+    Trials run in blocks: one batched eigensolve, and one screen of every
+    row (`_screen_block`) with the rounding margin of find_horn_violation;
+    the rows it flags in a trial are decided by the scalar comparison.
+    Any nonzero count in the returned report falsifies a theorem and
+    means a bug. `seed` must be an int >= 0.
     """
     if type(n) is not int or type(trials) is not int or n < 1 or trials < 0:
         raise InputError(
@@ -454,21 +465,22 @@ def sample_necessity(
     tol = _tolerance(tol)
     rng = np.random.default_rng(seed)
     triples, matrix = _horn_system(n)
-    screened = _screenable((tol,), n)
+    weyl = _t_family(n, 1)[0]
+    split = (len(triples), len(triples) + len(weyl))
     trace_bad = ineq_bad = weyl_bad = 0
     for start in range(0, trials, _SAMPLE_BLOCK):
         spectra = _sample_spectra(rng, n, min(_SAMPLE_BLOCK, trials - start))
-        if screened:
-            flagged, suspects = _screen_block(spectra, matrix, n, tol)
-        else:
-            flagged = np.ones((len(spectra), len(triples)), dtype=bool)
-            suspects = np.ones(len(spectra), dtype=bool)
+        flagged, suspects = _screen_block(spectra, matrix, n, tol)
         for s in np.flatnonzero(suspects):
-            alpha, beta, gamma = spectra[s].reshape(3, n).tolist()
+            vectors = spectra[s].reshape(3, n)
+            alpha, beta, gamma = vectors.tolist()
+            horn, upper, lower = map(np.flatnonzero, np.split(flagged[s], split))
             trace_bad += not _trace_holds(alpha, beta, gamma, tol)
-            rows = np.flatnonzero(flagged[s])
-            ineq_bad += _first_confirmed(triples, rows, alpha, beta, gamma, tol) is not None
-            weyl_bad += not _weyl_holds(alpha, beta, gamma, tol)
+            ineq_bad += _first_confirmed(triples, horn, alpha, beta, gamma, tol) is not None
+            weyl_bad += (
+                _first_confirmed(weyl, upper, alpha, beta, gamma, tol) is not None
+                or _first_confirmed(weyl, lower, *(-vectors[:, ::-1]).tolist(), tol) is not None
+            )
     return SampleReport(n, trials, tol, trace_bad, ineq_bad, weyl_bad)
 
 
@@ -482,31 +494,26 @@ def _sample_spectra(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 
 
 def _screen_block(spectra: np.ndarray, matrix: np.ndarray, n: int, tol):
-    """For a block of sampled spectra: the rows of the Horn matrix each
-    trial may violate, and the trials that may violate any condition."""
-    alpha, beta, gamma = spectra[:, :n], spectra[:, n : 2 * n], spectra[:, 2 * n :]
+    """For a block of sampled spectra, one row (alpha, beta, gamma) per
+    trial: the rows each trial may violate, and the trials that may
+    violate any condition, the trace included.
+
+    A trial's flags are those of the rows of `matrix`, then of the rows
+    gamma_k - alpha_i - beta_j of T(n, 1) (Weyl's upper bounds), then of
+    the same rows on the mirror image, each vector negated and reversed
+    (his lower bounds). Each excess is compared with `tol` less the
+    rounding margin of find_horn_violation; a tolerance that
+    `_screenable` refuses gets an infinite margin, so every row and trial
+    is flagged."""
     slack = float(tol)
     margin = _screen_margin(n, np.abs(spectra).max(axis=1), tol)
-    flagged = spectra @ matrix.T > (slack - margin)[:, None]
-    trace = np.abs(gamma.sum(axis=1) - alpha.sum(axis=1) - beta.sum(axis=1)) > slack - margin
-    # Weyl windows: the k-th lower bound is the largest alpha_i + beta_j
-    # with i + j = n + k, the upper one the smallest with i + j = k + 1.
-    sums = (alpha[:, :, None] + beta[:, None, :])[:, None]
-    index_sum = np.add.outer(np.arange(1, n + 1), np.arange(1, n + 1))
-    k = np.arange(1, n + 1)[:, None, None]
-    lower = np.where(index_sum == n + k, sums, -np.inf).max(axis=(2, 3))
-    upper = np.where(index_sum == k + 1, sums, np.inf).min(axis=(2, 3))
-    margin = margin[:, None]
-    weyl = (gamma < lower - slack + margin) | (gamma > upper + slack - margin)
-    return flagged, flagged.any(axis=1) | trace | weyl.any(axis=1)
-
-
-def _weyl_holds(alpha, beta, gamma, slack) -> bool:
-    for k in range(1, len(alpha) + 1):
-        lower, upper = weyl_bounds(alpha, beta, k)
-        if gamma[k - 1] < lower - slack or gamma[k - 1] > upper + slack:
-            return False
-    return True
+    bound = (slack - np.where(_screenable((tol,), n), margin, np.inf))[:, None]
+    mirror = -spectra.reshape(-1, 3, n)[:, :, ::-1].reshape(-1, 3 * n)
+    i, j, k = (_t_family(n, 1)[1] + np.arange(-1, 3 * n - 1, n)).T  # columns
+    weyl = [x[:, k] - x[:, i] - x[:, j] for x in (spectra, mirror)]
+    flagged = np.hstack([excess > bound for excess in (spectra @ matrix.T, *weyl)])
+    alpha, beta, gamma = spectra.reshape(-1, 3, n).sum(axis=2).T
+    return flagged, flagged.any(axis=1) | (np.abs(gamma - alpha - beta) > bound[:, 0])
 
 
 def is_weakly_decreasing(values: Sequence[Number], tol: float = 0.0) -> bool:

@@ -292,6 +292,8 @@ def ramanujan_verdict(g: Graph, *, tol: Optional[float] = DEFAULT_TOL) -> Ramanu
     on a numeric spectrum; None means DEFAULT_TOL, and it must be a real
     number on every graph.
     """
+    if not isinstance(g, Graph):
+        require_type(Graph, g=g)
     tol = _tolerance(tol)
     k = g.regular_degree()
     if k is None:
@@ -570,6 +572,8 @@ def classify_regular_ramanujan_case(bg: BipartiteGraph) -> str:
     2 < 2*sqrt(2s - 3). Out-of-window degrees or a second eigenvalue
     outside {0, 1, 2} would falsify a theorem and raise.
     """
+    if not isinstance(bg, BipartiteGraph):
+        require_type(BipartiteGraph, bg=bg)
     if not bg.is_connected():
         raise InputError("classification requires a connected graph")
     s = bg.regular_degree()

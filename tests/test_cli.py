@@ -3,8 +3,9 @@ import json
 import pytest
 
 from hornlr import FormatError
-from hornlr.cli import main
+from hornlr.cli import build_parser, main
 from hornlr.graphs import graph_to_text, complete_bipartite, even_cycle, load_graph, matching
+from hornlr.horn import DEFAULT_TOL
 
 
 @pytest.fixture
@@ -96,6 +97,13 @@ def test_horn_sample(capsys):
     code, out, _ = run(capsys, "horn", "sample", "--n", "2", "--trials", "25")
     assert code == 0
     assert "trace_violations=0" in out
+
+
+def test_tol_defaults_are_the_library_default():
+    # the very object, not an equal literal: the tolerance policy lives in hornlr.horn
+    parser = build_parser()
+    for argv in (["horn", "sample", "--n", "2"], ["spectra", "ramanujan", "--file", "g.txt"]):
+        assert parser.parse_args(argv).tol is DEFAULT_TOL
 
 
 def test_graph_spectrum_exact(capsys, k22_file, p4_file):

@@ -420,10 +420,11 @@ def test_sample_necessity_smoke():
 
 def test_sample_necessity_matches_per_trial_oracle():
     # trials = 0, 1 and more than one block; negative tolerances make
-    # every kind of count nonzero, a float32 one skips the float64 screen
+    # every kind of count nonzero; a float32 one and one too large to
+    # screen get an infinite margin, so every row of every trial is confirmed
     for n in range(1, 7):
         for trials in (0, 1, _SAMPLE_BLOCK + 5):
-            for tol in (1e-9, 0.0, -0.05, np.float32(1e-9)):
+            for tol in (1e-9, 0.0, -0.05, np.float32(1e-9)) + ((10**30,) if n <= 4 else ()):
                 seed = 100 * n + trials
                 assert sample_necessity(n, trials, tol, seed) == sample_by_trial(n, trials, tol, seed)
     report = sample_necessity(2, _SAMPLE_BLOCK + 5, -0.05, 205)
@@ -433,25 +434,30 @@ def test_sample_necessity_matches_per_trial_oracle():
 def test_sample_screen_flags_every_failure():
     # alpha, beta descending, gamma = alpha + beta moved by multiples of
     # 0.75 tol: many conditions sit near their bounds. Every trial that a
-    # scalar check rejects must be a suspect, and every rejected row flagged.
-    tol = 1e-9
+    # scalar check rejects must be a suspect, and every rejected row flagged;
+    # a trial outside a Weyl window must have one of the Weyl rows, which
+    # follow the rows of T(n), flagged. T(1) has no rows, but n = 1 has a
+    # Weyl window. A float32 tolerance, whose scalar sums round in single
+    # precision, cannot be screened, so its margin must be infinite.
     rng = np.random.default_rng(37)
     seen = set()
-    for n in (2, 3, 4, 5):
-        triples, matrix = _horn_system(n)
-        alpha, beta = (-np.sort(-rng.uniform(-1, 1, (300, n)), axis=1) for _ in range(2))
-        gamma = alpha + beta + rng.integers(-2, 3, (300, n)) * 0.75 * tol
-        spectra = np.hstack((alpha, beta, gamma))
-        flagged, suspects = _screen_block(spectra, matrix, n, tol)
-        for s, row in enumerate(spectra.tolist()):
-            a, b, g = row[:n], row[n : 2 * n], row[2 * n :]
-            trace = trace_condition(a, b, g, tol)
-            rejected = {i for i, t in enumerate(triples) if not check_inequality(t, a, b, g, tol)}
-            windows = [weyl_bounds(a, b, k) for k in range(1, n + 1)]
-            weyl = all(low - tol <= gk <= up + tol for gk, (low, up) in zip(g, windows))
-            assert rejected <= set(np.flatnonzero(flagged[s]).tolist())
-            assert suspects[s] or (trace and weyl and not rejected)
-            seen.add((trace, not rejected, weyl))
+    for tol in (1e-9, np.float32(1e-9)):
+        for n in (1, 2, 3, 4, 5):
+            triples, matrix = _horn_system(n)
+            alpha, beta = (-np.sort(-rng.uniform(-1, 1, (300, n)), axis=1) for _ in range(2))
+            gamma = alpha + beta + rng.integers(-2, 3, (300, n)) * 0.75 * tol
+            spectra = np.hstack((alpha, beta, gamma))
+            flagged, suspects = _screen_block(spectra, matrix, n, tol)
+            for s, row in enumerate(spectra.tolist()):
+                a, b, g = row[:n], row[n : 2 * n], row[2 * n :]
+                trace = trace_condition(a, b, g, tol)
+                rejected = {i for i, t in enumerate(triples) if not check_inequality(t, a, b, g, tol)}
+                windows = [weyl_bounds(a, b, k) for k in range(1, n + 1)]
+                weyl = all(low - tol <= gk <= up + tol for gk, (low, up) in zip(g, windows))
+                assert rejected <= set(np.flatnonzero(flagged[s]).tolist())
+                assert weyl or flagged[s, len(triples) :].any()
+                assert suspects[s] or (trace and weyl and not rejected)
+                seen.add((trace, not rejected, weyl))
     # trials that only the trace, or only a Weyl window, rejects
     assert {(False, True, True), (True, True, False)} <= seen
 

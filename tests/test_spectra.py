@@ -393,6 +393,35 @@ def test_analyze_rejects_wrong_argument_types(wrong):
         analyze_line_graph(wrong)
 
 
+_GRAPH_ROUTINES = (
+    graphs.exact_spectrum,
+    graphs.char_poly_exact,
+    graphs.integer_spectrum,
+    graphs.numeric_spectrum,
+    graphs.diameter,
+    graphs.clique_number,
+    ramanujan_verdict,
+)
+_BIPARTITE_ROUTINES = (classify_regular_ramanujan_case, line_graph, graphs.star_decomposition)
+
+
+@pytest.mark.parametrize(
+    "routine, kind, wrong",
+    [
+        (routine, kind, wrong)
+        for routines, kind, other in (
+            (_GRAPH_ROUTINES, "Graph", complete_bipartite(3, 3)),
+            (_BIPARTITE_ROUTINES, "BipartiteGraph", Graph(2, [(0, 1)])),
+        )
+        for routine in routines
+        for wrong in (other, [(0, 1)], None)
+    ],
+)
+def test_graph_routines_reject_wrong_argument_types(routine, kind, wrong):
+    with pytest.raises(InputError, match=f"must be a {kind},"):
+        routine(wrong)
+
+
 def test_analyze_single_edge():
     report = analyze_line_graph(complete_bipartite(1, 1))
     assert report.is_integral
