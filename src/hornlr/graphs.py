@@ -2,13 +2,15 @@
 
 Graphs here are simple and finite. A :class:`BipartiteGraph` keeps its
 two colour classes explicit; a :class:`Graph` is a plain undirected
-graph used for line graphs and their spectra. Every routine below works
-on neighbour lists: a `Graph`'s own, or those that `_adjacency` builds
-for a bipartite graph (X vertices first, then Y), and every distance
-comes from the one BFS, `_distances`. Characteristic polynomials are
-computed exactly (integer arithmetic throughout), so "this graph is
-integral" is a proof, not a float heuristic: the polynomial either
-splits over the integers or it does not.
+graph used for line graphs and their spectra. Both store the sorted
+neighbour lists of their vertices, built once by the constructor (a
+bipartite graph numbers its X vertices first, then its Y vertices), and
+read their edges and degrees off them. Every routine below works on
+those lists, and every distance comes from the one BFS, `_distances`.
+Characteristic polynomials are computed exactly (integer arithmetic
+throughout), so "this graph is integral" is a proof, not a float
+heuristic: the polynomial either splits over the integers or it does
+not.
 
 A line graph made by :func:`line_graph` keeps its base graph, and the
 metrics of the line graph come from the nu vertices of the base graph
@@ -152,18 +154,22 @@ class Graph:
 class BipartiteGraph:
     """Simple bipartite graph with colour classes X (size m) and Y (size n).
 
-    Edges are pairs (x-index, y-index), 0-based. Connectivity is not a
-    type invariant; operations that need it check and say so.
+    Edges are pairs (x-index, y-index), 0-based. The graph is stored as
+    the neighbour lists of its nu = m + n vertices, sorted, with X
+    vertices 0..m-1 followed by Y vertices m..nu-1 (the numbering of
+    `as_graph`); the edges, degrees and classes are read off them.
+    Connectivity is not a type invariant; operations that need it check
+    and say so.
     """
 
-    __slots__ = ("_m", "_n", "_edges")
+    __slots__ = ("_m", "_adj")
 
     def __init__(self, x_size: int, y_size: int, edges: Iterable[tuple[int, int]] = ()):
         if not (_is_int(x_size) and _is_int(y_size)) or x_size < 1 or y_size < 1:
             raise InputError(
                 f"colour class sizes must be positive integers, got {brief((x_size, y_size))}"
             )
-        edge_set = set()
+        adj: list[set[int]] = [set() for _ in range(x_size + y_size)]
         try:
             for x, y in edges:
                 if not (type(x) is int and type(y) is int):
@@ -172,14 +178,14 @@ class BipartiteGraph:
                     raise InputError(
                         f"edge {brief((x, y))} out of range for classes {brief((x_size, y_size))}"
                     )
-                edge_set.add((x, y))
+                adj[x].add(x_size + y)
+                adj[x_size + y].add(x)
         except InputError:
             raise
         except (TypeError, ValueError):
             raise InputError("edges must be an iterable of integer pairs") from None
         self._m = x_size
-        self._n = y_size
-        self._edges = tuple(sorted(edge_set))
+        self._adj = tuple(tuple(sorted(s)) for s in adj)
 
     @property
     def x_size(self) -> int:
@@ -187,62 +193,53 @@ class BipartiteGraph:
 
     @property
     def y_size(self) -> int:
-        return self._n
+        return len(self._adj) - self._m
 
     @property
     def order(self) -> int:
-        return self._m + self._n
+        return len(self._adj)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(self.x_degrees())
 
     @property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         """Edges in the canonical lexicographic (x, y) order."""
-        return self._edges
+        m = self._m
+        return tuple((x, v - m) for x, v in _edge_pairs(self))
 
     def x_degrees(self) -> list[int]:
-        degs = [0] * self._m
-        for x, _ in self._edges:
-            degs[x] += 1
-        return degs
+        return list(map(len, self._adj[: self._m]))
 
     def y_degrees(self) -> list[int]:
-        degs = [0] * self._n
-        for _, y in self._edges:
-            degs[y] += 1
-        return degs
+        return list(map(len, self._adj[self._m :]))
 
     def is_connected(self) -> bool:
         """BFS across both classes; order >= 2 always, so edgeless
         bipartite graphs are never connected."""
-        return -1 not in _distances(_adjacency(self), 0)
+        return -1 not in _distances(self._adj, 0)
 
     def regular_degree(self) -> Optional[int]:
         """Common degree when every vertex in both classes shares it."""
-        degs = set(self.x_degrees()) | set(self.y_degrees())
+        degs = set(map(len, self._adj))
         return degs.pop() if len(degs) == 1 else None
 
     def as_graph(self) -> Graph:
         """The same graph with X vertices 0..m-1 followed by Y vertices."""
-        return Graph(
-            self.order, [(x, self._m + y) for x, y in self._edges]
-        )
+        return Graph(self.order, _edge_pairs(self))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BipartiteGraph)
-            and (self._m, self._n, self._edges) == (other._m, other._n, other._edges)
+            and (self._m, self._adj) == (other._m, other._adj)
         )
 
     def __hash__(self) -> int:
-        return hash((self._m, self._n, self._edges))
+        return hash((self._m, self._adj))
 
     def __repr__(self) -> str:
-        return (
-            f"BipartiteGraph({self._m}, {self._n}, edges={list(self._edges)!r})"
-        )
+        return f"BipartiteGraph({self._m}, {self.y_size}, edges={list(self.sorted_edges)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +261,7 @@ def line_graph(bg: BipartiteGraph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     edges = bg.sorted_edges
     if not edges:
         raise InputError("line graph of an edgeless graph is undefined")
-    x_stars, y_stars = _stars(bg)
-    lg = Graph(len(edges), _star_pairs(x_stars + y_stars))
+    lg = Graph(len(edges), _star_pairs(_stars(bg)))
     lg._base = bg
     return lg, edges
 
@@ -280,37 +276,31 @@ def star_decomposition(bg: BipartiteGraph) -> tuple[Graph, Graph]:
     """
     if not isinstance(bg, BipartiteGraph):
         require_type(BipartiteGraph, bg=bg)
-    edges = bg.sorted_edges
-    if not edges:
+    e, m = bg.edge_count, bg.x_size
+    if not e:
         raise InputError("star decomposition of an edgeless graph is undefined")
-    x_stars, y_stars = _stars(bg)
-    return Graph(len(edges), _star_pairs(x_stars)), Graph(len(edges), _star_pairs(y_stars))
+    stars = _stars(bg)
+    return Graph(e, _star_pairs(stars[:m])), Graph(e, _star_pairs(stars[m:]))
 
 
-def _stars(bg: BipartiteGraph) -> tuple[list[list[int]], list[list[int]]]:
-    """Indices into `bg.sorted_edges` of the edges at each X vertex and
-    at each Y vertex, ascending."""
-    x_stars: list[list[int]] = [[] for _ in range(bg.x_size)]
-    y_stars: list[list[int]] = [[] for _ in range(bg.y_size)]
-    for idx, (x, y) in enumerate(bg.sorted_edges):
-        x_stars[x].append(idx)
-        y_stars[y].append(idx)
-    return x_stars, y_stars
+def _stars(bg: BipartiteGraph) -> list[list[int]]:
+    """Indices into `bg.sorted_edges` of the edges at each vertex of
+    `bg`, ascending: X vertices, then Y vertices."""
+    stars: list[list[int]] = [[] for _ in bg._adj]
+    for idx, (x, v) in enumerate(_edge_pairs(bg)):
+        stars[x].append(idx)
+        stars[v].append(idx)
+    return stars
+
+
+def _edge_pairs(bg: BipartiteGraph) -> list[tuple[int, int]]:
+    """The edges of `bg` in `sorted_edges` order, each as (x, m + y):
+    its two vertices in the numbering of the neighbour lists."""
+    return [(x, v) for x, nb in enumerate(bg._adj[: bg.x_size]) for v in nb]
 
 
 def _star_pairs(stars: Iterable[list[int]]) -> list[tuple[int, int]]:
     return [pair for star in stars for pair in combinations(star, 2)]
-
-
-def _adjacency(bg: BipartiteGraph) -> list[list[int]]:
-    """Neighbour lists of `bg` on its nu vertices: X vertices 0..m-1,
-    then Y vertices m..nu-1, the numbering of `as_graph`."""
-    m = bg.x_size
-    adj: list[list[int]] = [[] for _ in range(bg.order)]
-    for x, y in bg.sorted_edges:
-        adj[x].append(m + y)
-        adj[m + y].append(x)
-    return adj
 
 
 def degree_partitions(bg: BipartiteGraph) -> tuple[Partition, Partition]:
@@ -334,6 +324,8 @@ def degree_partitions(bg: BipartiteGraph) -> tuple[Partition, Partition]:
 
 def bipartite_complement(bg: BipartiteGraph) -> BipartiteGraph:
     """Same colour classes, edge (x, y) present exactly where absent."""
+    if not isinstance(bg, BipartiteGraph):
+        require_type(BipartiteGraph, bg=bg)
     present = set(bg.sorted_edges)
     edges = [
         (x, y)
@@ -373,6 +365,8 @@ def disjoint_union(parts: Sequence[BipartiteGraph]) -> BipartiteGraph:
     edges = []
     off_x = off_y = 0
     for bg in parts:
+        if not isinstance(bg, BipartiteGraph):
+            require_type(BipartiteGraph, part=bg)
         edges.extend((x + off_x, y + off_y) for x, y in bg.sorted_edges)
         off_x += bg.x_size
         off_y += bg.y_size
@@ -438,10 +432,11 @@ def _matrix(
     """(neighbours, diagonal, extra): the integer matrix M and the count
     of extra -2s whose spectrum, padded, is the graph's. A `Graph` gives
     its adjacency, a zero diagonal and 0; a base graph gives Q - 2I on
-    its nu vertices (`_adjacency`, deg - 2 on the diagonal) and e - nu."""
+    its nu vertices (its stored neighbour lists, deg - 2 on the
+    diagonal) and e - nu."""
     if isinstance(source, Graph):
         return source._adj, [0] * source.order, 0
-    adj = _adjacency(source)
+    adj = source._adj
     return adj, [len(nb) - 2 for nb in adj], source.edge_count - source.order
 
 
@@ -656,11 +651,10 @@ def _line_diameter(bg: BipartiteGraph) -> Union[int, float]:
     some vertex at distance D from a has a neighbour at distance D from b,
     for some edge ab, and D - 1 otherwise.
     """
-    m = bg.x_size
-    edges = bg.sorted_edges
+    edges = _edge_pairs(bg)
     if len(edges) == 1:
         return 0
-    adj = _adjacency(bg)
+    adj = bg._adj
     dist = [_distances(adj, src) for src in range(bg.order)]
     if -1 in (dist[edges[0][0]][x] for x, _ in edges):
         return math.inf
@@ -668,8 +662,8 @@ def _line_diameter(bg: BipartiteGraph) -> Union[int, float]:
     d = max(ecc)
     far = cache(lambda v: {w for w, dw in enumerate(dist[v]) if dw == d})
     reach = cache(lambda v: {w for c in far(v) for w in adj[c]})  # neighbours of far(v)
-    for x, y in edges:
-        if ecc[x] == d == ecc[m + y] and not reach(x).isdisjoint(far(m + y)):
+    for x, v in edges:
+        if ecc[x] == d == ecc[v] and not reach(x).isdisjoint(far(v)):
             return d
     return d - 1
 
@@ -685,7 +679,7 @@ def clique_number(g: Graph) -> int:
     colour class cannot beat the incumbent)."""
     source = _source(g)
     if isinstance(source, BipartiteGraph):
-        return max(source.x_degrees() + source.y_degrees())
+        return max(map(len, source._adj))
     n = g.order
     adj = [0] * n
     for v in range(n):

@@ -69,7 +69,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InputError, brief
+from .errors import InputError, brief, require_type
 
 Number = Union[int, float, Fraction]
 
@@ -273,6 +273,8 @@ def check_inequality(
     tol: Optional[float] = None,
 ) -> bool:
     """sum(gamma[K]) <= sum(alpha[I]) + sum(beta[J]) up to `tol`."""
+    if not isinstance(t, IndexTriple):
+        require_type(IndexTriple, t=t)
     for vec in (alpha, beta, gamma):
         if len(vec) != t.n:
             raise InputError(f"spectrum length {len(vec)} does not match n={t.n}")

@@ -26,6 +26,8 @@ class SkewShape:
     inner: Partition
 
     def __post_init__(self):
+        if not (isinstance(self.outer, Partition) and isinstance(self.inner, Partition)):
+            require_type(Partition, outer=self.outer, inner=self.inner)
         if not self.outer.contains(self.inner):
             raise InputError(
                 f"inner shape {self.inner} does not fit inside {self.outer}"

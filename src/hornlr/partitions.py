@@ -18,8 +18,10 @@ class Partition:
     """Canonical immutable partition.
 
     Parts may be given in any order and may include zeros; the stored
-    value is the sorted, zero-stripped tuple. Parts are plain Python
-    integers, so sizes and downstream moment formulas never overflow.
+    value is the sorted, zero-stripped tuple. Each part must equal an
+    integer, and a bool is not taken for one. Parts are stored as plain
+    Python integers, so sizes and downstream moment formulas never
+    overflow.
     """
 
     __slots__ = ("_parts",)
@@ -28,7 +30,7 @@ class Partition:
         cleaned = []
         for p in parts:
             try:
-                whole = p == int(p)
+                whole = p == int(p) and not isinstance(p, bool)
             except (TypeError, ValueError, OverflowError):
                 whole = False
             if not whole:

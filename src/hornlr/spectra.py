@@ -69,14 +69,27 @@ def moment_c(
     gamma is read as a length nu - 1 vector (missing parts count as 0,
     contributing (0 - 2)^2 each); more than nu - 1 parts is an error.
     """
-    return _shifted_power_sum(gamma, nu - 1, 2) == _moment_targets(alpha, beta, e, nu)[0]
+    return _moment(gamma, alpha, beta, e, nu, 2)
 
 
 def moment_d(
     gamma: Partition, alpha: Partition, beta: Partition, e: int, nu: int
 ) -> bool:
     """Exact third-moment identity, condition (d) above."""
-    return _shifted_power_sum(gamma, nu - 1, 3) == _moment_targets(alpha, beta, e, nu)[1]
+    return _moment(gamma, alpha, beta, e, nu, 3)
+
+
+def _moment(
+    gamma: Partition, alpha: Partition, beta: Partition, e: int, nu: int, power: int
+) -> bool:
+    """Condition (c) for power 2 and (d) for power 3, once the argument
+    types are checked."""
+    if not all(isinstance(p, Partition) for p in (gamma, alpha, beta)):
+        require_type(Partition, gamma=gamma, alpha=alpha, beta=beta)
+    if not (_is_int(e) and _is_int(nu)):
+        raise InputError(f"e and nu must be integers, got {brief((e, nu))}")
+    target = _moment_targets(alpha, beta, e, nu)[power - 2]
+    return _shifted_power_sum(gamma, nu - 1, power) == target
 
 
 def _moment_targets(

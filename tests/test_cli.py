@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from hornlr import FormatError
 from hornlr.cli import build_parser, main
 from hornlr.graphs import graph_to_text, complete_bipartite, even_cycle, load_graph, matching
-from hornlr.horn import DEFAULT_TOL
+from hornlr.horn import DEFAULT_TOL, SampleReport
+from hornlr.spectra import analyze_line_graph
 
 
 @pytest.fixture
@@ -277,6 +279,42 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, tmp_path, k22_file):
     assert err == "a_huge.txt: error: out of memory\n"
     assert "b_k22.txt: integral" in out
     assert "2 graphs: 1 integral, 0 non-integral, 0 violations, 1 failed" in out
+
+
+def test_theorem_violations_exit_1(capsys, monkeypatch, tmp_path, k13_file, k22_file):
+    # a failed law is a bug, not an input error: the report's violation is
+    # printed and the command exits 1; the analysis is patched to report one
+    def analyzing(bg, include_p_set=False):
+        report = analyze_line_graph(bg, include_p_set=include_p_set)
+        if bg.edge_count == 4:
+            return dataclasses.replace(report, violations=("diameter 9 exceeds 8",))
+        return report
+
+    monkeypatch.setattr("hornlr.cli.analyze_line_graph", analyzing)
+    code, out, err = run(capsys, "spectra", "analyze", "--file", str(k22_file))
+    assert code == 1
+    assert out.splitlines()[-1] == f"{k22_file}: VIOLATION diameter 9 exceeds 8"
+    assert err == "theorem violation: diameter 9 exceeds 8\n"
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a_k13.txt").write_text(k13_file.read_text())
+    (corpus / "b_k22.txt").write_text(k22_file.read_text())
+    code, out, err = run(capsys, "corpus", "verify", "--dir", str(corpus))
+    assert code == 1
+    assert "b_k22.txt: VIOLATION diameter 9 exceeds 8" in out
+    assert out.splitlines()[-1] == "2 graphs: 2 integral, 0 non-integral, 1 violations, 0 failed"
+    assert err == "theorem violation: 1 corpus violations\n"
+
+
+def test_sample_violations_exit_1(capsys, monkeypatch):
+    def sampling(n, trials, tol, seed):
+        return SampleReport(n, trials, tol, 1, 2, 0)
+
+    monkeypatch.setattr("hornlr.cli.sample_necessity", sampling)
+    code, out, err = run(capsys, "horn", "sample", "--n", "3", "--trials", "5")
+    assert code == 1
+    assert " trace_violations=1 inequality_violations=2 weyl_violations=0" in out
+    assert err == "theorem violation: 3 sampled spectra violated a necessary condition\n"
 
 
 # one malformed file each: a typed FormatError, never a traceback or a misread graph

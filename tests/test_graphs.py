@@ -95,6 +95,9 @@ def test_star_decomposition_examples():
     assert sorted(gx.degrees()) == [1, 1, 1, 1]
     assert sorted(gy.degrees()) == [1, 1, 1, 1]
 
+    with pytest.raises(InputError, match="edgeless"):
+        star_decomposition(BipartiteGraph(2, 2, []))
+
 
 def test_star_decomposition_sums_to_line_graph():
     rng = random.Random(2)
@@ -189,6 +192,9 @@ def test_degree_partitions_names_isolated_vertex():
 def test_degree_partitions_rejects_wrong_argument_types(wrong):
     with pytest.raises(InputError, match="must be a BipartiteGraph"):
         degree_partitions(wrong)
+    for parts in ([wrong], [matching(1), wrong]):
+        with pytest.raises(InputError, match="must be a BipartiteGraph"):
+            disjoint_union(parts)
 
 
 def test_degree_partition_sizes_match_edge_count():
@@ -646,6 +652,27 @@ def test_bipartiteness_matches_brute_force():
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_bipartite_graph_stores_sorted_neighbour_lists():
+    # edges in any order, repeated or not, give the same lists, the numbering
+    # of as_graph; edges, degrees, equality and hash are read off them
+    rng = random.Random(33)
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        edges = [(x, y) for x in range(m) for y in range(n) if rng.random() < 0.5]
+        shuffled = edges + edges[: len(edges) // 2]
+        rng.shuffle(shuffled)
+        bg, copy = BipartiteGraph(m, n, edges), BipartiteGraph(m, n, shuffled)
+        assert bg._adj == copy._adj == bg.as_graph()._adj
+        assert bg == copy and hash(bg) == hash(copy)
+        assert bg.sorted_edges == copy.sorted_edges == tuple(edges)
+        assert (bg.x_size, bg.y_size, bg.order, bg.edge_count) == (m, n, m + n, len(edges))
+        assert bg.x_degrees() == [sum(x == v for x, _ in edges) for v in range(m)]
+        assert bg.y_degrees() == [sum(y == v for _, y in edges) for v in range(n)]
+    # the same neighbour lists, split into classes differently
+    assert BipartiteGraph(1, 2) != BipartiteGraph(2, 1)
+    assert BipartiteGraph(1, 2)._adj == BipartiteGraph(2, 1)._adj
+
+
 def test_connectivity_matches_bfs_diameter():
     rng = random.Random(32)
     bipartite = [
@@ -703,6 +730,8 @@ def test_generators():
         even_cycle(5)
     with pytest.raises(InputError):
         even_cycle(2)
+    with pytest.raises(InputError, match="nothing"):
+        disjoint_union([])
 
 
 def test_even_cycle_really_is_a_cycle():
@@ -821,6 +850,7 @@ def test_format_errors():
         # isdecimal() passes these, int() refuses more than 4300 digits
         f"X {'9' * 5000}\nY 1\n",
         f"X 1\nY 1\n0 {'9' * 5000}\n",
+        "X 0\nY 1\n",  # parsed, then refused by BipartiteGraph
     ]:
         with pytest.raises(FormatError):
             parse_graph_text(bad)

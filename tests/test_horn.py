@@ -168,6 +168,9 @@ def test_invalid_dimensions_rejected():
     for bad in [((1.5,), (1,), (1,)), ((1,), ("1",), (1,)), ((1,), (1,), (True,))]:
         with pytest.raises(InputError):
             IndexTriple(*bad, 2)
+    for bad in ([1], ((1,), (1,), (1,), 2), None):
+        with pytest.raises(InputError, match="must be a IndexTriple"):
+            check_inequality(bad, (1, 0), (1, 0), (2, 0))
     for k in (1.5, True, "1"):
         with pytest.raises(InputError):
             weyl_bounds((1, 0), (1, 0), k)

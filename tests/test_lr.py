@@ -87,6 +87,11 @@ def test_skew_shape_validation():
     assert shape.cell_count == 3
     with pytest.raises(InputError):
         SkewShape(P([2]), P([3]))
+    for wrong in ([1], (1,), None):
+        with pytest.raises(InputError, match="outer must be a Partition"):
+            SkewShape(wrong, P([1]))
+        with pytest.raises(InputError, match="inner must be a Partition"):
+            SkewShape(P([2]), wrong)
 
 
 @pytest.mark.parametrize("wrong", [[3], (1, 1, 1), None])

@@ -42,7 +42,7 @@ def test_invalid_parts_rejected():
         Partition([3, -1])
     with pytest.raises(InputError):
         Partition([2.5])
-    for bad in (float("inf"), float("nan"), "a", None):
+    for bad in (float("inf"), float("nan"), "a", None, True):
         with pytest.raises(InputError):
             Partition([bad])
 

@@ -48,6 +48,8 @@ def test_moment_c_examples():
     assert moment_c(P([4, 1, 1]), P([3]), P([1, 1, 1]), 3, 4)
     assert moment_c(P([4, 2, 2]), P([2, 2]), P([2, 2]), 4, 4)
     assert not moment_c(P([3, 2, 1]), P([3]), P([1, 1, 1]), 3, 4)
+    with pytest.raises(InputError, match="3 parts but only 2"):
+        moment_c(P([2, 2, 2]), P([2]), P([1, 1]), 2, 3)
 
 
 def test_moment_d_examples():
@@ -127,6 +129,14 @@ def test_enumerate_p_rejects_wrong_argument_types(wrong):
         enumerate_p(wrong, P([1, 1, 1]))
     with pytest.raises(InputError, match="beta must be a Partition"):
         enumerate_p(P([3]), wrong)
+    gamma, alpha, beta = P([4, 1, 1]), P([3]), P([1, 1, 1])
+    for moment in (moment_c, moment_d):
+        for args in ((wrong, alpha, beta), (gamma, wrong, beta), (gamma, alpha, wrong)):
+            with pytest.raises(InputError, match="must be a Partition"):
+                moment(*args, 3, 4)
+        for e, nu in (("3", 4), (3, 4.0), (True, 4), (3, wrong)):
+            with pytest.raises(InputError, match="e and nu must be integers"):
+                moment(gamma, alpha, beta, e, nu)
 
 
 def test_moments_alone_do_not_decide_membership():
@@ -402,7 +412,12 @@ _GRAPH_ROUTINES = (
     graphs.clique_number,
     ramanujan_verdict,
 )
-_BIPARTITE_ROUTINES = (classify_regular_ramanujan_case, line_graph, graphs.star_decomposition)
+_BIPARTITE_ROUTINES = (
+    classify_regular_ramanujan_case,
+    line_graph,
+    graphs.star_decomposition,
+    bipartite_complement,
+)
 
 
 @pytest.mark.parametrize(
