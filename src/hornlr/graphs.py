@@ -50,7 +50,10 @@ semidefinite, and its nonzero eigenvalues are those of B^T B =
 A(L) + 2I). So the integer roots are searched in that window on
 det(xI - M) alone, and the numeric eigenvalues are those of M, padded
 with -2.0. That factor is computed once for all three spectral answers
-(`_factor` keeps the last one).
+(`_factor` keeps the last one). When both classes of the base graph are
+regular, as they are under every regular line graph of a connected
+bipartite graph, `_factor` expands it from the m x m Gram matrix N N^T
+of the biadjacency N, m the smaller class, instead of the nu x nu Q - 2I.
 
 Vertex order of a line graph is the lexicographic order of the base
 graph's edges by (x-index, y-index); every operation that returns
@@ -360,6 +363,9 @@ def matching(n: int) -> BipartiteGraph:
 
 def disjoint_union(parts: Sequence[BipartiteGraph]) -> BipartiteGraph:
     """Disjoint union; classes of the parts are concatenated in order."""
+    if not isinstance(parts, Iterable):
+        raise InputError(f"parts must be an iterable of BipartiteGraphs, got {brief(parts)}")
+    parts = list(parts)  # an iterator is read once, and may be empty
     if not parts:
         raise InputError("disjoint union of nothing is undefined")
     edges = []
@@ -406,10 +412,12 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     (`_factor`) is multiplied by the binomial expansion of (x+2)^extra in
     one convolution: for a graph without a base M is its adjacency and
     the binomial is [1]; for a line graph made by `line_graph(bg)`, M is
-    Q - 2I of `bg` on its nu vertices and extra = e - nu. When extra < 0,
-    a forest or a base graph with isolated vertices, (x+2)^(-extra) is
-    divided out instead; Q has a zero eigenvalue per component, so the
-    division is exact, and a remainder raises ArithmeticError.
+    Q - 2I of `bg` on its nu vertices (whose determinant `_factor` takes
+    from the m x m Gram matrix N N^T when both classes of `bg` are
+    regular) and extra = e - nu. When extra < 0, a forest or a base graph
+    with isolated vertices, (x+2)^(-extra) is divided out instead; Q has
+    a zero eigenvalue per component, so the division is exact, and a
+    remainder raises ArithmeticError.
     """
     factor, extra, _ = _factor(_source(g))
     if extra < 0:
@@ -417,13 +425,22 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
         if count < -extra:
             raise ArithmeticError("(x+2) deflation of the line-graph polynomial was not exact")
         return tuple(coeffs)
-    binomial = [math.comb(extra, j) << j for j in range(extra + 1)]
-    coeffs = [0] * (len(factor) + extra)
-    for i, a in enumerate(factor):
+    return tuple(_convolve(factor, _binomial(2, extra)))
+
+
+def _binomial(c: int, k: int) -> list[int]:
+    """Coefficients of (x + c)^k, descending."""
+    return [math.comb(k, j) * c**j for j in range(k + 1)]
+
+
+def _convolve(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two polynomials, descending."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
         if a:
-            for j, b in enumerate(binomial):
-                coeffs[i + j] += a * b
-    return tuple(coeffs)
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
 
 
 def _matrix(
@@ -433,7 +450,9 @@ def _matrix(
     of extra -2s whose spectrum, padded, is the graph's. A `Graph` gives
     its adjacency, a zero diagonal and 0; a base graph gives Q - 2I on
     its nu vertices (its stored neighbour lists, deg - 2 on the
-    diagonal) and e - nu."""
+    diagonal) and e - nu. `numeric_spectrum` solves this M for every
+    graph, and `_factor` expands det(xI - M) from it unless the base
+    graph is semiregular, when the m x m Gram matrix serves instead."""
     if isinstance(source, Graph):
         return source._adj, [0] * source.order, 0
     adj = source._adj
@@ -445,16 +464,58 @@ def _factor(source: Union[Graph, BipartiteGraph]) -> tuple[tuple[int, ...], int,
     """(det(xI - M), extra, lowest) for `_matrix(source)`, lowest the
     Gershgorin floor min(M_ii - deg_i) of M's eigenvalues. The last
     factor is kept, so `exact_spectrum` reads the one that its own
-    `char_poly_exact` call has just built."""
+    `char_poly_exact` call has just built.
+
+    A base graph whose classes are each regular, m vertices of degree a
+    (the smaller class) and n >= m of degree b, takes a smaller route.
+    With N its m x n biadjacency, Q = [[aI, N], [N^T, bI]], and the
+    Schur complement of the (y - b)I_n block gives
+    det(yI - Q) = (y - b)^(n-m) R((y - a)(y - b)), R(t) = det(tI - N N^T).
+    So R comes from the kernel on the m x m Gram matrix N N^T, m steps
+    instead of nu; the quadratic (x + 2 - a)(x + 2 - b) is substituted
+    into it by Horner's rule and the result multiplied by
+    (x + 2 - b)^(n-m), which is det(xI - (Q - 2I)) at y = x + 2. Every
+    other graph expands det(xI - M) on its nu x nu matrix directly.
+    """
     neighbours, diagonal, extra = _matrix(source)
     lowest = min(d - len(nb) for nb, d in zip(neighbours, diagonal))
-    return tuple(_char_poly(neighbours, diagonal)), extra, lowest
+    sides = _gram_sides(source) if isinstance(source, BipartiteGraph) else None
+    if sides is None:
+        return tuple(_char_poly(neighbours, diagonal)), extra, lowest
+    rows, cols = sides
+    a, b = len(rows[0]), len(cols[0])
+    factor = [1]
+    for c in _char_poly(rows, [0] * len(rows), cols)[1:]:  # Horner's rule in t
+        factor = _convolve(factor, (1, 4 - a - b, (2 - a) * (2 - b)))  # t = (x + 2 - a)(x + 2 - b)
+        factor[-1] += c
+    return tuple(_convolve(factor, _binomial(2 - b, len(cols) - len(rows)))), extra, lowest
 
 
-def _char_poly(neighbours: Sequence[Sequence[int]], diagonal: Sequence[int]) -> list[int]:
+def _gram_sides(bg: BipartiteGraph) -> Optional[tuple[Sequence[Sequence[int]], ...]]:
+    """(N, N^T) as neighbour lists, N the biadjacency from the smaller
+    class to the larger (X when the two are equal), each list numbering
+    the other class from 0, when the two classes of `bg` are each
+    regular; else None. The regularity test reads the nu list lengths
+    only."""
+    m = bg.x_size
+    xs, ys = bg._adj[:m], bg._adj[m:]
+    if len(set(map(len, xs))) > 1 or len(set(map(len, ys))) > 1:
+        return None
+    xs = [[v - m for v in nb] for nb in xs]
+    return (xs, ys) if m <= len(ys) else (ys, xs)
+
+
+def _char_poly(
+    neighbours: Sequence[Sequence[int]],
+    diagonal: Sequence[int],
+    inner: Optional[Sequence[Sequence[int]]] = None,
+) -> list[int]:
     """Coefficients of det(xI - A), descending, for the integer matrix A
     with 1 at (i, j) for each j in neighbours[i], diagonal[i] at (i, i)
-    and 0 elsewhere: an adjacency matrix, or Q - 2I.
+    and 0 elsewhere: an adjacency matrix, or Q - 2I. With `inner`, A is
+    instead N N' plus the diagonal, N the 0/1 matrix with rows
+    `neighbours` and N' the one with rows `inner`: the Gram matrix
+    N N^T of a biadjacency, with inner = N^T's rows.
 
     Uses the Faddeev-LeVerrier recurrence M_1 = I, c_k = -tr(A M_k) / k,
     M_{k+1} = A M_k + c_k I over Python integers; the division by k is
@@ -463,24 +524,34 @@ def _char_poly(neighbours: Sequence[Sequence[int]], diagonal: Sequence[int]) -> 
     substitution). Packing is linear, so row i of A M is the sum of the
     packed rows at the neighbours of i, one integer addition each, plus
     d_i times row i for a nonzero diagonal entry d_i, and c I adds
-    c << (w*i) to row i; negative entries need no care while adding. An
-    entry is read by adding the bias 2^(w-1) to every field, which makes
-    each field nonnegative, so none borrows from the next, and
-    subtracting it again.
+    c << (w*i) to row i; negative entries need no care while adding. With
+    `inner`, A M = N (N' M) takes two such passes: row j of N' M is the
+    sum of the rows of M at inner[j], and row i of A M the sum of those
+    rows at neighbours[i]. An entry is read by adding the bias 2^(w-1) to
+    every field, which makes each field nonnegative, so none borrows
+    from the next, and subtracting it again.
 
-    Field width. Let R = max_i(deg_i + |d_i|), the largest absolute row
-    sum of A. By Gershgorin every eigenvalue has |lambda| <= R, so the
-    coefficients, elementary symmetric functions of the eigenvalues,
-    obey |c_j| <= C(n, j) R^j; and the row-sum norm is submultiplicative,
+    Field width. Let R = max_i(s_i + |d_i|), the largest absolute row
+    sum of A, with s_i = |neighbours[i]|, or with `inner` the row sum
+    of N N', the sum of |inner[j]| over j in neighbours[i]. By
+    Gershgorin every eigenvalue has |lambda| <= R, so the coefficients,
+    elementary symmetric functions of the eigenvalues, obey
+    |c_j| <= C(n, j) R^j; and the row-sum norm is submultiplicative,
     so |(A^i)_uv| <= R^i. For R >= 1 and k <= n, every entry of
     M_k = sum_{j<k} c_j A^(k-1-j) and of A M_k = sum_{j<k} c_j A^(k-j)
     is then at most sum_j C(n, j) R^j R^(k-j) <= 2^n R^n; for R = 0,
     A = 0 and every entry is 0 or 1. With
     w = (n + 1) * R.bit_length() + n + 2, 2^n R^n < 2^(w-1), so each
-    field holds its entry exactly.
+    field holds its entry exactly. The rows of N' M that the second
+    pass reads hold no more: row j of N' sums |inner[j]| <= R rows of
+    M (j lies in some neighbours[i], whose row sum counts it), so its
+    entries are at most R * 2^n R^(n-1). For a semiregular base, row j
+    of N^T M is the sum of b rows of M and R = ab.
     """
     n = len(neighbours)
-    r = max((len(nb) + abs(d) for nb, d in zip(neighbours, diagonal)), default=0)
+    # the row sums of A less its diagonal: |neighbours[i]|, or with `inner` those of N N'
+    sums = [sum(len(inner[j]) for j in nb) for nb in neighbours] if inner else map(len, neighbours)
+    r = max((s + abs(d) for s, d in zip(sums, diagonal)), default=0)
     w = (n + 1) * r.bit_length() + n + 2
     shifts = [w * i for i in range(n)]
     half = 1 << (w - 1)
@@ -490,7 +561,8 @@ def _char_poly(neighbours: Sequence[Sequence[int]], diagonal: Sequence[int]) -> 
     work = [1 << s for s in shifts]
     coeffs = [1]
     for k in range(1, n + 1):
-        prod = [sum(map(work.__getitem__, nb)) for nb in neighbours]
+        rows = work if inner is None else [sum(map(work.__getitem__, nb)) for nb in inner]
+        prod = [sum(map(rows.__getitem__, nb)) for nb in neighbours]
         for i, d in diagonal:
             prod[i] += d * work[i]
         trace = sum((p + bias) >> s & mask for p, s in zip(prod, shifts)) - n * half

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from .errors import FormatError, InputError, brief
 
 
@@ -19,9 +21,9 @@ class Partition:
 
     Parts may be given in any order and may include zeros; the stored
     value is the sorted, zero-stripped tuple. Each part must equal an
-    integer, and a bool is not taken for one. Parts are stored as plain
-    Python integers, so sizes and downstream moment formulas never
-    overflow.
+    integer, and a bool, Python's or numpy's, is not taken for one. Parts
+    are stored as plain Python integers, so sizes and downstream moment
+    formulas never overflow.
     """
 
     __slots__ = ("_parts",)
@@ -29,13 +31,14 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         cleaned = []
         for p in parts:
-            try:
-                whole = p == int(p) and not isinstance(p, bool)
-            except (TypeError, ValueError, OverflowError):
-                whole = False
-            if not whole:
-                raise InputError(f"partition parts must be integers, got {brief(p)}")
-            p = int(p)
+            if type(p) is not int:  # a bool, numpy scalar, float or other value
+                try:
+                    whole = p == int(p) and not isinstance(p, (bool, np.bool_))
+                except (TypeError, ValueError, OverflowError):
+                    whole = False
+                if not whole:
+                    raise InputError(f"partition parts must be integers, got {brief(p)}")
+                p = int(p)
             if p < 0:
                 raise InputError(f"partition parts must be non-negative, got {brief(p)}")
             if p > 0:

@@ -33,6 +33,9 @@ from hornlr import (
 from hornlr import graphs
 from hornlr.graphs import (
     _char_poly,
+    _factor,
+    _gram_sides,
+    _matrix,
     expand_root_multiset,
     graph_to_json_dict,
     graph_to_text,
@@ -377,20 +380,21 @@ def test_line_graph_char_poly_rejects_an_inexact_division(monkeypatch):
 
 def test_factor_cache_tells_a_line_graph_from_its_plain_copy(monkeypatch):
     # the kept factor is keyed on the graph that `_source` picks: the base
-    # graph for a line graph, the graph itself for its equal plain copy
+    # graph for a line graph, the graph itself for its equal plain copy.
+    # K_{3,4} is semiregular, so its factor comes from the 3 x 3 Gram matrix
     rows = []
     real = graphs._char_poly
 
-    def counting(neighbours, diagonal):
+    def counting(neighbours, *rest):
         rows.append(len(neighbours))
-        return real(neighbours, diagonal)
+        return real(neighbours, *rest)
 
     monkeypatch.setattr(graphs, "_char_poly", counting)
     lg = line_graph(complete_bipartite(3, 4))[0]
     plain = Graph(lg.order, lg.edges())
     assert plain == lg and plain._base is None
     # lg == plain, so the expected row counts go by position, not by key
-    for order, expected in (((lg, plain), [7, 12]), ((plain, lg), [12, 7])):
+    for order, expected in (((lg, plain), [3, 12]), ((plain, lg), [12, 3])):
         graphs._factor.cache_clear()
         rows.clear()
         (poly, spec, numeric), (poly2, spec2, numeric2) = [
@@ -400,6 +404,98 @@ def test_factor_cache_tells_a_line_graph_from_its_plain_copy(monkeypatch):
         assert numeric2 == pytest.approx(numeric, abs=1e-9)
         assert rows == expected
     assert exact_spectrum(lg).integer_roots == ((5, 1), (2, 2), (1, 3), (-2, 6))
+
+
+def _semiregular(rng, m, n, a, swaps):
+    """A random bipartite graph with X degrees a and Y degrees b = m a / n:
+    edge slot k joins x = k // a to y = k mod n, then `swaps`
+    degree-preserving swaps (x1, y1), (x2, y2) -> (x1, y2), (x2, y1)."""
+    edges = {(k // a, k % n) for k in range(m * a)}
+    for _ in range(swaps):
+        (x1, y1), (x2, y2) = rng.sample(sorted(edges), 2)
+        if (x1, y2) not in edges and (x2, y1) not in edges:
+            edges -= {(x1, y1), (x2, y2)}
+            edges |= {(x1, y2), (x2, y1)}
+    return BipartiteGraph(m, n, edges)
+
+
+def _semiregular_bases():
+    rng = random.Random(27)
+    bases = [complete_bipartite(1, t) for t in (1, 2, 4, 9)]  # stars, m = 1
+    bases += [complete_bipartite(t, 1) for t in (2, 5)]
+    bases += [complete_bipartite(s, s) for s in (2, 3, 6)]
+    bases += [complete_bipartite(5, 3), complete_bipartite(5, 14), complete_bipartite(2, 30)]
+    bases += [
+        disjoint_union([complete_bipartite(2, 4), complete_bipartite(2, 4)]),
+        disjoint_union([even_cycle(6), even_cycle(8)]),
+        matching(4),
+        BipartiteGraph(2, 3),  # edgeless: a = b = 0
+    ]
+    for m, n, a in ((4, 6, 3), (6, 9, 3), (10, 15, 6), (12, 8, 2), (9, 9, 4), (30, 45, 3), (30, 45, 6)):
+        bases += [_semiregular(rng, m, n, a, swaps) for swaps in (0, 5 * m)]
+    return bases
+
+
+def test_gram_factor_matches_the_full_matrix_route():
+    # the factor of a semiregular base from det(tI - N N^T), m x m, against
+    # Faddeev-LeVerrier on the nu x nu Q - 2I of the same base
+    bases = _semiregular_bases()
+    assert len(bases) == 30
+    for bg in bases:
+        assert _gram_sides(bg) is not None, bg
+        neighbours, diagonal, extra = _matrix(bg)
+        graphs._factor.cache_clear()
+        assert _factor(bg) == (tuple(_char_poly(neighbours, diagonal)), extra, -2), bg
+
+
+def test_only_semiregular_bases_take_the_gram_route(monkeypatch):
+    rows = []
+    real = graphs._char_poly
+
+    def counting(neighbours, *rest):
+        rows.append(len(neighbours))
+        return real(neighbours, *rest)
+
+    monkeypatch.setattr(graphs, "_char_poly", counting)
+    cases = [
+        (complete_bipartite(5, 3), 3),  # the smaller class, here Y
+        (_path(3), 4),  # degrees 1, 2 | 2, 1: nu x nu
+        (BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 0), (1, 2)]), 5),  # X regular, Y not
+        (BipartiteGraph(3, 2, [(0, 0), (1, 0), (0, 1), (2, 1)]), 5),  # Y regular, X not
+        (complete_bipartite(3, 3).as_graph(), 6),  # a plain graph: its adjacency
+    ]
+    for source, expected in cases:
+        graphs._factor.cache_clear()
+        rows.clear()
+        _factor(source)
+        assert rows == [expected], source
+
+
+def test_gram_factor_of_large_complete_bipartite_graphs():
+    # Q of K_{s,t} has eigenvalues s + t, s^(t-1), t^(s-1) and 0, so
+    # det(xI - (Q - 2I)) is known in closed form; the nu x nu route would
+    # take seconds here
+    for s, t in ((40, 39), (39, 40), (60, 60), (1, 60), (17, 45), (60, 59)):
+        expected = [1, -(s + t - 2)]
+        for root, mult in ((s - 2, t - 1), (t - 2, s - 1), (-2, 1)):
+            for _ in range(mult):
+                expected = poly_mul(expected, [1, -root])
+        graphs._factor.cache_clear()
+        assert _factor(complete_bipartite(s, t))[0] == tuple(expected), (s, t)
+
+
+def test_gram_kernel_matches_sympy():
+    # the two-pass product N (N^T M), with any degrees and a diagonal
+    rng = random.Random(28)
+    x = sympy.symbols("x")
+    for _ in range(25):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[j for j in range(n) if rng.random() < 0.5] for _ in range(m)]
+        cols = [[i for i in range(m) if j in rows[i]] for j in range(n)]
+        diagonal = [rng.choice([0, 0, -3, 2, 2**70]) for _ in range(m)]
+        gram = sympy.Matrix(m, m, lambda i, k: len(set(rows[i]) & set(rows[k])))
+        expected = (gram + sympy.diag(*diagonal)).charpoly(x).all_coeffs()
+        assert _char_poly(rows, diagonal, cols) == [int(c) for c in expected]
 
 
 def test_plain_numeric_spectrum_matches_the_adjacency_rows():
@@ -730,8 +826,13 @@ def test_generators():
         even_cycle(5)
     with pytest.raises(InputError):
         even_cycle(2)
-    with pytest.raises(InputError, match="nothing"):
-        disjoint_union([])
+    for nothing in ([], iter([])):
+        with pytest.raises(InputError, match="nothing"):
+            disjoint_union(nothing)
+    assert disjoint_union(iter([c4, k22])) == disjoint_union([c4, k22])
+    for wrong in (5, None, k22):  # not an iterable of parts
+        with pytest.raises(InputError, match="iterable of BipartiteGraphs"):
+            disjoint_union(wrong)
 
 
 def test_even_cycle_really_is_a_cycle():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hornlr import InputError, Partition, enumerate_partitions
@@ -45,6 +46,10 @@ def test_invalid_parts_rejected():
     for bad in (float("inf"), float("nan"), "a", None, True):
         with pytest.raises(InputError):
             Partition([bad])
+    for bad in (np.True_, np.False_):  # numpy's bool is no int subclass
+        with pytest.raises(InputError):
+            Partition([bad, 2])
+    assert Partition([np.int64(3), 2.0]).parts == (3, 2)
 
 
 def test_part_access_and_padding():

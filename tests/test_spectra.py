@@ -618,20 +618,20 @@ def test_char_poly_computed_once_per_graph(monkeypatch):
     calls = []
     real = graphs._char_poly
 
-    def counting(neighbours, diagonal):
+    def counting(neighbours, *rest):
         calls.append(len(neighbours))
-        return real(neighbours, diagonal)
+        return real(neighbours, *rest)
 
     monkeypatch.setattr(graphs, "_char_poly", counting)
     # the last factor det(xI - (Q - 2I)) is kept; start each count without it
     graphs._factor.cache_clear()
     report = analyze_line_graph(complete_bipartite(3, 3))
     assert report.ramanujan is not None
-    assert calls == [6]  # Q - 2I of K_{3,3}, not the 9 x 9 adjacency
+    assert calls == [3]  # the Gram matrix of K_{3,3}, not the 9 x 9 adjacency
     calls.clear()
     graphs._factor.cache_clear()
     assert classify_regular_ramanujan_case(complete_bipartite(3, 3)) == "lambda0"
-    assert calls == [6]  # the line graph only; lambda_2 is read off its spectrum
+    assert calls == [3]  # the line graph only; lambda_2 is read off its spectrum
     calls.clear()
     exact_spectrum(line_graph(complete_bipartite(3, 3))[0])
     assert calls == []  # the kept factor serves a repeated query
