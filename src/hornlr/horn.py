@@ -13,18 +13,23 @@ recursion, and it is built that way: a triple is kept when its shapes,
 l(I) = (i_r - r, ..., i_1 - 1) and so on, satisfy the inequalities of
 T(r). By saturation (Knutson and Tao, JAMS 1999; Fulton, Bull. AMS 2000)
 these are the triples with c^{l(K)}_{l(I), l(J)} > 0; the tests check
-both routes.
+both routes. Only T(n, r) with 2r <= n, and T(n, n), are filtered that
+way: for n/2 < r < n, T(n, r) is the image of T(n, n - r) under
+I -> {n + 1 - j : j not in I}, which sends l(I) to its conjugate, as
+c^{nu}_{lambda mu} = c^{nu'}_{lambda' mu'}. Generated triples are valid
+by construction and skip IndexTriple's validation; the public
+constructor validates every triple a caller builds.
 
 For each n the inequalities of T(n, 1), ..., T(n, n - 1), in that
 (r, lexicographic) order, form one matrix, built on first use and cached:
 a row has -1 in the columns of I and J and +1 in those of K, so the
 product with (alpha, beta, gamma) gives each inequality's excess
 sum(gamma[K]) - sum(alpha[I]) - sum(beta[J]) at once. Its rows are
-filled from the integer arrays of index sets, one row (I, J, K) per kept
-triple, with which each T(n, r) was filtered; their dtype is the
-smallest unsigned one that holds 3n, so every column index fits for any
-n. A compatibility check is one matrix-vector product, and the sampler
-checks a block of trials with one matrix product.
+filled from the integer array of index sets cached with each T(n, r),
+one row (I, J, K) per triple; their dtype is the smallest unsigned one
+that holds 3n, so every column index fits for any n. A compatibility
+check is one matrix-vector product, and the sampler checks a block of
+trials with one matrix product.
 
 Weyl's inequalities are rows of the same system. T(n, 1), the triples
 {i}, {j}, {k} with i + j = k + 1, gives his upper bounds
@@ -60,12 +65,13 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from numbers import Real
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -86,9 +92,12 @@ class IndexTriple:
     n: int
 
     def __post_init__(self):
-        r = len(self.i)
         if type(self.n) is not int:
             raise InputError(f"n must be an integer, got {brief(self.n)}")
+        for seq in (self.i, self.j, self.k):
+            if type(seq) is not tuple:
+                raise InputError(f"index sets must be tuples, got {brief(seq)}")
+        r = len(self.i)
         if not (1 <= r <= self.n) or len(self.j) != r or len(self.k) != r:
             raise InputError(f"index sets must share a cardinality in 1..{brief(self.n)}")
         for seq in (self.i, self.j, self.k):
@@ -125,26 +134,44 @@ def _u_sets(n: int, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
                 yield i_set, j_set, k_set
 
 
+_new = object.__new__  # bound once: they run for every generated triple
+_set = object.__setattr__
+
+
+def _trusted(i: tuple[int, ...], j: tuple[int, ...], k: tuple[int, ...], n: int) -> IndexTriple:
+    """IndexTriple(i, j, k, n) without its validation, for index sets that
+    are valid by construction: r-subsets from `combinations`, or their
+    conjugates. Neither __init__ nor __post_init__ runs."""
+    t = _new(IndexTriple)
+    _set(t, "i", i)
+    _set(t, "j", j)
+    _set(t, "k", k)
+    _set(t, "n", n)
+    return t
+
+
 def generate_u(n: int, r: int) -> tuple[IndexTriple, ...]:
     """All triples of r-subsets of {1..n} whose index sums satisfy
     sum(I) + sum(J) = sum(K) + r(r+1)/2, in lexicographic (I, J, K) order,
-    each made an IndexTriple from the tuples that `_u_sets` yields.
+    each made an IndexTriple, without re-validation, from the tuples that
+    `_u_sets` yields.
     """
-    return tuple(IndexTriple(i, j, k, n) for i, j, k in _u_sets(n, r))
+    return tuple(_trusted(i, j, k, n) for i, j, k in _u_sets(n, r))
 
 
 def generate_t(n: int, r: int) -> tuple[IndexTriple, ...]:
-    """Horn's family T(n, r): the triples of generate_u(n, r), in its
-    order, whose shapes (l(I), l(J), l(K)) satisfy every row of the
-    cached matrix of T(r); generate_u's sum condition is their trace.
+    """Horn's family T(n, r), in the order of generate_u(n, r).
 
-    The index sets of U(n, r) are read once into an integer array, the
-    rows are applied to the shapes taken from it, and an IndexTriple is
-    made only for each triple kept. Shape entries are integers in
-    0..n - r, summed 3r at a time, so float64 is exact.
-    T(1) has no rows, so T(n, 1) = U(n, 1). Cached per (n, r); the
-    arguments are checked first, as the cache would hash a list before
-    the check could reject it.
+    For 2r <= n and for r = n, the triples of U(n, r) whose shapes
+    (l(I), l(J), l(K)) satisfy every row of the cached matrix of T(r);
+    generate_u's sum condition is their trace. For n/2 < r < n, the
+    conjugates of T(n, n - r): I -> {n + 1 - j : j not in I} sends l(I) to
+    its conjugate partition, and c^{nu}_{lambda mu} = c^{nu'}_{lambda' mu'}
+    (Fulton, Bull. AMS 2000), so by saturation the map is a bijection from
+    T(n, n - r) onto T(n, r). Either way the triples are built without
+    re-validation (see `_t_family`). Cached per (n, r); the arguments are
+    checked first, as the cache would hash a list before the check could
+    reject it.
     """
     _check_dimensions(n, r)
     return _t_family(n, r)[0]
@@ -153,24 +180,54 @@ def generate_t(n: int, r: int) -> tuple[IndexTriple, ...]:
 @lru_cache(maxsize=None)
 def _t_family(n: int, r: int) -> tuple[tuple[IndexTriple, ...], np.ndarray]:
     """T(n, r) as generate_t returns it, and a read-only integer array
-    of the same triples' index sets, one row (I, J, K) per triple.
+    of the same triples' index sets, one row (I, J, K) per triple. The
+    dtype is np.min_scalar_type(3n), so it also holds every column index
+    0..3n - 1 of the matrix of T(n).
 
-    One np.fromiter reads the tuples of _u_sets(n, r) into that array; the
-    float64 shapes are its blocks of r columns reversed, less (r, ..., 1).
-    The kept triples reuse those tuples. The dtype is np.min_scalar_type(3n),
-    so it also holds every column index 0..3n - 1 of the matrix of T(n)."""
-    u_sets = list(_u_sets(n, r))
-    flat = chain.from_iterable(chain.from_iterable(u_sets))
-    sets = np.fromiter(flat, np.min_scalar_type(3 * n), 3 * r * len(u_sets)).reshape(-1, 3 * r)
-    shapes = np.subtract(sets.reshape(-1, 3, r)[:, :, ::-1], np.arange(r, 0, -1), dtype=np.float64)
-    shapes = shapes.reshape(-1, 3 * r)
-    keep = np.ones(len(sets), dtype=bool)
-    for row in _horn_system(r)[1]:  # not one product: |U(n, r)| x |T(r)|
-        keep &= shapes @ row <= 0
-    family = tuple(IndexTriple(i, j, k, n) for (i, j, k), ok in zip(u_sets, keep) if ok)
-    sets = sets[keep]
+    For 2r <= n and r = n (T(n, 0) does not exist), one np.fromiter reads
+    the tuples of _u_sets(n, r) into an array, and the rows of T(r) are
+    applied to the float64 shapes, its blocks of r columns reversed, less
+    (r, ..., 1). Shape entries are integers in 0..n - r, summed 3r at a
+    time, so float64 is exact. T(1) has no rows, so T(n, 1) = U(n, 1).
+    The kept triples reuse U's tuples. For n/2 < r < n, the array is the
+    conjugate of T(n, n - r)'s (`_conjugate_sets`), its rows sorted
+    lexicographically, and equal index sets share one tuple. Every triple
+    is made by `_trusted`: its sets are r-subsets in increasing order by
+    construction, so the validation of IndexTriple would find nothing."""
+    if n < 2 * r < 2 * n:
+        sets = _conjugate_sets(_t_family(n, n - r)[1], n)
+        sets = sets[np.lexsort(sets.T[::-1])]
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        share = lambda s: shared.setdefault(s, s)
+        family = tuple(
+            _trusted(share(tuple(row[:r])), share(tuple(row[r : 2 * r])), share(tuple(row[2 * r :])), n)
+            for row in sets.tolist()
+        )
+    else:
+        u_sets = list(_u_sets(n, r))
+        flat = chain.from_iterable(chain.from_iterable(u_sets))
+        sets = np.fromiter(flat, np.min_scalar_type(3 * n), 3 * r * len(u_sets)).reshape(-1, 3 * r)
+        shapes = np.subtract(sets.reshape(-1, 3, r)[:, :, ::-1], np.arange(r, 0, -1), dtype=np.float64)
+        shapes = shapes.reshape(-1, 3 * r)
+        keep = np.ones(len(sets), dtype=bool)
+        for row in _horn_system(r)[1]:  # not one product: |U(n, r)| x |T(r)|
+            keep &= shapes @ row <= 0
+        family = tuple(_trusted(i, j, k, n) for (i, j, k), ok in zip(u_sets, keep) if ok)
+        sets = sets[keep]
     sets.flags.writeable = False
     return family, sets
+
+
+def _conjugate_sets(sets: np.ndarray, n: int) -> np.ndarray:
+    """Each index set of `sets` (rows (I, J, K), s columns each) mapped to
+    {n + 1 - j : j not in I}, in increasing order, rows kept in place: the
+    complement reflected, read off a membership mask of each set whose
+    columns are reversed and negated. Same dtype."""
+    s = sets.shape[1] // 3
+    member = np.zeros((len(sets), 3, n), dtype=bool)
+    np.put_along_axis(member, sets.reshape(-1, 3, s).astype(np.intp) - 1, True, axis=2)
+    value = np.flatnonzero(~member[:, :, ::-1]) % n + 1  # row-major: each set in increasing order
+    return value.astype(sets.dtype).reshape(len(sets), 3 * (n - s))
 
 
 @lru_cache(maxsize=None)
@@ -275,9 +332,9 @@ def check_inequality(
     """sum(gamma[K]) <= sum(alpha[I]) + sum(beta[J]) up to `tol`."""
     if not isinstance(t, IndexTriple):
         require_type(IndexTriple, t=t)
-    for vec in (alpha, beta, gamma):
-        if len(vec) != t.n:
-            raise InputError(f"spectrum length {len(vec)} does not match n={t.n}")
+    n = _common_length(alpha, beta, gamma)
+    if n != t.n:
+        raise InputError(f"spectrum length {n} does not match n={t.n}")
     _, (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
     return _holds(t, alpha, beta, gamma, slack)
 
@@ -289,10 +346,24 @@ def trace_condition(
     tol: Optional[float] = None,
 ) -> bool:
     """sum(gamma) equals sum(alpha) + sum(beta) up to `tol`."""
-    if len(alpha) != len(beta) or len(beta) != len(gamma):
-        raise InputError("spectra must have equal length")
+    _common_length(alpha, beta, gamma)
     _, (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
     return _trace_holds(alpha, beta, gamma, slack)
+
+
+def _common_length(*vectors) -> int:
+    """The length shared by the spectra `vectors`. Each must be a
+    sequence, a numpy array of one dimension included: None, numbers,
+    iterators and sets raise InputError, as do unequal lengths."""
+    for vec in vectors:
+        sequence = isinstance(vec, (list, tuple, Sequence))  # list and tuple first: the ABC is slower
+        if not sequence and not (isinstance(vec, np.ndarray) and vec.ndim == 1):
+            raise InputError(f"a spectrum must be a sequence of numbers, got {brief(vec)}")
+    n = len(vectors[0])
+    for vec in vectors:
+        if len(vec) != n:
+            raise InputError("spectra must have equal length")
+    return n
 
 
 def _trace_holds(alpha, beta, gamma, slack) -> bool:
@@ -378,9 +449,7 @@ def find_horn_violation(
     the sums directly, so the witness is the one the row-by-row scan
     finds (see the module docstring).
     """
-    n = len(alpha)
-    if len(beta) != n or len(gamma) != n:
-        raise InputError("spectra must have equal length")
+    _common_length(alpha, beta, gamma)
     exact, (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
     if not _trace_holds(alpha, beta, gamma, slack):
         return "trace"
@@ -407,9 +476,7 @@ def weyl_bounds(
     For 1 <= k <= n the lower window is i = k..n and the upper one
     i = 1..k, so neither is empty.
     """
-    n = len(alpha)
-    if len(beta) != n:
-        raise InputError("spectra must have equal length")
+    n = _common_length(alpha, beta)
     if type(k) is not int or not 1 <= k <= n:
         raise InputError(f"need an integer 1 <= k <= n, got k={brief(k)}, n={n}")
     _, (alpha, beta) = _inspect((alpha, beta))

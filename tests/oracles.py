@@ -9,14 +9,16 @@ graph canonical forms by maximising over every order of a class instead
 of the degree-sorted ones only, Horn's families T(n, r) by Horn's
 recursion over T(r, p), p < r, written out triple by triple, and by LR
 positivity, instead of the matrix of T(r) applied to every shape at
-once, candidate sets P(alpha, beta) by filtering every partition of 2e
-into nu - 1 parts instead of a moment-pruned search, and by the
+once, and by filtering U(n, r) for every r instead of taking
+T(n, n - r) as the conjugates of T(n, r), candidate sets P(alpha, beta)
+by filtering every partition of 2e into nu - 1 parts instead of a
+moment-pruned search, and by the
 moment-pruned search with the single cap alpha_1 + beta_1 on the first
 part instead of a Weyl cap on every part, and Horn's
 inequalities by checking the triples of T(n, r) one at a time, in order,
 instead of one product with a matrix of all of them (for single checks
 and, trial by trial, for the sampler), that matrix by reading the index
-sets of each IndexTriple instead of the integer arrays that filtered
+sets of each IndexTriple instead of the integer arrays cached with
 T(n, r), line graphs by testing every pair of edges for a
 shared endpoint instead of pairing the edges within each star, and
 line-graph diameters by a BFS from each of the e vertices of the line
@@ -38,6 +40,7 @@ import numpy as np
 from hornlr import (
     BipartiteGraph,
     Graph,
+    IndexTriple,
     InputError,
     Partition,
     TheoremViolation,
@@ -290,6 +293,30 @@ def recursive_t(n, r):
         if ok:
             out.append(triple)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def filtered_t(n, r):
+    """T(n, r) and a read-only index array of its triples, one row
+    (I, J, K) per triple, of dtype np.min_scalar_type(3n), by filtering
+    U(n, r) with the rows of T(r) for every r, T(n, n - r) included,
+    instead of taking n/2 < r < n as conjugates. The rows of T(r) are
+    this oracle's own T(r, p), p < r, applied one at a time to the shapes
+    of all of U(n, r); each kept triple goes through IndexTriple's public,
+    validating constructor."""
+    u_sets = [(t.i, t.j, t.k) for t in generate_u(n, r)]
+    sets = np.array([i + j + k for i, j, k in u_sets], dtype=np.min_scalar_type(3 * n))
+    shapes = (sets.reshape(-1, 3, r)[:, :, ::-1] - np.arange(r, 0, -1)).reshape(-1, 3 * r)
+    keep = np.ones(len(sets), dtype=bool)
+    for p in range(1, r):
+        offsets = np.repeat(np.arange(0, 3 * r, r), p) - 1
+        for row in filtered_t(r, p)[1]:
+            picked = shapes[:, row + offsets]
+            keep &= picked[:, 2 * p :].sum(axis=1) <= picked[:, : 2 * p].sum(axis=1)
+    family = tuple(IndexTriple(*u, n) for u, ok in zip(u_sets, keep) if ok)
+    sets = sets[keep]
+    sets.flags.writeable = False
+    return family, sets
 
 
 def horn_matrix_by_triples(n):

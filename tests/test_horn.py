@@ -32,6 +32,7 @@ from hornlr.horn import (
 
 from oracles import (
     all_partitions,
+    filtered_t,
     horn_matrix_by_triples,
     recursive_t,
     sample_by_trial,
@@ -104,38 +105,71 @@ def test_generate_t_matches_lr_positivity():
             assert generate_t(n, r) == t_by_lr(n, r), (n, r)
 
 
-def test_index_triples_made_only_for_kept_triples(monkeypatch):
-    # U(n, r) stays tuples while the rows of T(r) are applied; each kept
-    # triple is then made an IndexTriple once, through its one constructor
-    made = 0
-    validate = IndexTriple.__post_init__
+def test_t_family_matches_filtering_every_r():
+    # T(n, r) for n/2 < r < n is taken as the conjugates of T(n, n - r);
+    # filtering U(n, r) with T(r) gives the same triples, order, index
+    # array, dtype and read-only flag
+    for n in range(1, 10):
+        for r in range(1, n + 1):
+            family, sets = _t_family(n, r)
+            expected, expected_sets = filtered_t(n, r)
+            assert family == expected, (n, r)
+            assert sets.dtype == expected_sets.dtype, (n, r)
+            assert np.array_equal(sets, expected_sets), (n, r)
+            assert not sets.flags.writeable, (n, r)
 
-    def counting(self):
-        nonlocal made
-        made += 1
-        validate(self)
+
+def test_generated_triples_pass_the_public_constructor():
+    # generated triples skip IndexTriple's validation; each must equal the
+    # triple its public constructor builds (which rejects numpy integers)
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            for t in (*generate_u(n, r), *generate_t(n, r)):
+                assert t == IndexTriple(t.i, t.j, t.k, t.n), (n, r, t)
+    # conjugated rows share one tuple per distinct index set
+    family = generate_t(8, 5)
+    sets = {s for t in family for s in (t.i, t.j, t.k)}
+    assert len({id(s) for t in family for s in (t.i, t.j, t.k)}) == len(sets)
+
+
+def test_generation_skips_the_validator(monkeypatch):
+    # U(n, r) and T(n, r), by filtering or by conjugation, are built
+    # without running IndexTriple's __init__ or __post_init__, and the
+    # matrix of T(n) is filled from the cached index arrays without
+    # reading an attribute of any IndexTriple
+    def refuse(*args, **kwargs):
+        raise AssertionError("IndexTriple validated a generated triple")
 
     for r in range(2, 7):
         _horn_system(r)
-    monkeypatch.setattr(IndexTriple, "__post_init__", counting)
-    for n in range(3, 8):
-        for r in range(2, n):
-            made = 0
-            family, sets = _t_family.__wrapped__(n, r)
-            assert made == len(family), (n, r)
-            assert family == generate_t(n, r)
-            assert [(t.i, t.j, t.k) for t in generate_u(n, r)] == list(_u_sets(n, r))
-    # the matrix of T(n) is filled from the cached families' index arrays
+    with monkeypatch.context() as patch:
+        patch.setattr(IndexTriple, "__init__", refuse)
+        patch.setattr(IndexTriple, "__post_init__", refuse)
+        made = {(n, r): _t_family.__wrapped__(n, r) for n in range(3, 8) for r in range(1, n + 1)}
+        u = {(n, r): generate_u(n, r) for n in range(3, 8) for r in range(1, n + 1)}
+    for (n, r), (family, sets) in made.items():
+        assert family == generate_t(n, r), (n, r)
+        assert np.array_equal(sets, _t_family(n, r)[1]), (n, r)
+        assert [(t.i, t.j, t.k) for t in u[n, r]] == list(_u_sets(n, r)), (n, r)
+    reads = 0
+    read = IndexTriple.__getattribute__
+
+    def counting(self, name):
+        nonlocal reads
+        reads += 1
+        return read(self, name)
+
     for n in range(3, 8):
         families = [generate_t(n, r) for r in range(1, n)]
-        made = 0
-        triples, _ = _horn_system.__wrapped__(n)
-        assert made == 0, n
+        with monkeypatch.context() as patch:
+            patch.setattr(IndexTriple, "__getattribute__", counting)
+            triples, _ = _horn_system.__wrapped__(n)
+        assert reads == 0, n
         assert triples == sum(families, ())
 
 
 def test_horn_system_matches_fill_by_triples():
-    # the matrix of T(n) from the index arrays that filtered T(n, r) equals
+    # the matrix of T(n) from the index arrays cached with T(n, r) equals
     # the one filled from each IndexTriple's attributes; both are shared
     for n in range(1, 9):
         triples, matrix = _horn_system(n)
@@ -168,6 +202,10 @@ def test_invalid_dimensions_rejected():
     for bad in [((1.5,), (1,), (1,)), ((1,), ("1",), (1,)), ((1,), (1,), (True,))]:
         with pytest.raises(InputError):
             IndexTriple(*bad, 2)
+    # index sets must be tuples: a list would be accepted, then fail to hash
+    for bad in [(1, 1, 1), (None, None, None), ([1], [1], [1]), ((1,), [1], (1,)), ((1,), (1,), range(1, 2))]:
+        with pytest.raises(InputError, match="must be tuples"):
+            IndexTriple(*bad, 2)
     for bad in ([1], ((1,), (1,), (1,), 2), None):
         with pytest.raises(InputError, match="must be a IndexTriple"):
             check_inequality(bad, (1, 0), (1, 0), (2, 0))
@@ -180,6 +218,29 @@ def test_invalid_dimensions_rejected():
         find_horn_violation((1, 0), (1,), (2, 0))
     with pytest.raises(InputError, match="equal length"):
         weyl_bounds((1, 0), (1,), 1)
+
+
+NOT_SEQUENCES = [None, 2, 2.0, iter([1, 0]), {1, 0}, {1: 0}, np.array(1)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: find_horn_violation(v, [1, 0], [2, 0]),
+        lambda v: horn_compatible([1, 0], v, [2, 0]),
+        lambda v: trace_condition([1, 0], [1, 0], v),
+        lambda v: weyl_bounds(v, [1, 0], 1),
+        lambda v: weyl_bounds([1, 0], v, 1),
+        lambda v: check_inequality(IndexTriple((1,), (1,), (1,), 2), [1, 0], v, [2, 0]),
+    ],
+    ids=["find_horn_violation", "horn_compatible", "trace_condition", "weyl_alpha", "weyl_beta", "check_inequality"],
+)
+def test_non_sequence_spectra_rejected(call):
+    for bad in NOT_SEQUENCES:
+        with pytest.raises(InputError, match="must be a sequence"):
+            call(bad)
+    # a numpy array of one dimension is a sequence here
+    call(np.array([1, 0]))
 
 
 def test_index_triple_validation():
