@@ -31,6 +31,11 @@ that holds 3n, so every column index fits for any n. A compatibility
 check is one matrix-vector product, and the sampler checks a block of
 trials with one matrix product.
 
+The sampler draws its matrices from the standard library's
+random.Random(seed), 64 bits per entry read from one randbytes call per
+block of trials, so numpy.random, which numpy imports lazily at a cost of
+milliseconds and megabytes, is never imported.
+
 Weyl's inequalities are rows of the same system. T(n, 1), the triples
 {i}, {j}, {k} with i + j = k + 1, gives his upper bounds
 gamma_k <= alpha_i + beta_j; the same rows on the mirror image, each
@@ -64,6 +69,7 @@ machine and nothing larger is refused, it just costs time.
 from __future__ import annotations
 
 import math
+import random
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -512,8 +518,13 @@ def sample_necessity(
     """Sample random symmetric matrix pairs and test every condition that
     the spectra of A, B and A + B are guaranteed to satisfy.
 
-    Entries are drawn uniformly from [-1, 1] (symmetric: the upper
-    triangle is sampled and mirrored), A before B, one pair after another.
+    Entries are drawn uniformly from [-1, 1) by the standard library's
+    random.Random(seed), the Mersenne Twister: 64 random bits u per entry
+    give (u >> 11) * 2**-52 - 1. Each matrix is drawn whole, row-major, and
+    its upper triangle mirrored; A before B, one pair after another. This
+    is not the stream of 0.1.0 as released, which drew from numpy's
+    default_rng: a seed gives other matrices than it did there, though
+    every report keeps its meaning. numpy.random is never imported.
     For each pair, the trace identity, every inequality in T(n, r) for
     r < n, and every per-index window from `weyl_bounds` are checked
     against `tol` (None means DEFAULT_TOL). The windows are checked as
@@ -532,7 +543,7 @@ def sample_necessity(
     if type(seed) is not int or seed < 0:
         raise InputError(f"seed must be an integer >= 0, got {brief(seed)}")
     tol = _tolerance(tol)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     triples, matrix = _horn_system(n)
     weyl = _t_family(n, 1)[0]
     split = (len(triples), len(triples) + len(weyl))
@@ -553,10 +564,16 @@ def sample_necessity(
     return SampleReport(n, trials, tol, trace_bad, ineq_bad, weyl_bad)
 
 
-def _sample_spectra(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+def _sample_spectra(rng: random.Random, n: int, size: int) -> np.ndarray:
     """Descending spectra of `size` random pairs A, B and of A + B, one row
-    (alpha, beta, gamma) of length 3n per pair."""
-    draws = rng.uniform(-1.0, 1.0, size=(size, 2, n, n))
+    (alpha, beta, gamma) of length 3n per pair.
+
+    The entries come from one rng.randbytes call, read as little-endian
+    64-bit words, which are the words of per-entry rng.getrandbits(64)
+    calls in the same order; each word u gives (u >> 11) * 2**-52 - 1 in
+    [-1, 1), exactly, as u >> 11 has 53 bits."""
+    words = np.frombuffer(rng.randbytes(8 * size * 2 * n * n), dtype="<u8")
+    draws = ((words >> 11) * 2.0**-52 - 1.0).reshape(size, 2, n, n)
     pairs = np.triu(draws) + np.swapaxes(np.triu(draws, 1), -1, -2)
     a, b = pairs[:, 0], pairs[:, 1]
     return np.linalg.eigvalsh(np.stack((a, b, a + b), axis=1))[..., ::-1].reshape(size, 3 * n)

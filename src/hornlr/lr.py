@@ -6,7 +6,11 @@ to left within rows, rows top to bottom) is a lattice word: every prefix
 contains at least as many i's as (i+1)'s. Counting is by depth-first
 backtracking over the cells in reverse reading order, pruning on the
 first violated constraint; positivity queries stop at the first
-completed tableau.
+completed tableau. A cell's neighbours to the right and above, the
+bounds on its value, are found by arithmetic on the offset of each row's
+first cell, with no table of cells: the one to the right is the cell
+before it, unless it comes first in its row, and the one above lies in
+the row before at the same column, unless that column is in alpha.
 """
 
 from __future__ import annotations
@@ -85,17 +89,30 @@ def _lr_count(
     it, and the cell count equals sum(content).
     """
     nvals = len(content)
-    cells = []
-    for r, g in enumerate(gamma):
-        for c in range(g - 1, inner[r] - 1, -1):
-            cells.append((r, c))
-    ncells = len(cells)
+    ncells = sum(gamma) - sum(inner)
     if ncells == 0:
         return 1
 
-    index = {cell: t for t, cell in enumerate(cells)}
-    above = [index.get((r - 1, c), -1) for r, c in cells]
-    right = [index.get((r, c + 1), -1) for r, c in cells]
+    # Cell t is found by arithmetic on the index `start` of its row's first
+    # cell, at column g - 1 (g = gamma[r]): column c is t = start + g - 1 - c.
+    # Its right neighbour is t - 1 unless t = start. The cell above, at
+    # column c of the row before, exists when c >= inner[r - 1] (c < g <=
+    # gamma[r - 1] always); the cells between the two in reading order are
+    # (r - 1, c - 1 .. inner[r - 1]) and (r, g - 1 .. c + 1), so it is
+    # t - (g - inner[r - 1]). A row without cells adds none; the row after
+    # it finds no cell above, as there inner[r - 1] = gamma[r - 1] > c.
+    right = list(range(-1, ncells - 1))
+    above = [-1] * ncells
+    start = 0
+    inner_above = gamma[0]  # row 0 has no row above: no c >= gamma[0]
+    for g, lo in zip(gamma, inner):
+        if g > lo:
+            right[start] = -1
+            shift = g - inner_above
+            for t in range(start, start + g - max(lo, inner_above)):
+                above[t] = t - shift
+            start += g - lo
+        inner_above = lo
 
     # values[t] is the value placed in cell t, 0 while the cell is empty;
     # depth t walks forward on a placement and back when a cell runs out.

@@ -28,10 +28,14 @@ of the characteristic polynomial, and the case label of a regular graph
 with an integral Ramanujan line graph from the base graph's own spectrum
 instead of the line spectrum shifted by s - 2, and characteristic
 polynomials by the Faddeev-LeVerrier recurrence on rows kept as lists
-of integers instead of rows packed into one integer each.
+of integers instead of rows packed into one integer each, and the
+sampler's random entries by one getrandbits call each, mirrored entry by
+entry, instead of one randbytes block per block of trials read as an
+array.
 """
 
 import math
+import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -78,11 +82,30 @@ def brute_force_lr(gamma, alpha, beta):
     if not cells:
         return 1
     count = 0
-    for perm in set(permutations(content)):
+    for perm in _distinct_permutations(content):
         filling = dict(zip(cells, perm))
         if _is_semistandard(filling) and _is_lattice(filling, gamma, pad_a):
             count += 1
     return count
+
+
+def _distinct_permutations(items):
+    """Every distinct ordering of `items`, in lexicographic order, by the
+    classic next-permutation step: no repeat is generated, so content with
+    one value (a Pieri product of any size) is one placement."""
+    perm = sorted(items)
+    while True:
+        yield tuple(perm)
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1 :] = reversed(perm[i + 1 :])
 
 
 def _is_semistandard(filling):
@@ -428,9 +451,10 @@ def _first_rejected(alpha, beta, gamma, tol):
 
 def sample_by_trial(n, trials, tol, seed):
     """sample_necessity one trial at a time: draw A, then B, from the
-    same random stream, take each spectrum on its own, and check the
-    trace, the triples of T(n, r) one by one and every Weyl window."""
-    rng = np.random.default_rng(seed)
+    same random stream, entry by entry, take each spectrum on its own,
+    and check the trace, the triples of T(n, r) one by one and every Weyl
+    window."""
+    rng = random.Random(seed)
     trace_bad = ineq_bad = weyl_bad = 0
     for _ in range(trials):
         a, b = (_random_symmetric(rng, n) for _ in range(2))
@@ -445,8 +469,11 @@ def sample_by_trial(n, trials, tol, seed):
 
 
 def _random_symmetric(rng, n):
-    m = rng.uniform(-1.0, 1.0, size=(n, n))
-    return np.triu(m) + np.triu(m, 1).T
+    """An n x n matrix of entries in [-1, 1), one getrandbits(64) call
+    each, row-major, with its upper triangle mirrored: 53 bits u of each
+    call give u / 2**52 - 1."""
+    m = [[(rng.getrandbits(64) >> 11) / 2**52 - 1 for _ in range(n)] for _ in range(n)]
+    return np.array([[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
 
 
 def classify_by_base_spectrum(bg):

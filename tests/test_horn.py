@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -7,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hornlr
 from hornlr import (
     IndexTriple,
     InputError,
@@ -493,6 +496,23 @@ def test_sample_necessity_matches_per_trial_oracle():
                 assert sample_necessity(n, trials, tol, seed) == sample_by_trial(n, trials, tol, seed)
     report = sample_necessity(2, _SAMPLE_BLOCK + 5, -0.05, 205)
     assert report.trace_violations and report.inequality_violations and report.weyl_violations
+
+
+def test_sampling_leaves_numpy_random_unimported():
+    # numpy imports numpy.random lazily, at a cost of milliseconds and
+    # megabytes in every fresh interpreter; the sampler draws without it
+    src = os.path.dirname(os.path.dirname(hornlr.__file__))
+    code = (
+        "import sys; from hornlr import sample_necessity; "
+        "report = sample_necessity(5, 60, seed=1); "
+        "print(report.total_violations, 'numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "0 False\n"
 
 
 def test_sample_screen_flags_every_failure():

@@ -39,6 +39,31 @@ def test_matches_brute_force_exhaustively():
                 assert lr_positive(P(a), P(b), P(g)) == (expected > 0)
 
 
+def test_neighbour_indexing_edge_cases():
+    # the kernel finds the neighbours of a cell by arithmetic on row offsets
+    shapes = [
+        ((3, 2, 1), (3, 1)),  # gamma's row equals alpha's: at the top
+        ((4, 2, 1), (3, 2)),  # in the middle
+        ((3, 2, 1), (2, 1, 1)),  # at the bottom
+        ((3, 3, 3, 1), (3, 1, 1, 1)),  # at the top and at the bottom
+        ((5, 3, 3, 2), (4, 3, 1)),  # in the middle, with cells on both sides
+        ((4, 3), (2, 1)),  # (1, 1) lies under alpha, (1, 2) under a cell
+        ((4, 4, 2), (3, 1)),  # under alpha in two rows
+        ((3, 3, 3), (2, 2, 2)),  # one column
+        ((2, 1, 1, 1), (2,)),  # one column below alpha
+        ((1, 1, 1, 1), ()),  # one column, alpha empty
+        ((3, 2, 1), (2, 1)),  # one cell per row, none adjacent
+    ]
+    for gamma, alpha in shapes:
+        cells = sum(gamma) - sum(alpha)
+        for beta in all_partitions(cells):
+            if sum(beta) != cells:
+                continue
+            expected = brute_force_lr(gamma, alpha, beta)
+            assert lr_coefficient(P(alpha), P(beta), P(gamma)) == expected, (gamma, alpha, beta)
+            assert lr_positive(P(alpha), P(beta), P(gamma)) == (expected > 0)
+
+
 def test_symmetry_in_the_factors():
     rng = random.Random(3)
     pool = all_partitions(7, max_part=5, max_length=4)
@@ -71,9 +96,17 @@ def test_pieri_rule_for_one_row_factors():
 
 def test_long_pieri_rows_on_the_pure_backend():
     # one cell per search step: a recursive search would exceed the
-    # interpreter's recursion limit here
+    # interpreter's recursion limit here. The benchmark's Pieri products
+    # (k = 1000, 1100) are also checked against the brute force, for which
+    # content of one value is one placement.
     assert lr_coefficient(P([1200]), P([1200]), P([2400])) == 1
     assert lr_coefficient(P([1200]), P([1200]), P([1200, 1200])) == 1
+    for k in (1000, 1100):
+        for gamma in ((2 * k,), (k, k), (2 * k - 1, 1)):
+            expected = brute_force_lr(gamma, (k,), (k,))
+            assert expected == pieri_coefficient(k, k, gamma)
+            assert lr_coefficient(P([k]), P([k]), P(gamma)) == expected
+            assert lr_positive(P([k]), P([k]), P(gamma)) == (expected > 0)
 
 
 def test_a_coefficient_bigger_than_one():
