@@ -27,20 +27,17 @@ from .graphs import (
     line_graph,
     matching,
     numeric_spectrum,
-    star_decomposition,
 )
 from .horn import (
     IndexTriple,
-    check_inequality,
     find_horn_violation,
     generate_t,
     generate_u,
     horn_compatible,
     sample_necessity,
-    trace_condition,
     weyl_bounds,
 )
-from .lr import SkewShape, lr_coefficient, lr_positive
+from .lr import lr_coefficient, lr_positive
 from .partitions import Partition, enumerate_partitions
 from .spectra import (
     CandidateSet,
@@ -52,7 +49,6 @@ from .spectra import (
     moment_c,
     moment_d,
     ramanujan_verdict,
-    regular_line_spectrum_template,
 )
 
 __version__ = "0.1.0"
@@ -70,13 +66,11 @@ __all__ = [
     "InputError",
     "Partition",
     "RamanujanVerdict",
-    "SkewShape",
     "SpectrumReport",
     "TheoremViolation",
     "analyze_line_graph",
     "bipartite_complement",
     "char_poly_exact",
-    "check_inequality",
     "classify_regular_ramanujan_case",
     "clique_number",
     "complete_bipartite",
@@ -102,9 +96,6 @@ __all__ = [
     "moment_d",
     "numeric_spectrum",
     "ramanujan_verdict",
-    "regular_line_spectrum_template",
     "sample_necessity",
-    "star_decomposition",
-    "trace_condition",
     "weyl_bounds",
 ]

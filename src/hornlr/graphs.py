@@ -132,13 +132,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.order) for v in self._adj[u] if u < v]
 
-    def adjacency_rows(self) -> list[list[int]]:
-        rows = [[0] * self.order for _ in range(self.order)]
-        for u, nb in enumerate(self._adj):
-            for v in nb:
-                rows[u][v] = 1
-        return rows
-
     def regular_degree(self) -> Optional[int]:
         """Common degree if the graph is regular, else None."""
         degs = set(self.degrees())
@@ -264,26 +257,9 @@ def line_graph(bg: BipartiteGraph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     edges = bg.sorted_edges
     if not edges:
         raise InputError("line graph of an edgeless graph is undefined")
-    lg = Graph(len(edges), _star_pairs(_stars(bg)))
+    lg = Graph(len(edges), [pair for star in _stars(bg) for pair in combinations(star, 2)])
     lg._base = bg
     return lg, edges
-
-
-def star_decomposition(bg: BipartiteGraph) -> tuple[Graph, Graph]:
-    """Split the line graph's adjacency by which endpoint is shared.
-
-    Returns (G_X, G_Y) on the edge set of `bg` (same ordering as
-    line_graph): G_X joins edges meeting in X, G_Y those meeting in Y.
-    Their adjacency matrices sum to the line graph's, entrywise; G_X is
-    a disjoint union of cliques, one per X vertex, and likewise G_Y.
-    """
-    if not isinstance(bg, BipartiteGraph):
-        require_type(BipartiteGraph, bg=bg)
-    e, m = bg.edge_count, bg.x_size
-    if not e:
-        raise InputError("star decomposition of an edgeless graph is undefined")
-    stars = _stars(bg)
-    return Graph(e, _star_pairs(stars[:m])), Graph(e, _star_pairs(stars[m:]))
 
 
 def _stars(bg: BipartiteGraph) -> list[list[int]]:
@@ -300,10 +276,6 @@ def _edge_pairs(bg: BipartiteGraph) -> list[tuple[int, int]]:
     """The edges of `bg` in `sorted_edges` order, each as (x, m + y):
     its two vertices in the numbering of the neighbour lists."""
     return [(x, v) for x, nb in enumerate(bg._adj[: bg.x_size]) for v in nb]
-
-
-def _star_pairs(stars: Iterable[list[int]]) -> list[tuple[int, int]]:
-    return [pair for star in stars for pair in combinations(star, 2)]
 
 
 def degree_partitions(bg: BipartiteGraph) -> tuple[Partition, Partition]:
@@ -871,14 +843,6 @@ def parse_graph_json(text: str) -> BipartiteGraph:
         return BipartiteGraph(x_size, y_size, edges)
     except InputError as exc:
         raise FormatError(str(exc)) from None
-
-
-def graph_to_json_dict(bg: BipartiteGraph) -> dict:
-    return {
-        "x_size": bg.x_size,
-        "y_size": bg.y_size,
-        "edges": [[x, y] for x, y in bg.sorted_edges],
-    }
 
 
 def load_graph(path) -> BipartiteGraph:

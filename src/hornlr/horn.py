@@ -81,7 +81,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import InputError, brief, require_type
+from .errors import InputError, brief
 
 Number = Union[int, float, Fraction]
 
@@ -326,35 +326,6 @@ def _first_violation(alpha, beta, gamma, exact: bool, slack) -> Optional[IndexTr
     else:
         rows = range(len(triples))
     return _first_confirmed(triples, rows, alpha, beta, gamma, slack)
-
-
-def check_inequality(
-    t: IndexTriple,
-    alpha: Sequence[Number],
-    beta: Sequence[Number],
-    gamma: Sequence[Number],
-    tol: Optional[float] = None,
-) -> bool:
-    """sum(gamma[K]) <= sum(alpha[I]) + sum(beta[J]) up to `tol`."""
-    if not isinstance(t, IndexTriple):
-        require_type(IndexTriple, t=t)
-    n = _common_length(alpha, beta, gamma)
-    if n != t.n:
-        raise InputError(f"spectrum length {n} does not match n={t.n}")
-    _, (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
-    return _holds(t, alpha, beta, gamma, slack)
-
-
-def trace_condition(
-    alpha: Sequence[Number],
-    beta: Sequence[Number],
-    gamma: Sequence[Number],
-    tol: Optional[float] = None,
-) -> bool:
-    """sum(gamma) equals sum(alpha) + sum(beta) up to `tol`."""
-    _common_length(alpha, beta, gamma)
-    _, (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
-    return _trace_holds(alpha, beta, gamma, slack)
 
 
 def _common_length(*vectors) -> int:
@@ -602,14 +573,10 @@ def _screen_block(spectra: np.ndarray, matrix: np.ndarray, n: int, tol):
     return flagged, flagged.any(axis=1) | (np.abs(gamma - alpha - beta) > bound[:, 0])
 
 
-def is_weakly_decreasing(values: Sequence[Number], tol: float = 0.0) -> bool:
-    return all(values[i] + tol >= values[i + 1] for i in range(len(values) - 1))
-
-
 def as_spectrum(values: Sequence[Number], tol: Optional[float] = None) -> tuple[Number, ...]:
     """Validate and freeze a weakly decreasing spectrum vector."""
     vec = tuple(values)
     _, (checked,), slack = _prepared((vec,), tol)
-    if not is_weakly_decreasing(checked, slack):
+    if not all(checked[i] + slack >= checked[i + 1] for i in range(len(checked) - 1)):
         raise InputError(f"spectrum must be weakly decreasing: {brief(vec)}")
     return vec

@@ -15,31 +15,10 @@ the row before at the same column, unless that column is in alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InputError, require_type
+from .errors import require_type
 from .partitions import Partition
-
-
-@dataclass(frozen=True)
-class SkewShape:
-    """The diagram gamma/alpha: cells of `outer` not in `inner`."""
-
-    outer: Partition
-    inner: Partition
-
-    def __post_init__(self):
-        if not (isinstance(self.outer, Partition) and isinstance(self.inner, Partition)):
-            require_type(Partition, outer=self.outer, inner=self.inner)
-        if not self.outer.contains(self.inner):
-            raise InputError(
-                f"inner shape {self.inner} does not fit inside {self.outer}"
-            )
-
-    @property
-    def cell_count(self) -> int:
-        return self.outer.size - self.inner.size
 
 
 def lr_coefficient(alpha: Partition, beta: Partition, gamma: Partition) -> int:

@@ -30,19 +30,24 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         cleaned = []
-        for p in parts:
-            if type(p) is not int:  # a bool, numpy scalar, float or other value
-                try:
-                    whole = p == int(p) and not isinstance(p, (bool, np.bool_))
-                except (TypeError, ValueError, OverflowError):
-                    whole = False
-                if not whole:
-                    raise InputError(f"partition parts must be integers, got {brief(p)}")
-                p = int(p)
-            if p < 0:
-                raise InputError(f"partition parts must be non-negative, got {brief(p)}")
-            if p > 0:
-                cleaned.append(p)
+        try:
+            for p in parts:
+                if type(p) is not int:  # a bool, numpy scalar, float or other value
+                    try:
+                        whole = p == int(p) and not isinstance(p, (bool, np.bool_))
+                    except (TypeError, ValueError, OverflowError):
+                        whole = False
+                    if not whole:
+                        raise InputError(f"partition parts must be integers, got {brief(p)}")
+                    p = int(p)
+                if p < 0:
+                    raise InputError(f"partition parts must be non-negative, got {brief(p)}")
+                if p > 0:
+                    cleaned.append(p)
+        except TypeError:  # `parts` is not iterable
+            raise InputError(
+                f"partition parts must be an iterable of integers, got {brief(parts)}"
+            ) from None
         cleaned.sort(reverse=True)
         self._parts = tuple(cleaned)
 

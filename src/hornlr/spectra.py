@@ -528,43 +528,6 @@ def analyze_line_graph(bg: BipartiteGraph, include_p_set: bool = False) -> Spect
     )
 
 
-def regular_line_spectrum_template(
-    s: int, n: int, x: int, y: int
-) -> tuple[tuple[int, int], ...]:
-    """Spectrum multiset of the line graph of an s-regular bipartite graph
-    on colour classes of size n whose own nontrivial spectrum has x
-    eigenvalues +-2 and y eigenvalues +-1:
-
-      { -2^((s-2)n+1), (s-4)^x, (s-3)^y, (s-2)^(2n-2x-2y-2),
-        (s-1)^y, s^x, (2s-2)^1 }
-
-    Returned sorted by descending eigenvalue with equal values merged.
-    The total multiplicity always works out to sn, the number of edges.
-    """
-    if not all(map(_is_int, (s, n, x, y))):
-        raise InputError(f"need integer s, n, x and y; got {brief((s, n, x, y))}")
-    if s < 2 or n < 1 or x < 0 or y < 0:
-        raise InputError(f"need s >= 2, n >= 1, x, y >= 0; got {brief((s, n, x, y))}")
-    middle = 2 * n - 2 * x - 2 * y - 2
-    if middle < 0:
-        raise InputError(
-            f"multiplicity of s-2 would be negative: 2n-2x-2y-2 = {middle}"
-        )
-    counts: dict[int, int] = {}
-    for value, mult in [
-        (-2, (s - 2) * n + 1),
-        (s - 4, x),
-        (s - 3, y),
-        (s - 2, middle),
-        (s - 1, y),
-        (s, x),
-        (2 * s - 2, 1),
-    ]:
-        if mult:
-            counts[value] = counts.get(value, 0) + mult
-    return tuple(sorted(counts.items(), reverse=True))
-
-
 _CASE_RANGES = {0: ("lambda0", 10), 1: ("lambda1", 8), 2: ("lambda2", 6)}
 
 

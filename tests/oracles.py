@@ -1,41 +1,54 @@
 """Independent brute-force oracles used only by the tests.
 
 Each oracle deliberately takes a different route than the library code
-it checks: LR coefficients by filtering all multiset placements instead
-of pruned DFS, partition counts by the classic two-term recurrence
-instead of enumeration, cliques by subset enumeration instead of branch
-and bound, Pieri products by the closed-form interleaving rule, bipartite
-graph canonical forms by maximising over every order of a class instead
-of the degree-sorted ones only, Horn's families T(n, r) by Horn's
-recursion over T(r, p), p < r, written out triple by triple, and by LR
-positivity, instead of the matrix of T(r) applied to every shape at
-once, and by filtering U(n, r) for every r instead of taking
-T(n, n - r) as the conjugates of T(n, r), candidate sets P(alpha, beta)
-by filtering every partition of 2e into nu - 1 parts instead of a
-moment-pruned search, and by the
-moment-pruned search with the single cap alpha_1 + beta_1 on the first
-part instead of a Weyl cap on every part, and Horn's
-inequalities by checking the triples of T(n, r) one at a time, in order,
-instead of one product with a matrix of all of them (for single checks
-and, trial by trial, for the sampler), that matrix by reading the index
-sets of each IndexTriple instead of the integer arrays cached with
-T(n, r), line graphs by testing every pair of edges for a
-shared endpoint instead of pairing the edges within each star, and
-line-graph diameters by a BFS from each of the e vertices of the line
-graph instead of from each of the nu vertices of its base graph, and
-bipartiteness by trying every 2-colouring instead of reading the parity
-of the characteristic polynomial, and the case label of a regular graph
-with an integral Ramanujan line graph from the base graph's own spectrum
-instead of the line spectrum shifted by s - 2, and characteristic
-polynomials by the Faddeev-LeVerrier recurrence on rows kept as lists
-of integers instead of rows packed into one integer each, and the
-sampler's random entries by one getrandbits call each, mirrored entry by
-entry, instead of one randbytes block per block of trials read as an
-array.
+it checks:
+
+- LR coefficients by filtering all multiset placements instead of
+  pruned DFS, and Pieri products by the closed-form interleaving rule;
+- partition counts by the classic two-term recurrence instead of
+  enumeration;
+- cliques by subset enumeration instead of branch and bound;
+- bipartite graph canonical forms by maximising over every order of a
+  class instead of the degree-sorted ones only;
+- Horn's families T(n, r) by Horn's recursion over T(r, p), p < r,
+  written out triple by triple, and by LR positivity, instead of the
+  matrix of T(r) applied to every shape at once, and by filtering
+  U(n, r) for every r instead of taking T(n, n - r) as the conjugates
+  of T(n, r);
+- candidate sets P(alpha, beta) by filtering every partition of 2e into
+  nu - 1 parts instead of a moment-pruned search, and by the
+  moment-pruned search with the single cap alpha_1 + beta_1 on the first
+  part instead of a Weyl cap on every part;
+- Horn's inequalities by checking the trace and the triples of T(n, r)
+  one at a time, in order, each as sums written out over its index sets,
+  instead of one product with a matrix of all of them (for single checks
+  and, trial by trial, for the sampler); that matrix by reading the
+  index sets of each IndexTriple instead of the integer arrays cached
+  with T(n, r);
+- line graphs, and their split into the X-star and Y-star graphs, by
+  testing every pair of edges for a shared endpoint instead of pairing
+  the edges within each star;
+- dense adjacency matrices from a graph's edge list;
+- line-graph diameters by a BFS from each of the e vertices of the line
+  graph instead of from each of the nu vertices of its base graph;
+- bipartiteness by trying every 2-colouring instead of reading the
+  parity of the characteristic polynomial;
+- the case label of a regular graph with an integral Ramanujan line
+  graph from the base graph's own spectrum instead of the line spectrum
+  shifted by s - 2, and the line spectrum of an s-regular base by its
+  closed form in s, n and the counts of base eigenvalues +-2 and +-1;
+- characteristic polynomials by the Faddeev-LeVerrier recurrence on rows
+  kept as lists of integers instead of rows packed into one integer
+  each;
+- the sampler's random entries by one getrandbits call each, mirrored
+  entry by entry, instead of one randbytes block per block of trials
+  read as an array.
 """
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -48,7 +61,6 @@ from hornlr import (
     InputError,
     Partition,
     TheoremViolation,
-    check_inequality,
     enumerate_partitions,
     generate_t,
     generate_u,
@@ -56,7 +68,6 @@ from hornlr import (
     line_graph,
     moment_c,
     moment_d,
-    trace_condition,
     weyl_bounds,
 )
 from hornlr.graphs import expand_root_multiset
@@ -175,6 +186,52 @@ def line_graph_by_pairs(bg):
             if edges[a][0] == edges[b][0] or edges[a][1] == edges[b][1]
         ],
     )
+
+
+def star_graphs(bg):
+    """(G_X, G_Y) on the edges of `bg` in lexicographic order: G_X joins
+    two edges when they share their x vertex, G_Y when they share their y
+    vertex, found by testing all e(e - 1)/2 pairs. Their adjacency
+    matrices sum to that of the line graph."""
+    edges = bg.sorted_edges
+    pairs = list(combinations(range(len(edges)), 2))
+    return tuple(
+        Graph(len(edges), [(a, b) for a, b in pairs if edges[a][side] == edges[b][side]])
+        for side in (0, 1)
+    )
+
+
+def adjacency_matrix(g):
+    """The 0/1 adjacency matrix of `g` as an int64 array, read from its
+    edge list."""
+    a = np.zeros((g.order, g.order), dtype=np.int64)
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1
+    return a
+
+
+def line_spectrum_template(s, n, x, y):
+    """The spectrum of the line graph of an s-regular bipartite graph on
+    colour classes of size n whose nontrivial spectrum has x eigenvalues
+    +-2 and y eigenvalues +-1, as (value, multiplicity) pairs by
+    descending value, equal values merged, zero multiplicities left out:
+
+      { -2^((s-2)n+1), (s-4)^x, (s-3)^y, (s-2)^(2n-2x-2y-2),
+        (s-1)^y, s^x, (2s-2)^1 }
+
+    The closed form only; the arguments are not checked."""
+    counts = Counter()
+    for value, mult in [
+        (-2, (s - 2) * n + 1),
+        (s - 4, x),
+        (s - 3, y),
+        (s - 2, 2 * n - 2 * x - 2 * y - 2),
+        (s - 1, y),
+        (s, x),
+        (2 * s - 2, 1),
+    ]:
+        counts[value] += mult
+    return tuple(sorted((v, m) for v, m in counts.items() if m))[::-1]
 
 
 def bfs_diameter(g):
@@ -431,20 +488,38 @@ def _uncapped_parts(k, total, top, need2, need3, strict):
 
 
 def scan_first_violation(alpha, beta, gamma, tol=None):
-    """find_horn_violation by a scan: "trace" when trace_condition fails,
-    else the first triple of T(n, 1), ..., T(n, n - 1), in that order,
-    that check_inequality rejects, else None. Both sum numpy integer
-    entries as Python ints, so sums past 2**63 do not wrap."""
-    if not trace_condition(alpha, beta, gamma, tol):
+    """find_horn_violation by a scan: "trace" when the traces differ by
+    more than the slack, else the first triple of T(n, 1), ...,
+    T(n, n - 1), in that order, whose inequality fails by more than the
+    slack, else None. The slack is 0 when every entry is an int or a
+    Fraction, else `tol` (None means 1e-9). Numpy integer entries are
+    summed as Python ints, so sums past 2**63 do not wrap."""
+    exact = all(isinstance(v, (int, Fraction)) for vec in (alpha, beta, gamma) for v in vec)
+    slack = 0 if exact else (1e-9 if tol is None else tol)
+    alpha, beta, gamma = (
+        [int(v) if isinstance(v, np.integer) else v for v in vec] for vec in (alpha, beta, gamma)
+    )
+    if not trace_within(alpha, beta, gamma, slack):
         return "trace"
-    return _first_rejected(alpha, beta, gamma, tol)
+    return _first_rejected(alpha, beta, gamma, slack)
 
 
-def _first_rejected(alpha, beta, gamma, tol):
+def trace_within(alpha, beta, gamma, slack):
+    return abs(sum(gamma) - sum(alpha) - sum(beta)) <= slack
+
+
+def row_within(t, alpha, beta, gamma, slack):
+    """sum(gamma[K]) <= sum(alpha[I]) + sum(beta[J]) + slack, written out."""
+    lhs = sum(gamma[k - 1] for k in t.k)
+    rhs = sum(alpha[i - 1] for i in t.i) + sum(beta[j - 1] for j in t.j)
+    return lhs <= rhs + slack
+
+
+def _first_rejected(alpha, beta, gamma, slack):
     n = len(alpha)
     for r in range(1, n):
         for t in generate_t(n, r):
-            if not check_inequality(t, alpha, beta, gamma, tol):
+            if not row_within(t, alpha, beta, gamma, slack):
                 return t
     return None
 
@@ -459,7 +534,7 @@ def sample_by_trial(n, trials, tol, seed):
     for _ in range(trials):
         a, b = (_random_symmetric(rng, n) for _ in range(2))
         alpha, beta, gamma = ([float(v) for v in np.linalg.eigvalsh(m)[::-1]] for m in (a, b, a + b))
-        trace_bad += not trace_condition(alpha, beta, gamma, tol)
+        trace_bad += not trace_within(alpha, beta, gamma, tol)
         ineq_bad += _first_rejected(alpha, beta, gamma, tol) is not None
         windows = [weyl_bounds(alpha, beta, k) for k in range(1, n + 1)]
         weyl_bad += any(

@@ -28,7 +28,6 @@ from hornlr import (
     line_graph,
     matching,
     numeric_spectrum,
-    star_decomposition,
 )
 from hornlr import graphs
 from hornlr.graphs import (
@@ -37,7 +36,6 @@ from hornlr.graphs import (
     _gram_sides,
     _matrix,
     expand_root_multiset,
-    graph_to_json_dict,
     graph_to_text,
     parse_graph_json,
     parse_graph_text,
@@ -45,6 +43,7 @@ from hornlr.graphs import (
 )
 
 from oracles import (
+    adjacency_matrix,
     bfs_diameter,
     bipartite_signature,
     brute_force_bipartite,
@@ -53,6 +52,7 @@ from oracles import (
     connected_bipartite_signatures,
     line_graph_by_pairs,
     poly_mul,
+    star_graphs,
 )
 
 
@@ -89,30 +89,27 @@ def test_line_graph_examples():
         line_graph(BipartiteGraph(2, 2, []))
 
 
-def test_star_decomposition_examples():
-    gx, gy = star_decomposition(complete_bipartite(1, 3))
+def test_star_graphs_examples():
+    gx, gy = star_graphs(complete_bipartite(1, 3))
     assert gx == _triangle()
     assert gy.edges() == []
 
-    gx, gy = star_decomposition(complete_bipartite(2, 2))
+    gx, gy = star_graphs(complete_bipartite(2, 2))
     assert sorted(gx.degrees()) == [1, 1, 1, 1]
     assert sorted(gy.degrees()) == [1, 1, 1, 1]
 
-    with pytest.raises(InputError, match="edgeless"):
-        star_decomposition(BipartiteGraph(2, 2, []))
 
-
-def test_star_decomposition_sums_to_line_graph():
+def test_star_graphs_sum_to_line_graph():
+    # the X stars and the Y stars, found pair by pair, together give the
+    # line graph that line_graph builds star by star
     rng = random.Random(2)
     for _ in range(60):
         bg = _random_bipartite(rng)
         if bg.edge_count == 0:
             continue
         lg, _ = line_graph(bg)
-        gx, gy = star_decomposition(bg)
-        ax = np.array(gx.adjacency_rows())
-        ay = np.array(gy.adjacency_rows())
-        assert (ax + ay == np.array(lg.adjacency_rows())).all()
+        gx, gy = star_graphs(bg)
+        assert (adjacency_matrix(gx) + adjacency_matrix(gy) == adjacency_matrix(lg)).all()
 
 
 @pytest.mark.parametrize(
@@ -226,7 +223,7 @@ def test_char_poly_matches_sympy_on_random_graphs():
     x = sympy.symbols("x")
     for _ in range(25):
         g = _random_graph(rng, rng.randint(1, 7))
-        expected = sympy.Matrix(g.adjacency_rows()).charpoly(x).all_coeffs()
+        expected = sympy.Matrix(adjacency_matrix(g).tolist()).charpoly(x).all_coeffs()
         assert list(char_poly_exact(g)) == [int(c) for c in expected]
 
 
@@ -498,13 +495,13 @@ def test_gram_kernel_matches_sympy():
         assert _char_poly(rows, diagonal, cols) == [int(c) for c in expected]
 
 
-def test_plain_numeric_spectrum_matches_the_adjacency_rows():
+def test_plain_numeric_spectrum_matches_the_adjacency_matrix():
     # a graph without a base solves the float matrix built from its
-    # neighbour lists; it must be the one that `adjacency_rows` gives
+    # neighbour lists; it must be the one its edge list gives
     cases = [Graph(1), Graph(3), Graph(6, [(0, 1), (1, 2), (0, 2), (4, 5)])]
     cases += [bg.as_graph() for bg in connected_bipartite_graphs(6)]
     for g in cases:
-        rows = np.array(g.adjacency_rows(), dtype=float)
+        rows = adjacency_matrix(g).astype(float)
         assert numeric_spectrum(g) == sorted(np.linalg.eigvalsh(rows), reverse=True), g
 
 
@@ -900,7 +897,7 @@ def test_star_factor_spectrum_is_shifted_degree_partition():
         if 0 in bg.x_degrees() or 0 in bg.y_degrees():
             continue
         alpha, _ = degree_partitions(bg)
-        gx, _ = star_decomposition(bg)
+        gx, _ = star_graphs(bg)
         roots = integer_spectrum(gx)
         assert roots is not None  # disjoint cliques are integral
         shifted = Counter(v + 1 for v in expand_root_multiset(roots))
@@ -934,7 +931,8 @@ def test_json_format_round_trip():
     import json
 
     bg = bipartite_complement(matching(3))
-    assert parse_graph_json(json.dumps(graph_to_json_dict(bg))) == bg
+    data = {"x_size": bg.x_size, "y_size": bg.y_size, "edges": [list(e) for e in bg.sorted_edges]}
+    assert parse_graph_json(json.dumps(data)) == bg
 
 
 def test_format_errors():

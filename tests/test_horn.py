@@ -14,14 +14,12 @@ from hornlr import (
     IndexTriple,
     InputError,
     Partition,
-    check_inequality,
     find_horn_violation,
     generate_t,
     generate_u,
     horn_compatible,
     lr_positive,
     sample_necessity,
-    trace_condition,
     weyl_bounds,
 )
 from hornlr.horn import (
@@ -38,9 +36,11 @@ from oracles import (
     filtered_t,
     horn_matrix_by_triples,
     recursive_t,
+    row_within,
     sample_by_trial,
     scan_first_violation,
     t_by_lr,
+    trace_within,
 )
 
 
@@ -209,14 +209,11 @@ def test_invalid_dimensions_rejected():
     for bad in [(1, 1, 1), (None, None, None), ([1], [1], [1]), ((1,), [1], (1,)), ((1,), (1,), range(1, 2))]:
         with pytest.raises(InputError, match="must be tuples"):
             IndexTriple(*bad, 2)
-    for bad in ([1], ((1,), (1,), (1,), 2), None):
-        with pytest.raises(InputError, match="must be a IndexTriple"):
-            check_inequality(bad, (1, 0), (1, 0), (2, 0))
     for k in (1.5, True, "1"):
         with pytest.raises(InputError):
             weyl_bounds((1, 0), (1, 0), k)
     with pytest.raises(InputError, match="equal length"):
-        trace_condition((1, 0), (1, 0), (2,))
+        horn_compatible((1, 0), (1, 0), (2,))
     with pytest.raises(InputError, match="equal length"):
         find_horn_violation((1, 0), (1,), (2, 0))
     with pytest.raises(InputError, match="equal length"):
@@ -231,12 +228,12 @@ NOT_SEQUENCES = [None, 2, 2.0, iter([1, 0]), {1, 0}, {1: 0}, np.array(1)]
     [
         lambda v: find_horn_violation(v, [1, 0], [2, 0]),
         lambda v: horn_compatible([1, 0], v, [2, 0]),
-        lambda v: trace_condition([1, 0], [1, 0], v),
+        lambda v: find_horn_violation([1, 0], [1, 0], v),
         lambda v: weyl_bounds(v, [1, 0], 1),
         lambda v: weyl_bounds([1, 0], v, 1),
-        lambda v: check_inequality(IndexTriple((1,), (1,), (1,), 2), [1, 0], v, [2, 0]),
+        lambda v: find_horn_violation([1, 0], v, [2, 0]),
     ],
-    ids=["find_horn_violation", "horn_compatible", "trace_condition", "weyl_alpha", "weyl_beta", "check_inequality"],
+    ids=["find_horn_violation", "horn_compatible", "find_horn_violation_gamma", "weyl_alpha", "weyl_beta", "find_horn_violation_beta"],
 )
 def test_non_sequence_spectra_rejected(call):
     for bad in NOT_SEQUENCES:
@@ -256,23 +253,23 @@ def test_index_triple_validation():
     assert str(IndexTriple((1, 2), (1, 3), (2, 4), 4)) == "I={1,2} J={1,3} K={2,4}"
 
 
-def test_check_inequality_examples():
+def test_single_inequality_examples():
+    # T(2, 1) is {1}{1}{1}, {1}{2}{2}, {2}{1}{2}: gamma_1 <= alpha_1 + beta_1
+    # is its first row, and (2, 0) meets every row
     t = IndexTriple((1,), (1,), (1,), 2)
-    assert check_inequality(t, (1, 0), (1, 0), (2, 0))
-    assert not check_inequality(t, (1, 0), (1, 0), (3, -1))
-    t2 = IndexTriple((2,), (1,), (2,), 2)
-    assert check_inequality(t2, (1, 0), (1, 0), (2, 0))
+    assert find_horn_violation((1, 0), (1, 0), (2, 0)) is None
+    assert find_horn_violation((1, 0), (1, 0), (3, -1)) == t
     with pytest.raises(InputError):
-        check_inequality(t, (1, 0, 0), (1, 0), (2, 0))
+        find_horn_violation((1, 0, 0), (1, 0), (2, 0))
 
 
 def test_trace_condition_examples():
-    assert trace_condition((1, 0), (1, 0), (2, 0))
-    assert not trace_condition((1, 0), (1, 0), (2, 1))
-    assert trace_condition((3, 0, 0, 0), (1, 1, 1, 0), (4, 1, 1, 0))
+    assert find_horn_violation((1, 0), (1, 0), (2, 0)) != "trace"
+    assert find_horn_violation((1, 0), (1, 0), (2, 1)) == "trace"
+    assert find_horn_violation((3, 0, 0, 0), (1, 1, 1, 0), (4, 1, 1, 0)) != "trace"
     # numeric mode tolerates float fuzz
-    assert trace_condition((1.0, 0.0), (1.0, 0.0), (2.0 + 1e-12, 0.0))
-    assert not trace_condition((1, 0), (1, 0), (2 + 1, 0))
+    assert find_horn_violation((1.0, 0.0), (1.0, 0.0), (2.0 + 1e-12, 0.0)) != "trace"
+    assert find_horn_violation((1, 0), (1, 0), (2 + 1, 0)) == "trace"
 
 
 def test_horn_compatible_dimension_one():
@@ -374,7 +371,7 @@ def test_find_horn_violation_fractions_and_number_kinds():
         "np.float64": lambda v, i: np.float64(v) / 3,
         "np.float32": lambda v, i: np.float32(v) / 2,
         # sums past 2**63 would wrap in int64: numpy integers are summed as
-        # Python ints, in the library and, through check_inequality, the scan
+        # Python ints, in the library and in the scan
         "np.int64 near 2**63": lambda v, i: np.int64(v) * np.int64(2**59),
     }
     for name, convert in kinds.items():
@@ -534,8 +531,8 @@ def test_sample_screen_flags_every_failure():
             flagged, suspects = _screen_block(spectra, matrix, n, tol)
             for s, row in enumerate(spectra.tolist()):
                 a, b, g = row[:n], row[n : 2 * n], row[2 * n :]
-                trace = trace_condition(a, b, g, tol)
-                rejected = {i for i, t in enumerate(triples) if not check_inequality(t, a, b, g, tol)}
+                trace = trace_within(a, b, g, tol)
+                rejected = {i for i, t in enumerate(triples) if not row_within(t, a, b, g, tol)}
                 windows = [weyl_bounds(a, b, k) for k in range(1, n + 1)]
                 weyl = all(low - tol <= gk <= up + tol for gk, (low, up) in zip(g, windows))
                 assert rejected <= set(np.flatnonzero(flagged[s]).tolist())
@@ -561,13 +558,12 @@ def test_sample_necessity_rejects_bad_seeds():
 
 def test_exact_mode_ignores_tolerance():
     # an exact off-by-one is never forgiven, whatever tol says
-    assert not trace_condition((1, 0), (1, 0), (3, 0), tol=10.0)
+    assert find_horn_violation((1, 0), (1, 0), (3, 0), tol=10.0) == "trace"
     t = IndexTriple((1,), (1,), (1,), 2)
-    assert not check_inequality(t, (1, 0), (1, 0), (3, -1), tol=10.0)
+    assert find_horn_violation((1, 0), (1, 0), (3, -1), tol=10.0) == t
 
 
 def test_non_real_entries_and_tolerances_rejected():
-    t = IndexTriple((1,), (1,), (1,), 2)
     non_finite = [math.inf, -math.inf, math.nan, np.float32("inf")]
     for bad in ["a", None, 1j, Decimal(1), [1], *non_finite]:
         gamma = (2, bad)
@@ -575,10 +571,6 @@ def test_non_real_entries_and_tolerances_rejected():
             horn_compatible((1, 0), (1, 0), gamma)
         with pytest.raises(InputError):
             find_horn_violation((1, 0), (1, 0), gamma)
-        with pytest.raises(InputError):
-            trace_condition((1, 0), (1, 0), gamma)
-        with pytest.raises(InputError):
-            check_inequality(t, (1, 0), (1, 0), gamma)
     with pytest.raises(InputError):
         weyl_bounds((1, "a"), (1, 0), 1)
     with pytest.raises(InputError):
@@ -597,9 +589,9 @@ def test_non_real_entries_and_tolerances_rejected():
         with pytest.raises(InputError):
             horn_compatible((1.0, 0), (1.0, 0), (2.0, 0), tol=tol)
         with pytest.raises(InputError):
-            trace_condition((1.0, 0.0), (1.0, 0.0), (2.0, 0.0), tol=tol)
+            find_horn_violation((1.0, 0.0), (1.0, 0.0), (2.0, 0.0), tol=tol)
         with pytest.raises(InputError):
-            check_inequality(t, (1, 0), (1, 0), (2, 0), tol=tol)
+            find_horn_violation((1, 0), (1, 0), (2, 0), tol=tol)
         with pytest.raises(InputError):
             sample_necessity(2, 3, tol=tol)
 
@@ -619,7 +611,7 @@ def test_numpy_integers_sum_without_wrapping():
                 as_numpy = [[np.int64(v) for v in vec] for vec in triple]
                 with np.errstate(over="raise"):
                     assert find_horn_violation(*as_numpy) == find_horn_violation(*triple)
-                    assert trace_condition(*as_numpy) == trace_condition(*triple)
+                    assert horn_compatible(*as_numpy) == horn_compatible(*triple)
 
 
 def test_huge_exact_entries_mixed_with_floats_rejected():
@@ -629,10 +621,6 @@ def test_huge_exact_entries_mixed_with_floats_rejected():
         horn_compatible(*huge)
     with pytest.raises(InputError):
         find_horn_violation(*huge)
-    with pytest.raises(InputError):
-        trace_condition(*huge)
-    with pytest.raises(InputError):
-        check_inequality(IndexTriple((1,), (1,), (1,), 2), *huge)
     with pytest.raises(InputError):
         weyl_bounds(huge[0], huge[1], 1)
     with pytest.raises(InputError):
@@ -651,7 +639,7 @@ def test_huge_exact_entries_mixed_with_floats_rejected():
         with pytest.raises(InputError, match="tolerance"):
             horn_compatible((1, 0), (1, 0), (2, 0), tol=tol)
         with pytest.raises(InputError, match="tolerance"):
-            trace_condition((1, 0), (1, 0), (2, 0), tol=tol)
+            find_horn_violation((1, 0), (1, 0), (2, 0), tol=tol)
     assert sample_necessity(2, 3, tol=int(sys.float_info.max)).total_violations == 0
     # other messages that show such an int abbreviate it too
     for call in (

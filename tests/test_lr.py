@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hornlr import InputError, Partition, SkewShape, lr_coefficient, lr_positive
+from hornlr import InputError, Partition, lr_coefficient, lr_positive
 
 from oracles import all_partitions, brute_force_lr, pieri_coefficient
 
@@ -113,18 +113,6 @@ def test_a_coefficient_bigger_than_one():
     # c((2,1),(2,1);(3,2,1)) = 2, the classic smallest example
     assert brute_force_lr((3, 2, 1), (2, 1), (2, 1)) == 2
     assert lr_coefficient(P([2, 1]), P([2, 1]), P([3, 2, 1])) == 2
-
-
-def test_skew_shape_validation():
-    shape = SkewShape(P([4, 1, 1]), P([3]))
-    assert shape.cell_count == 3
-    with pytest.raises(InputError):
-        SkewShape(P([2]), P([3]))
-    for wrong in ([1], (1,), None):
-        with pytest.raises(InputError, match="outer must be a Partition"):
-            SkewShape(wrong, P([1]))
-        with pytest.raises(InputError, match="inner must be a Partition"):
-            SkewShape(P([2]), wrong)
 
 
 @pytest.mark.parametrize("wrong", [[3], (1, 1, 1), None])

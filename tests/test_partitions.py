@@ -49,6 +49,10 @@ def test_invalid_parts_rejected():
     for bad in (np.True_, np.False_):  # numpy's bool is no int subclass
         with pytest.raises(InputError):
             Partition([bad, 2])
+    # not an iterable at all: InputError, not the TypeError of iterating it
+    for bad in (3, None, True, np.int64(3), 3.0):
+        with pytest.raises(InputError, match="iterable"):
+            Partition(bad)
     assert Partition([np.int64(3), 2.0]).parts == (3, 2)
 
 
