@@ -3,14 +3,15 @@
 Graphs here are simple and finite. A :class:`BipartiteGraph` keeps its
 two colour classes explicit; a :class:`Graph` is a plain undirected
 graph used for line graphs and their spectra. Both store the sorted
-neighbour lists of their vertices, built once by the constructor (a
-bipartite graph numbers its X vertices first, then its Y vertices), and
-read their edges and degrees off them. Every routine below works on
-those lists, and every distance comes from the one BFS, `_distances`.
-Characteristic polynomials are computed exactly (integer arithmetic
-throughout), so "this graph is integral" is a proof, not a float
-heuristic: the polynomial either splits over the integers or it does
-not.
+neighbour lists of their vertices (a bipartite graph numbers its X
+vertices first, then its Y vertices), and read their edges and degrees
+off them; a line graph builds its lists only when a caller reads them.
+Every distance comes from bitmasks of the balls around each vertex,
+grown one level at a time (`_levels`); connectivity alone takes one BFS
+(`_distances`). Characteristic polynomials are computed exactly
+(integer arithmetic throughout), so "this graph is integral" is a proof,
+not a float heuristic: the polynomial either splits over the integers or
+it does not.
 
 A line graph made by :func:`line_graph` keeps its base graph, and the
 metrics of the line graph come from the nu vertices of the base graph
@@ -18,19 +19,22 @@ instead of its e vertices. `_source` is the one place that decides which
 graph a routine reads: the base graph when there is one, else the graph
 itself (a `Graph` built directly, or by `BipartiteGraph.as_graph`).
 
-* its edges are the pairs of base edges within each star (the edges at
-  one vertex), which lists every adjacent pair once, since two edges
-  share at most one endpoint;
+* its order is the base graph's edge count, and the degree of the edge
+  xy is deg x + deg y - 2;
+* its neighbour lists, built by `_adjacency` the first time something
+  reads them, pair the base edges within each star (the edges at one
+  vertex), which lists every adjacent pair once, since two edges share
+  at most one endpoint;
 * its diameter: two distinct edges lie at distance 1 + the least base
   distance over the four pairs of their endpoints, and by parity that
-  makes the diameter D or D - 1, D the base graph's, decided from nu BFS
-  runs on the base graph;
+  makes the diameter D or D - 1, D the base graph's, decided from the
+  last two levels of the base graph's balls;
 * its clique number is the base graph's largest degree: edges that meet
   pairwise share one vertex or form a triangle, and a bipartite graph is
   triangle-free.
 
-A graph without a base takes a BFS from each vertex and a branch and
-bound for those two.
+A graph without a base reads its diameter from the levels of its own
+balls, and takes a branch and bound for its clique number.
 
 Every graph, with a base or without, has one spectral description
 (`_matrix`): an integer matrix M and a count of extra -2s, so that its
@@ -65,8 +69,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -85,9 +89,13 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..order-1.
 
     Equality and hashing look at the adjacency only. A line graph built
-    by `line_graph` also keeps its base graph in `_base`, from which
-    `char_poly_exact`, `exact_spectrum`, `numeric_spectrum`, `diameter`
-    and `clique_number` compute their answers (through `_source`).
+    by `line_graph` keeps its base graph in `_base` and starts without
+    neighbour lists: `_adjacency` builds them, once, the first time
+    `neighbors`, `degree`, `edges`, `==`, `hash` or `repr` reads them
+    (e lists, sum(deg^2) - 2e entries over the base degrees). Its `order`
+    and degrees, and the answers of `char_poly_exact`, `exact_spectrum`,
+    `numeric_spectrum`, `diameter` and `clique_number`, come from the
+    base graph (through `_source`), so none of those builds the lists.
     """
 
     __slots__ = ("_adj", "_base")
@@ -110,27 +118,35 @@ class Graph:
             raise
         except (TypeError, ValueError):
             raise InputError("edges must be an iterable of integer pairs") from None
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
+        self._adj: Optional[tuple[tuple[int, ...], ...]] = tuple(tuple(sorted(s)) for s in adj)
         self._base: Optional[BipartiteGraph] = None
 
     @property
     def order(self) -> int:
-        return len(self._adj)
+        source = _source(self)
+        return source.edge_count if isinstance(source, BipartiteGraph) else len(self._adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return _adjacency(self)[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(_adjacency(self)[v])
 
     def degrees(self) -> list[int]:
-        return [len(nb) for nb in self._adj]
+        """Degrees by vertex; for a line graph, deg x + deg y - 2 for the
+        base edge xy, read from the base graph."""
+        source = _source(self)
+        if isinstance(source, BipartiteGraph):
+            adj = source._adj
+            return [len(nb) + len(adj[v]) - 2 for nb in adj[: source.x_size] for v in nb]
+        return list(map(len, self._adj))
 
     def max_degree(self) -> int:
-        return max((len(nb) for nb in self._adj), default=0)
+        return max(self.degrees(), default=0)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.order) for v in self._adj[u] if u < v]
+        adj = _adjacency(self)
+        return [(u, v) for u in range(len(adj)) for v in adj[u] if u < v]
 
     def regular_degree(self) -> Optional[int]:
         """Common degree if the graph is regular, else None."""
@@ -138,10 +154,10 @@ class Graph:
         return degs.pop() if len(degs) == 1 else None
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self._adj == other._adj
+        return isinstance(other, Graph) and _adjacency(self) == _adjacency(other)
 
     def __hash__(self) -> int:
-        return hash(self._adj)
+        return hash(_adjacency(self))
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={self.edges()!r})"
@@ -246,30 +262,34 @@ def line_graph(bg: BipartiteGraph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph of a bipartite graph plus the edge ordering used.
 
     Vertices of the result are the edges of `bg` in lexicographic order;
-    two are adjacent when the edges share an endpoint, so the edges of
-    the result are the pairs within each star: the edges at one X
-    vertex, then those at one Y vertex. Two edges share at most one
-    endpoint, so no pair is listed twice. The result keeps `bg` as its
-    base graph, from which its spectra and metrics are computed.
+    two are adjacent when the edges share an endpoint. The result keeps
+    `bg` as its base graph, from which its order, degrees, spectra and
+    metrics are computed, and holds no neighbour lists until a caller
+    reads them (`_adjacency`), so building it costs no work per pair of
+    adjacent edges.
     """
     if not isinstance(bg, BipartiteGraph):
         require_type(BipartiteGraph, bg=bg)
     edges = bg.sorted_edges
     if not edges:
         raise InputError("line graph of an edgeless graph is undefined")
-    lg = Graph(len(edges), [pair for star in _stars(bg) for pair in combinations(star, 2)])
+    lg = Graph.__new__(Graph)
+    lg._adj = None
     lg._base = bg
     return lg, edges
 
 
-def _stars(bg: BipartiteGraph) -> list[list[int]]:
-    """Indices into `bg.sorted_edges` of the edges at each vertex of
-    `bg`, ascending: X vertices, then Y vertices."""
+def _star_lists(bg: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
+    """Neighbour lists of L(bg) on the indices of `bg.sorted_edges`: the
+    neighbours of the edge xy are the other edges of the star at x (the
+    edges at x) and of the star at y. The two stars share only xy, so
+    their symmetric difference lists each neighbour once."""
+    pairs = _edge_pairs(bg)
     stars: list[list[int]] = [[] for _ in bg._adj]
-    for idx, (x, v) in enumerate(_edge_pairs(bg)):
+    for idx, (x, v) in enumerate(pairs):
         stars[x].append(idx)
         stars[v].append(idx)
-    return stars
+    return tuple(tuple(sorted(set(stars[x]).symmetric_difference(stars[v]))) for x, v in pairs)
 
 
 def _edge_pairs(bg: BipartiteGraph) -> list[tuple[int, int]]:
@@ -375,6 +395,15 @@ def _source(g: Graph) -> Union[Graph, BipartiteGraph]:
     if not isinstance(g, Graph):
         require_type(Graph, g=g)
     return g if g._base is None else g._base
+
+
+def _adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The neighbour lists of `g`. A line graph made by `line_graph` has
+    none until the first call, which builds them from the stars of its
+    base graph (`_star_lists`) and keeps them."""
+    if g._adj is None:
+        g._adj = _star_lists(_source(g))
+    return g._adj
 
 
 def char_poly_exact(g: Graph) -> tuple[int, ...]:
@@ -658,22 +687,46 @@ def _distances(adj: Sequence[Sequence[int]], src: int) -> list[int]:
     return dist
 
 
+def _levels(adj: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
+    """(D, R_(D-1), R_D) over the neighbour lists `adj`, where R_k[v] is
+    the bitmask of the vertices within distance k of v and D is the
+    largest distance within a component; R_(D-1) is R_0 when D = 0.
+
+    R_0[v] = 1 << v and R_(k+1)[v] = R_k[v] | the OR of R_k[u] over the
+    neighbours u of v (`_spread`), 2|E| big-integer ORs a level, until a
+    level equals the one before. Only the last two levels are kept:
+    O(V^2) bits, never the whole list."""
+    below = reach = [1 << v for v in range(len(adj))]
+    d = 0
+    while True:
+        grown = _spread(adj, reach, reach)
+        if grown == reach:
+            return d, below, reach
+        below, reach, d = reach, grown, d + 1
+
+
+def _spread(adj: Sequence[Sequence[int]], masks: Sequence[int], start: Sequence[int]) -> list[int]:
+    """start[v] | the OR of masks[u] over the neighbours u of v, for each
+    vertex v of the neighbour lists `adj`."""
+    out = []
+    for r, nb in zip(start, adj):
+        for u in nb:
+            r |= masks[u]
+        out.append(r)
+    return out
+
+
 def diameter(g: Graph) -> Union[int, float]:
     """Longest distance between two vertices, an int; math.inf when
     disconnected. For a line graph made by `line_graph(bg)` it is D or
-    D - 1, D the diameter of `bg`, decided from the base graph's
-    distances (`_line_diameter`); every other graph runs a BFS from each
-    of its vertices."""
+    D - 1, D the diameter of `bg`, decided from the base graph's level
+    sets (`_line_diameter`); every other graph reads it from the number
+    of levels of its own (`_levels`), in O(V^2) bits of memory."""
     source = _source(g)
     if isinstance(source, BipartiteGraph):
         return _line_diameter(source)
-    best = 0
-    for src in range(g.order):
-        dist = _distances(g._adj, src)
-        if -1 in dist:
-            return math.inf
-        best = max(best, max(dist))
-    return best
+    d, _, reach = _levels(source._adj)
+    return d if reach[0] == (1 << len(reach)) - 1 else math.inf
 
 
 def _line_diameter(bg: BipartiteGraph) -> Union[int, float]:
@@ -694,21 +747,32 @@ def _line_diameter(bg: BipartiteGraph) -> Union[int, float]:
     diametral path lie at least D - 2 apart. So L(bg) has diameter D when
     some vertex at distance D from a has a neighbour at distance D from b,
     for some edge ab, and D - 1 otherwise.
+
+    D and the vertices far(v) at distance D from v come from the last two
+    levels of `_levels`: far(v) = R_D[v] & ~R_(D-1)[v], O(nu^2) bits.
+    Let near(v) be the OR of far(u) over the neighbours u of v. Then c
+    lies in near(b) when c is at distance D from a neighbour a of b, and
+    b lies in near(c) when b is at distance D from a neighbour w of c, so
+    a pair (b, c) with both is an edge ab and a vertex c at distance D
+    from a with a neighbour w at distance D from b: the test above. It
+    takes one bit test for each c in each near(b).
     """
     edges = _edge_pairs(bg)
     if len(edges) == 1:
         return 0
     adj = bg._adj
-    dist = [_distances(adj, src) for src in range(bg.order)]
-    if -1 in (dist[edges[0][0]][x] for x, _ in edges):
+    d, below, reach = _levels(adj)
+    component = reach[edges[0][0]]
+    if any(reach[x] != component for x, _ in edges):
         return math.inf
-    ecc = list(map(max, dist))  # within each vertex's component: unreachable reads -1
-    d = max(ecc)
-    far = cache(lambda v: {w for w, dw in enumerate(dist[v]) if dw == d})
-    reach = cache(lambda v: {w for c in far(v) for w in adj[c]})  # neighbours of far(v)
-    for x, v in edges:
-        if ecc[x] == d == ecc[v] and not reach(x).isdisjoint(far(v)):
-            return d
+    far = [r & ~b for r, b in zip(reach, below)]
+    near = _spread(adj, far, [0] * len(adj))
+    for b, ahead in enumerate(near):
+        while ahead:
+            low = ahead & -ahead
+            if near[low.bit_length() - 1] >> b & 1:
+                return d
+            ahead ^= low
     return d - 1
 
 

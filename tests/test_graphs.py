@@ -28,6 +28,7 @@ from hornlr import (
     line_graph,
     matching,
     numeric_spectrum,
+    ramanujan_verdict,
 )
 from hornlr import graphs
 from hornlr.graphs import (
@@ -163,6 +164,18 @@ def _random_bipartite(rng, max_side=4, p=0.5):
     m, n = rng.randint(1, max_side), rng.randint(1, max_side)
     edges = [(i, j) for i in range(m) for j in range(n) if rng.random() < p]
     return BipartiteGraph(m, n, edges)
+
+
+def _bases_with_isolated_vertices():
+    """30 seeded bipartite graphs with edges and at least one isolated
+    vertex; some have their edges in more than one component."""
+    rng = random.Random(43)
+    bases = []
+    while len(bases) < 30:
+        bg = _random_bipartite(rng, max_side=6, p=rng.choice([0.2, 0.4]))
+        if bg.edge_count and 0 in bg.x_degrees() + bg.y_degrees():
+            bases.append(bg)
+    return bases
 
 
 def test_degree_partitions_examples():
@@ -511,6 +524,55 @@ def test_line_graph_keeps_equality_on_adjacency():
     assert lg == plain and hash(lg) == hash(plain)
 
 
+def _lazy_bases():
+    return list(connected_bipartite_graphs(8)) + _bases_with_isolated_vertices()
+
+
+def test_line_graph_builds_its_lists_on_demand():
+    # a line graph starts without neighbour lists; its order and degrees come
+    # from the base graph (deg x + deg y - 2 for the edge xy), the same before
+    # the lists are built and after, and equal to those of the pair scan
+    bases = _lazy_bases()
+    assert len(bases) == 253 + 30
+    for bg in bases:
+        lg, _ = line_graph(bg)
+        oracle = line_graph_by_pairs(bg)
+        expected = (oracle.order, oracle.degrees(), oracle.max_degree(), oracle.regular_degree())
+        assert lg._adj is None
+        assert (lg.order, lg.degrees(), lg.max_degree(), lg.regular_degree()) == expected, bg
+        assert lg._adj is None
+        assert _neighbour_lists(lg) == _neighbour_lists(oracle), bg
+        assert lg._adj is not None
+        assert (lg.order, lg.degrees(), lg.max_degree(), lg.regular_degree()) == expected, bg
+        # equality and hashing build the lists of a fresh line graph too
+        plain = Graph(lg.order, lg.edges())
+        assert line_graph(bg)[0] == plain and hash(line_graph(bg)[0]) == hash(plain), bg
+
+
+def test_line_graph_answers_leave_the_lists_unbuilt(monkeypatch):
+    # every spectral answer, metric and report of a line graph reads the base
+    # graph; only a reader of the adjacency itself builds the lists
+    built = []
+    real = graphs._star_lists
+    monkeypatch.setattr(graphs, "_star_lists", lambda bg: built.append(bg) or real(bg))
+    regular = 0
+    for bg in _lazy_bases():
+        lg, _ = line_graph(bg)
+        char_poly_exact(lg), exact_spectrum(lg), numeric_spectrum(lg)
+        diameter(lg), clique_number(lg)
+        if (lg.regular_degree() or 0) >= 1:
+            ramanujan_verdict(lg)
+            regular += 1
+        if bg.is_connected():
+            hornlr.analyze_line_graph(bg, include_p_set=True)
+        assert lg._adj is None, bg
+    assert built == [] and regular > 10
+    lg, _ = line_graph(complete_bipartite(2, 3))
+    assert lg.neighbors(0) == (1, 2, 3) and built == [complete_bipartite(2, 3)]
+    lg.edges(), lg.degree(1), repr(lg)
+    assert len(built) == 1  # once
+
+
 def test_kernel_backend_is_pure():
     assert hornlr.kernel_backend == "pure"
 
@@ -577,6 +639,19 @@ def test_diameter_examples():
     assert diameter(_cycle_graph(4)) == 2
     assert diameter(Graph(2)) == math.inf
     assert diameter(Graph(1)) == 0
+    # the number of levels of the balls, against a BFS from every vertex
+    paths = [Graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (2, 3, 10, 57, 300)]
+    cycles = [_cycle_graph(n) for n in (3, 4, 5, 17, 64, 399, 400)]
+    disconnected = [
+        Graph(3, [(0, 1)]),
+        Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)]),  # components of diameters 1, 1, 1
+        Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]),  # P5 beside P3 and a vertex
+    ]
+    for g in [Graph(1)] + paths + cycles + disconnected:
+        assert diameter(g) == bfs_diameter(g), g
+    assert [diameter(g) for g in paths] == [1, 2, 9, 56, 299]
+    assert [diameter(g) for g in cycles] == [1, 2, 2, 8, 32, 199, 200]
+    assert {diameter(g) for g in disconnected} == {math.inf}
 
 
 def test_clique_examples():
@@ -672,6 +747,16 @@ def test_line_diameter_on_seeded_random_graphs():
         if bg.edge_count:
             _line_metrics_agree(bg)
     assert diameter(line_graph(complete_bipartite(6, 5))[0]) == 2
+    # bases with isolated vertices, and bases whose edges lie in two components
+    for bg in _bases_with_isolated_vertices():
+        _line_metrics_agree(bg)
+    for _ in range(10):
+        parts = []
+        while len(parts) < 2:
+            part = _random_bipartite(rng, max_side=4, p=0.5)
+            if part.edge_count:
+                parts.append(part)
+        assert _line_metrics_agree(disjoint_union(parts)) == math.inf
 
 
 @pytest.mark.parametrize(
