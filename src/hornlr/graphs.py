@@ -52,9 +52,12 @@ graph's largest degree and lowest the Gershgorin floor min(M_ii - deg_i):
 -Delta for an adjacency matrix, and -2 for Q - 2I (Q = B B^T is positive
 semidefinite, and its nonzero eigenvalues are those of B^T B =
 A(L) + 2I). So the integer roots are searched in that window on
-det(xI - M) alone, and the numeric eigenvalues are those of M, padded
-with -2.0. That factor is computed once for all three spectral answers
-(`_factor` keeps the last one). When both classes of the base graph are
+det(xI - M) alone, an eigenvalue's multiplicity is its count there plus
+the extra -2s (`_multiplicity`), and the numeric eigenvalues are those
+of M, padded with -2.0. Only an answer that returns the polynomial
+multiplies (x+2)^(e-nu) in (`char_poly_exact`). That factor is computed
+once for every spectral answer about one graph (`_factor` keeps the
+last one). When both classes of the base graph are
 regular, as they are under every regular line graph of a connected
 bipartite graph, `_factor` expands it from the m x m Gram matrix N N^T
 of the biadjacency N, m the smaller class, instead of the nu x nu Q - 2I.
@@ -142,7 +145,7 @@ class Graph:
         return list(map(len, self._adj))
 
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
+        return max(_distinct_degrees(self))
 
     def edges(self) -> list[tuple[int, int]]:
         adj = _adjacency(self)
@@ -150,7 +153,7 @@ class Graph:
 
     def regular_degree(self) -> Optional[int]:
         """Common degree if the graph is regular, else None."""
-        degs = set(self.degrees())
+        degs = _distinct_degrees(self)
         return degs.pop() if len(degs) == 1 else None
 
     def __eq__(self, other: object) -> bool:
@@ -397,6 +400,23 @@ def _source(g: Graph) -> Union[Graph, BipartiteGraph]:
     return g if g._base is None else g._base
 
 
+def _distinct_degrees(g: Graph) -> set[int]:
+    """The degrees that occur in `g`, as a set. A line graph made by
+    `line_graph(bg)` reads them from `bg`'s neighbour lists without
+    listing its e degrees deg x + deg y - 2: when all X vertices share
+    one degree a and all Y vertices one degree b, every edge gives
+    a + b - 2; else each edge gives its own."""
+    source = _source(g)
+    if isinstance(source, Graph):
+        return set(map(len, source._adj))
+    adj, m = source._adj, source.x_size
+    xs = set(map(len, adj[:m]))
+    ys = set(map(len, adj[m:])) if len(xs) == 1 else ()
+    if len(ys) == 1:
+        return {xs.pop() + ys.pop() - 2}
+    return {len(nb) + len(adj[v]) - 2 for nb in adj[:m] for v in nb}
+
+
 def _adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The neighbour lists of `g`. A line graph made by `line_graph` has
     none until the first call, which builds them from the stars of its
@@ -419,6 +439,11 @@ def char_poly_exact(g: Graph) -> tuple[int, ...]:
     with isolated vertices, (x+2)^(-extra) is divided out instead; Q has
     a zero eigenvalue per component, so the division is exact, and a
     remainder raises ArithmeticError.
+
+    Only the answers that return the polynomial expand it: this one,
+    `exact_spectrum` and the report of `analyze_line_graph`. Integer
+    roots, multiplicities and Ramanujan verdicts read the degree-nu
+    factor alone (`integer_spectrum`, `_multiplicity`).
     """
     factor, extra, _ = _factor(_source(g))
     if extra < 0:
@@ -464,8 +489,9 @@ def _matrix(
 def _factor(source: Union[Graph, BipartiteGraph]) -> tuple[tuple[int, ...], int, int]:
     """(det(xI - M), extra, lowest) for `_matrix(source)`, lowest the
     Gershgorin floor min(M_ii - deg_i) of M's eigenvalues. The last
-    factor is kept, so `exact_spectrum` reads the one that its own
-    `char_poly_exact` call has just built.
+    factor is kept, so the answers asked of one graph in turn (the
+    polynomial and roots of `exact_spectrum`, a verdict's roots and
+    multiplicities) compute it once.
 
     A base graph whose classes are each regular, m vertices of degree a
     (the smaller class) and n >= m of degree b, takes a smaller route.
@@ -576,29 +602,41 @@ def _char_poly(
 
 
 def exact_spectrum(g: Graph) -> ExactSpectrum:
-    """Characteristic polynomial plus integer root extraction.
+    """Characteristic polynomial (`char_poly_exact`) plus integer roots
+    (`integer_spectrum`); the roots are read from the factor, not from
+    the polynomial."""
+    return ExactSpectrum(char_poly_exact(g), integer_spectrum(g))
+
+
+def integer_spectrum(g: Graph) -> Optional[tuple[tuple[int, int], ...]]:
+    """Root multiset when the graph is integral, else None.
 
     Only the factor det(xI - M) of the graph's spectral description is
     searched, from the largest degree (no eigenvalue exceeds it) down to
     M's Gershgorin floor, each candidate divided out as often as it
     divides (`_deflate`); the extra -2s are then added to the
-    multiplicity of -2. For a line graph the floor is -2 even when
-    Delta(L) < 2: the factor of a single edge, Delta(L) = 0, has the root
-    -2, which its extra count of -1 cancels.
+    multiplicity of -2. The full polynomial is never built. For a line
+    graph the floor is -2 even when Delta(L) < 2: the factor of a single
+    edge, Delta(L) = 0, has the root -2, which its extra count of -1
+    cancels.
     """
-    coeffs = char_poly_exact(g)
     factor, extra, lowest = _factor(_source(g))
     roots = _integer_roots(factor, g.max_degree(), lowest)
     if roots is not None and extra:
         counts = dict(roots)  # descending, and -2 is the least root
         counts[-2] = counts.get(-2, 0) + extra
         roots = tuple((t, c) for t, c in counts.items() if c)
-    return ExactSpectrum(coeffs, roots)
+    return roots
 
 
-def integer_spectrum(g: Graph) -> Optional[tuple[tuple[int, int], ...]]:
-    """Root multiset when the graph is integral, else None."""
-    return exact_spectrum(g).integer_roots
+def _multiplicity(g: Graph, t: int) -> int:
+    """Multiplicity of the integer t as an eigenvalue of `g`, read from
+    the factor det(xI - M): its `_deflate` count there, plus the extra
+    count e - nu when t = -2. That count is negative for a forest or a
+    base graph with isolated vertices, whose factor holds at least
+    nu - e copies of -2."""
+    factor, extra, _ = _factor(_source(g))
+    return _deflate(factor, t)[1] + (extra if t == -2 else 0)
 
 
 def _integer_roots(
@@ -633,11 +671,6 @@ def _deflate(
         coeffs = out[:-1]
         count += 1
     return coeffs, count
-
-
-def root_multiplicity(coeffs: Sequence[int], t: int) -> int:
-    """Multiplicity of the integer t as a root of the polynomial."""
-    return _deflate(list(coeffs), t)[1]
 
 
 def expand_root_multiset(

@@ -44,17 +44,17 @@ from typing import Iterator, Optional, Union
 from .errors import InputError, TheoremViolation, brief, require_type
 from .graphs import (
     BipartiteGraph,
-    ExactSpectrum,
     Graph,
     clique_number,
     degree_partitions,
     diameter,
     exact_spectrum,
     expand_root_multiset,
+    integer_spectrum,
     line_graph,
     numeric_spectrum,
-    root_multiplicity,
     _is_int,
+    _multiplicity,
 )
 from .horn import DEFAULT_TOL, _tolerance
 from .lr import lr_positive
@@ -276,7 +276,7 @@ class RamanujanVerdict:
     `second_largest_ok` bounds |lambda_2| by 2*sqrt(k-1);
     `all_nontrivial_ok` bounds every eigenvalue except one Perron copy
     of k and, on bipartite graphs, one copy of -k; bipartiteness is read
-    exactly from the parity of the characteristic polynomial. Both come
+    exactly from the multiplicities of k and -k. Both come
     from one descending eigenvalue list: exact integers, compared as
     squares, when the spectrum is integral (`exact`), and floats from
     the numeric eigensolver, compared within a tolerance, otherwise.
@@ -304,6 +304,11 @@ def ramanujan_verdict(g: Graph, *, tol: Optional[float] = DEFAULT_TOL) -> Ramanu
     k-regular graph has at least k + 1 vertices). `tol` widens the bound
     on a numeric spectrum; None means DEFAULT_TOL, and it must be a real
     number on every graph.
+
+    The verdict reads only the factor det(xI - M) of the graph's spectral
+    description (`integer_spectrum`, `_multiplicity`); for a line graph
+    made by `line_graph(bg)` that has degree nu, and the characteristic
+    polynomial of degree e is never built.
     """
     if not isinstance(g, Graph):
         require_type(Graph, g=g)
@@ -313,8 +318,7 @@ def ramanujan_verdict(g: Graph, *, tol: Optional[float] = DEFAULT_TOL) -> Ramanu
         raise InputError("Ramanujan verdicts require a regular graph")
     if k < 1:
         raise InputError("degree must be at least 1")
-    spec = exact_spectrum(g)
-    return _verdict(spec, k, _eigenvalues(g, spec.integer_roots), tol)
+    return _verdict(g, k, _eigenvalues(g, integer_spectrum(g)), tol)
 
 
 def _eigenvalues(
@@ -325,25 +329,23 @@ def _eigenvalues(
     return expand_root_multiset(roots) if roots is not None else numeric_spectrum(g)
 
 
-def _verdict(
-    spec: ExactSpectrum, k: int, eigs: list, tol: float = DEFAULT_TOL
-) -> RamanujanVerdict:
-    """The verdict for a k-regular graph from its exact spectrum `spec`
-    and its descending eigenvalues `eigs`: ints when the spectrum is
-    integral, floats otherwise.
+def _verdict(g: Graph, k: int, eigs: list, tol: float = DEFAULT_TOL) -> RamanujanVerdict:
+    """The verdict for the k-regular graph g, k >= 1, from its descending
+    eigenvalues `eigs`: ints when the spectrum is integral, floats
+    otherwise.
 
     The largest eigenvalue is the Perron copy of k and, on a bipartite
     graph, the least is -k, so the nontrivial eigenvalues are a slice of
     `eigs`; each reading applies the same test to its eigenvalues.
 
-    The graph is bipartite exactly when every coefficient of its
-    characteristic polynomial at an odd offset from the leading one is 0,
-    that is, when p(-x) = (-1)^n p(x) and the spectrum is symmetric about
-    0. A bipartite graph has a symmetric spectrum (Coulson-Rushbrooke:
-    flipping the sign on one colour class maps A to -A). Conversely, a
-    symmetric spectrum gives tr A^(2j+1) = 0 for every j, and that trace
-    counts the closed walks of length 2j + 1, so there is no odd cycle.
-    The test is exact, on integral and non-integral graphs alike.
+    The graph is bipartite exactly when -k has the same multiplicity as
+    k, both read from the factor (`_multiplicity`). Each component is
+    k-regular and connected, so k is a simple eigenvalue of it (Perron-
+    Frobenius), and -k is one exactly when the component is bipartite:
+    flipping the sign on one colour class maps A to -A, and an
+    eigenvector for -k alternates in sign along every edge, so its signs
+    2-colour the component. The test is exact, on integral and
+    non-integral graphs alike.
     """
     bound = 2.0 * math.sqrt(k - 1)
     exact = isinstance(eigs[0], int)
@@ -352,7 +354,8 @@ def _verdict(
         within = lambda v: v * v <= bound_sq
     else:
         within = lambda v: abs(v) <= bound + tol
-    nontrivial = eigs[1:] if any(spec.char_poly[1::2]) else eigs[1:-1]
+    bipartite = _multiplicity(g, -k) == _multiplicity(g, k)
+    nontrivial = eigs[1:-1] if bipartite else eigs[1:]
     return RamanujanVerdict(
         degree=k,
         second_largest=eigs[1],
@@ -452,6 +455,9 @@ def analyze_line_graph(bg: BipartiteGraph, include_p_set: bool = False) -> Spect
     membership check needs it, and for a non-integral one only when
     `include_p_set` is true. A regular line graph's Ramanujan verdict
     reads the spectrum computed here: integral roots or the numeric one.
+    The -2 multiplicity and the verdict's bipartiteness are read from
+    the degree-nu factor (`_multiplicity`); only the report's `char_poly`
+    is the expanded polynomial.
     """
     if not isinstance(bg, BipartiteGraph):
         require_type(BipartiteGraph, bg=bg)
@@ -466,7 +472,7 @@ def analyze_line_graph(bg: BipartiteGraph, include_p_set: bool = False) -> Spect
     eigs = _eigenvalues(lg, spec.integer_roots)
     violations: list[str] = []
 
-    minus_two = root_multiplicity(spec.char_poly, -2)
+    minus_two = _multiplicity(lg, -2)
     if minus_two != e - nu + 1:
         violations.append(
             f"-2 multiplicity {minus_two} differs from e-nu+1 = {e - nu + 1}"
@@ -479,7 +485,7 @@ def analyze_line_graph(bg: BipartiteGraph, include_p_set: bool = False) -> Spect
     degree = lg.regular_degree()
     ram = None
     if degree is not None and degree >= 1:
-        ram = _verdict(spec, degree, eigs)
+        ram = _verdict(lg, degree, eigs)
 
     gamma_matched: Optional[Partition] = None
     p_set: Optional[CandidateSet] = None
@@ -560,10 +566,10 @@ def classify_regular_ramanujan_case(bg: BipartiteGraph) -> str:
             f"line graph degree 2s-2 = {2 * s - 2} is below the Ramanujan range (s >= 3)"
         )
     lg, _ = line_graph(bg)
-    spec = exact_spectrum(lg)
-    if spec.integer_roots is None:
+    roots = integer_spectrum(lg)
+    if roots is None:
         raise InputError("line graph is not integral")
-    verdict = _verdict(spec, 2 * s - 2, expand_root_multiset(spec.integer_roots))
+    verdict = _verdict(lg, 2 * s - 2, expand_root_multiset(roots))
     if not verdict.second_largest_ok:
         raise InputError("line graph is not Ramanujan")
     lam = verdict.second_largest - (s - 2)

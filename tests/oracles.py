@@ -31,12 +31,17 @@ it checks:
 - dense adjacency matrices from a graph's edge list;
 - line-graph diameters by a BFS from each of the e vertices of the line
   graph instead of from each of the nu vertices of its base graph;
-- bipartiteness by trying every 2-colouring instead of reading the
-  parity of the characteristic polynomial;
+- bipartiteness by trying every 2-colouring, and by the parity of the
+  characteristic polynomial, instead of comparing the multiplicities of
+  k and -k in the factor of a k-regular graph; Ramanujan verdicts from
+  the full exact spectrum and that parity instead of the factor alone;
 - the case label of a regular graph with an integral Ramanujan line
   graph from the base graph's own spectrum instead of the line spectrum
   shifted by s - 2, and the line spectrum of an s-regular base by its
   closed form in s, n and the counts of base eigenvalues +-2 and +-1;
+- root multiplicities by the Taylor coefficients of the polynomial at
+  the root, each summed out exactly, instead of dividing (x - t) out of
+  the factor as often as it divides;
 - characteristic polynomials by the Faddeev-LeVerrier recurrence on rows
   kept as lists of integers instead of rows packed into one integer
   each;
@@ -60,18 +65,22 @@ from hornlr import (
     IndexTriple,
     InputError,
     Partition,
+    RamanujanVerdict,
     TheoremViolation,
+    char_poly_exact,
     enumerate_partitions,
+    exact_spectrum,
     generate_t,
     generate_u,
     integer_spectrum,
     line_graph,
     moment_c,
     moment_d,
+    numeric_spectrum,
     weyl_bounds,
 )
 from hornlr.graphs import expand_root_multiset
-from hornlr.horn import SampleReport
+from hornlr.horn import DEFAULT_TOL, SampleReport
 from hornlr.lr import lr_positive
 from hornlr.partitions import _descending_parts
 from hornlr.spectra import _moment_targets, _power_sum_range
@@ -258,6 +267,54 @@ def brute_force_bipartite(g):
     edges = g.edges()
     return any(
         all((mask >> u ^ mask >> v) & 1 for u, v in edges) for mask in range(1 << g.order)
+    )
+
+
+def parity_bipartite(g):
+    """Whether `g` is bipartite, from its characteristic polynomial:
+    exactly when every coefficient at an odd offset from the leading one
+    is 0, that is, when the spectrum is symmetric about 0. A bipartite
+    graph's spectrum is (Coulson-Rushbrooke); conversely a symmetric one
+    gives tr A^(2j+1) = 0, and that trace counts the closed walks of
+    length 2j + 1, so there is no odd cycle."""
+    return not any(char_poly_exact(g)[1::2])
+
+
+def verdict_by_parity(g):
+    """ramanujan_verdict(g) for a k-regular g, k >= 1, from the full
+    exact spectrum (the expanded polynomial and its integer roots), or
+    the numeric one, with bipartiteness by `parity_bipartite`."""
+    k = g.regular_degree()
+    roots = exact_spectrum(g).integer_roots
+    exact = roots is not None
+    eigs = expand_root_multiset(roots) if exact else numeric_spectrum(g)
+    bound = 2.0 * math.sqrt(k - 1)
+    if exact:
+        within = lambda v: v * v <= 4 * (k - 1)
+    else:
+        within = lambda v: abs(v) <= bound + DEFAULT_TOL
+    nontrivial = eigs[1:-1] if parity_bipartite(g) else eigs[1:]
+    return RamanujanVerdict(
+        degree=k,
+        second_largest=eigs[1],
+        least=eigs[-1],
+        bound=bound,
+        second_largest_ok=within(eigs[1]),
+        all_nontrivial_ok=all(map(within, nontrivial)),
+        exact=exact,
+    )
+
+
+def root_multiplicity(coeffs, t):
+    """Multiplicity of the integer t as a root of the polynomial with
+    descending coefficients `coeffs` (leading one nonzero): the index of
+    the first nonzero Taylor coefficient p^(j)(t) / j! =
+    sum_i c_i C(d - i, j) t^(d - i - j), d the degree."""
+    d = len(coeffs) - 1
+    return next(
+        j
+        for j in range(d + 1)
+        if sum(c * math.comb(d - i, j) * t ** (d - i - j) for i, c in enumerate(coeffs[: d - j + 1]))
     )
 
 

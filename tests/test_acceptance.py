@@ -39,9 +39,16 @@ from hornlr import (
     ramanujan_verdict,
     sample_necessity,
 )
-from hornlr.graphs import expand_root_multiset, root_multiplicity
+from hornlr.graphs import expand_root_multiset
 
-from oracles import adjacency_matrix, all_partitions, line_spectrum_template, poly_mul, star_graphs
+from oracles import (
+    adjacency_matrix,
+    all_partitions,
+    line_spectrum_template,
+    poly_mul,
+    root_multiplicity,
+    star_graphs,
+)
 
 P = Partition
 
@@ -210,24 +217,27 @@ def test_criterion_7_cycle_complement_instances():
 
 def test_criterion_8_spectrum_template():
     """The closed-form line-graph spectrum template reproduces
-    L(K_{s,s}) for s in 2..6 (x = y = 0), and its total multiplicity
-    equals sn on 1000 random parameter tuples."""
+    L(K_{s,s}) for s in 2..6 (x = y = 0), and the library's integer
+    spectrum of L(bg) for each of the 8 s-regular (s >= 2) connected
+    bipartite graphs bg of order <= 10 whose base spectrum lies in
+    {0, +-1, +-2, +-s}, with x and y read from that spectrum: the
+    multiplicities of 2 (less the Perron copy when s = 2) and of 1."""
     with criterion("8", 120.0):
         for s in range(2, 7):
             lg, _ = line_graph(complete_bipartite(s, s))
             assert line_spectrum_template(s, s, 0, 0) == integer_spectrum(lg)
-        rng = random.Random(0)
-        accepted = 0
-        while accepted < 1000:
-            s = rng.randint(2, 30)
-            n = rng.randint(1, 30)
-            x = rng.randint(0, 30)
-            y = rng.randint(0, 30)
-            if 2 * n - 2 * x - 2 * y - 2 < 0:
+        found = []
+        for bg in connected_bipartite_graphs(10):
+            s = bg.regular_degree()
+            roots = integer_spectrum(bg.as_graph()) if s is not None and s >= 2 else None
+            if roots is None or not {t for t, _ in roots} <= {0, 1, -1, 2, -2, s, -s}:
                 continue
-            spec = line_spectrum_template(s, n, x, y)
-            assert sum(m for _, m in spec) == s * n
-            accepted += 1
+            base = dict(roots)
+            x, y = base.get(2, 0) - (s == 2), base.get(1, 0)
+            lg, _ = line_graph(bg)
+            assert line_spectrum_template(s, bg.x_size, x, y) == integer_spectrum(lg), bg
+            found.append((s, bg.x_size, x, y))
+        assert len(found) == 8 and (3, 5, 1, 2) in found, found
 
 
 def test_criterion_9_property_bundle():

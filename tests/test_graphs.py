@@ -36,11 +36,11 @@ from hornlr.graphs import (
     _factor,
     _gram_sides,
     _matrix,
+    _multiplicity,
     expand_root_multiset,
     graph_to_text,
     parse_graph_json,
     parse_graph_text,
-    root_multiplicity,
 )
 
 from oracles import (
@@ -52,7 +52,9 @@ from oracles import (
     char_poly_by_rows,
     connected_bipartite_signatures,
     line_graph_by_pairs,
+    parity_bipartite,
     poly_mul,
+    root_multiplicity,
     star_graphs,
 )
 
@@ -573,6 +575,52 @@ def test_line_graph_answers_leave_the_lists_unbuilt(monkeypatch):
     assert len(built) == 1  # once
 
 
+def _never_called(*args):
+    raise AssertionError("the characteristic polynomial was built")
+
+
+def _factor_answers(lg):
+    """(integer_spectrum, ramanujan_verdict or the error it raised) of lg."""
+    try:
+        verdict = ramanujan_verdict(lg)
+    except InputError as exc:
+        verdict = type(exc)
+    return integer_spectrum(lg), verdict
+
+
+def test_answers_without_the_polynomial_never_build_it(monkeypatch):
+    # integer roots and verdicts read the degree-nu factor alone, so they
+    # answer the same with char_poly_exact broken; the line graphs of the
+    # forests K_{1,1}, P_3 = K_{2,1} and K_{1,3} have e - nu = -1
+    forests = [complete_bipartite(1, 1), complete_bipartite(2, 1), complete_bipartite(1, 3)]
+    bases = forests + [complete_bipartite(s, t) for s in range(2, 8) for t in range(s, 9)]
+    bases += [bg for bg in connected_bipartite_graphs(8) if line_graph(bg)[0].regular_degree()]
+    expected = [_factor_answers(line_graph(bg)[0]) for bg in bases]
+    monkeypatch.setattr(graphs, "char_poly_exact", _never_called)
+    with pytest.raises(AssertionError):
+        exact_spectrum(line_graph(complete_bipartite(2, 2))[0])
+    got = [_factor_answers(line_graph(bg)[0]) for bg in bases]
+    assert got == expected
+    k2, k3 = Graph(2, [(0, 1)]), _triangle()
+    assert [v for _, v in got[:3]] == [InputError, ramanujan_verdict(k2), ramanujan_verdict(k3)]
+    assert sum(isinstance(v, hornlr.RamanujanVerdict) for _, v in got) > 40
+
+
+def test_multiplicity_reads_the_factor():
+    # the factor's count of t, plus e - nu at t = -2, is t's multiplicity
+    # in the full polynomial, on bases with isolated vertices (e - nu may
+    # be negative) and connected ones, and on plain graphs
+    checked = Counter()
+    cases = [line_graph(bg)[0] for bg in _lazy_bases()] + [_cycle_graph(5), _triangle(), Graph(3)]
+    for lg in cases:
+        poly = char_poly_exact(lg)
+        top = lg.max_degree()
+        for t in range(-top - 2, top + 2):
+            assert _multiplicity(lg, t) == root_multiplicity(poly, t), (lg, t)
+        checked[_factor(graphs._source(lg))[1] < 0] += 1
+    assert checked[True] >= 20 and checked[False] >= 200
+
+
 def test_kernel_backend_is_pure():
     assert hornlr.kernel_backend == "pure"
 
@@ -598,10 +646,10 @@ def test_integer_spectrum_consistency_with_numeric():
 
 
 def test_root_multiplicity():
-    poly = char_poly_exact(_cycle_graph(4))
-    assert root_multiplicity(poly, 0) == 2
-    assert root_multiplicity(poly, 2) == 1
-    assert root_multiplicity(poly, 1) == 0
+    # C_4 has spectrum {2, 0, 0, -2}; the oracle reads the polynomial
+    for t, count in ((0, 2), (2, 1), (-2, 1), (1, 0)):
+        assert _multiplicity(_cycle_graph(4), t) == count
+        assert root_multiplicity(char_poly_exact(_cycle_graph(4)), t) == count
 
 
 def test_integer_roots_match_sympy_factorisation():
@@ -622,6 +670,7 @@ def test_integer_roots_match_sympy_factorisation():
         assert integer_spectrum(g) == expected, g
         bound = g.max_degree() + 1
         for t in range(-bound, bound + 1):
+            assert _multiplicity(g, t) == linear.get(t, 0), (g, t)
             assert root_multiplicity(poly, t) == linear.get(t, 0), (g, t)
 
 
@@ -800,15 +849,9 @@ def test_line_diameter_examples(bg, expected):
     assert _line_metrics_agree(bg) == expected
 
 
-def _parity_bipartite(g):
-    # bipartite exactly when the spectrum is symmetric about 0: every
-    # coefficient at an odd offset from the leading one is 0
-    return not any(char_poly_exact(g)[1::2])
-
-
 def test_connectivity_and_bipartiteness():
-    assert _parity_bipartite(_cycle_graph(4))
-    assert not _parity_bipartite(_cycle_graph(5))
+    assert parity_bipartite(_cycle_graph(4))
+    assert not parity_bipartite(_cycle_graph(5))
     assert complete_bipartite(2, 3).is_connected()
     assert not matching(2).is_connected()
 
@@ -824,7 +867,7 @@ def test_bipartiteness_matches_brute_force():
     graphs.append(Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)]))
     verdicts = set()
     for g in graphs:
-        verdict = _parity_bipartite(g)
+        verdict = parity_bipartite(g)
         assert verdict == brute_force_bipartite(g)
         verdicts.add((verdict, bfs_diameter(g) < math.inf))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}

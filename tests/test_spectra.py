@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -30,17 +31,21 @@ from hornlr import (
     ramanujan_verdict,
 )
 from hornlr import graphs, spectra
-from hornlr.graphs import Graph, expand_root_multiset
+from hornlr.graphs import Graph, _multiplicity, char_poly_exact, expand_root_multiset
 from hornlr.lr import lr_positive
 from hornlr.spectra import _power_sum_range
 
 from oracles import (
     adjacency_matrix,
     all_partitions,
+    brute_force_bipartite,
     classify_by_base_spectrum,
     exhaustive_p,
     line_spectrum_template,
+    parity_bipartite,
+    root_multiplicity,
     uncapped_p,
+    verdict_by_parity,
 )
 
 P = Partition
@@ -545,6 +550,97 @@ def test_ramanujan_bipartite_drops_minus_k():
         assert verdict.exact == exact
         assert verdict.least == pytest.approx(-3)
         assert verdict.second_largest_ok and verdict.all_nontrivial_ok
+
+
+def _plain_union(*graphs_):
+    """The disjoint union of plain graphs, in the order given."""
+    edges, offset = [], 0
+    for g in graphs_:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.order
+    return Graph(offset, edges)
+
+
+def _regular_graphs(rng):
+    """Seeded regular graphs of degree >= 1: cycles, circulants, line
+    graphs of K_{s,t}, and unions of a bipartite and a non-bipartite
+    component of one degree, in both orders, as plain graphs and as line
+    graphs (L(C_6 + K_{1,3}) = C_6 + K_3 has e - nu = -1, so the
+    multiplicity of -k = -2 needs the extra count); line graphs of even
+    cycles, some beside isolated vertices; and graphs one edge swap away
+    from K_{n,n}, whose verdict turns on the rule."""
+    cycle = lambda n: Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    complete = lambda n: Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    out = [cycle(n) for n in range(3, 13)]
+    while len(out) < 40:
+        n = rng.randint(4, 12)
+        jumps = rng.sample(range(1, n // 2 + 1), rng.randint(1, (n - 1) // 2))
+        out.append(Graph(n, [(v, (v + d) % n) for v in range(n) for d in jumps]))
+    out += [line_graph(complete_bipartite(s, t))[0] for s in range(1, 5) for t in range(max(s, 2), 6)]
+    k33 = complete_bipartite(3, 3).as_graph()
+    out += [_plain_union(cycle(4), cycle(5)), _plain_union(cycle(5), cycle(4))]
+    out += [_plain_union(k33, complete(4)), _plain_union(complete(4), k33)]
+    for other in (even_cycle(4), even_cycle(6)):
+        for pair in ([other, complete_bipartite(1, 3)], [complete_bipartite(1, 3), other]):
+            out.append(line_graph(disjoint_union(pair))[0])
+        # the same cycle beside two isolated vertices: e - nu = -2
+        out.append(line_graph(disjoint_union([other, BipartiteGraph(1, 1)]))[0])
+    out.append(line_graph(disjoint_union([even_cycle(4), even_cycle(6)]))[0])
+    # K_{n,n} with x0y0 and x1y1 swapped for x0x1 and y0y1: n-regular with
+    # a triangle, and for n >= 5 its least eigenvalue alone breaks the bound
+    for n in range(4, 8):
+        kept = [(x, n + y) for x in range(n) for y in range(n) if (x, y) not in ((0, 0), (1, 1))]
+        out.append(Graph(2 * n, kept + [(0, 1), (n, n + 1)]))
+    return out
+
+
+def test_bipartiteness_from_the_multiplicities_of_k_and_minus_k():
+    # a k-regular graph is bipartite exactly when -k is as frequent as k,
+    # against the parity of the polynomial and, to order 10, every
+    # 2-colouring; both answers occur among the brute-forced graphs and
+    # among the 2-regular line graphs, where -k = -2 takes the extra count
+    seen = Counter()
+    for g in _regular_graphs(random.Random(29)):
+        k = g.regular_degree()
+        assert k >= 1
+        rule = _multiplicity(g, -k) == _multiplicity(g, k)
+        assert rule == parity_bipartite(g), g
+        if g.order <= 10:
+            assert rule == brute_force_bipartite(g), g
+            seen[rule, "brute force"] += 1
+        if k == 2 and g._base is not None:
+            seen[rule, "2-regular line graph"] += 1
+    assert min(seen.values()) >= 2 and len(seen) == 4
+
+
+def test_verdicts_match_the_parity_route():
+    # every regular line graph of the order <= 9 corpus, and every graph
+    # of the seeded set, gets the verdict of the full spectrum and parity
+    regular = 0
+    for bg in connected_bipartite_graphs(9):
+        lg, _ = line_graph(bg)
+        if lg.regular_degree():
+            expected = verdict_by_parity(lg)
+            assert ramanujan_verdict(lg) == expected, bg
+            assert analyze_line_graph(bg).ramanujan == expected, bg
+            regular += 1
+    assert regular > 20
+    turns = 0
+    for g in _regular_graphs(random.Random(29)):
+        verdict = ramanujan_verdict(g)
+        assert verdict == verdict_by_parity(g), g
+        # the all-nontrivial reading fails below the second eigenvalue
+        turns += verdict.second_largest_ok and not verdict.all_nontrivial_ok
+    assert turns >= 3
+
+
+def test_minus_two_multiplicity_from_the_factor():
+    # analyze_line_graph reads -2 from the degree-nu factor; the expanded
+    # polynomial of degree e must agree
+    for bg in connected_bipartite_graphs(8):
+        lg, _ = line_graph(bg)
+        expected = root_multiplicity(char_poly_exact(lg), -2)
+        assert analyze_line_graph(bg).minus_two_multiplicity == expected, bg
 
 
 # ---------------------------------------------------------------------------
