@@ -52,15 +52,18 @@ graph's largest degree and lowest the Gershgorin floor min(M_ii - deg_i):
 -Delta for an adjacency matrix, and -2 for Q - 2I (Q = B B^T is positive
 semidefinite, and its nonzero eigenvalues are those of B^T B =
 A(L) + 2I). So the integer roots are searched in that window on
-det(xI - M) alone, an eigenvalue's multiplicity is its count there plus
-the extra -2s (`_multiplicity`), and the numeric eigenvalues are those
-of M, padded with -2.0. Only an answer that returns the polynomial
-multiplies (x+2)^(e-nu) in (`char_poly_exact`). That factor is computed
-once for every spectral answer about one graph (`_factor` keeps the
-last one). When both classes of the base graph are
-regular, as they are under every regular line graph of a connected
-bipartite graph, `_factor` expands it from the m x m Gram matrix N N^T
-of the biadjacency N, m the smaller class, instead of the nu x nu Q - 2I.
+det(xI - M) alone, and the numeric eigenvalues are those of M, padded
+with -2.0. Each `Graph` keeps its spectral record in a slot, filled the
+first time a spectral answer asks for it (`_spectral_record`): the
+factor det(xI - M), the extra count, every integer eigenvalue's
+multiplicity from one scan of that window with the extra -2s added
+once, and whether the factor split. Every spectral answer about one
+graph object reads that record; only an answer that returns the
+polynomial multiplies (x+2)^(e-nu) in (`char_poly_exact`). When both
+classes of the base graph are regular, as they are under every regular
+line graph of a connected bipartite graph, `_factor` expands the factor
+from the m x m Gram matrix N N^T of the biadjacency N, m the smaller
+class, instead of the nu x nu Q - 2I.
 
 Vertex order of a line graph is the lexicographic order of the base
 graph's edges by (x-index, y-index); every operation that returns
@@ -72,7 +75,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -99,9 +101,11 @@ class Graph:
     and degrees, and the answers of `char_poly_exact`, `exact_spectrum`,
     `numeric_spectrum`, `diameter` and `clique_number`, come from the
     base graph (through `_source`), so none of those builds the lists.
+    Every graph keeps its spectral record in `_record`, filled on the
+    first spectral answer (`_spectral_record`).
     """
 
-    __slots__ = ("_adj", "_base")
+    __slots__ = ("_adj", "_base", "_record")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]] = ()):
         if not _is_int(order) or order < 1:
@@ -123,6 +127,7 @@ class Graph:
             raise InputError("edges must be an iterable of integer pairs") from None
         self._adj: Optional[tuple[tuple[int, ...], ...]] = tuple(tuple(sorted(s)) for s in adj)
         self._base: Optional[BipartiteGraph] = None
+        self._record: Optional[_Record] = None
 
     @property
     def order(self) -> int:
@@ -277,7 +282,7 @@ def line_graph(bg: BipartiteGraph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     if not edges:
         raise InputError("line graph of an edgeless graph is undefined")
     lg = Graph.__new__(Graph)
-    lg._adj = None
+    lg._adj = lg._record = None
     lg._base = bg
     return lg, edges
 
@@ -429,23 +434,23 @@ def _adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
 def char_poly_exact(g: Graph) -> tuple[int, ...]:
     """Integer coefficients of det(xI - A), descending degree.
 
-    The factor det(xI - M) of the graph's spectral description
-    (`_factor`) is multiplied by the binomial expansion of (x+2)^extra in
-    one convolution: for a graph without a base M is its adjacency and
-    the binomial is [1]; for a line graph made by `line_graph(bg)`, M is
-    Q - 2I of `bg` on its nu vertices (whose determinant `_factor` takes
-    from the m x m Gram matrix N N^T when both classes of `bg` are
-    regular) and extra = e - nu. When extra < 0, a forest or a base graph
-    with isolated vertices, (x+2)^(-extra) is divided out instead; Q has
-    a zero eigenvalue per component, so the division is exact, and a
-    remainder raises ArithmeticError.
+    The factor det(xI - M) in the graph's spectral record
+    (`_spectral_record`) is multiplied by the binomial expansion of
+    (x+2)^extra in one convolution: for a graph without a base M is its
+    adjacency and the binomial is [1]; for a line graph made by
+    `line_graph(bg)`, M is Q - 2I of `bg` on its nu vertices (whose
+    determinant `_factor` takes from the m x m Gram matrix N N^T when
+    both classes of `bg` are regular) and extra = e - nu. When extra < 0,
+    a forest or a base graph with isolated vertices, (x+2)^(-extra) is
+    divided out instead; Q has a zero eigenvalue per component, so the
+    division is exact, and a remainder raises ArithmeticError.
 
     Only the answers that return the polynomial expand it: this one,
     `exact_spectrum` and the report of `analyze_line_graph`. Integer
-    roots, multiplicities and Ramanujan verdicts read the degree-nu
-    factor alone (`integer_spectrum`, `_multiplicity`).
+    roots, multiplicities and Ramanujan verdicts read the record's
+    multiplicities alone (`integer_spectrum`, `_multiplicity`).
     """
-    factor, extra, _ = _factor(_source(g))
+    factor, extra, _, _ = _spectral_record(g)
     if extra < 0:
         coeffs, count = _deflate(factor, -2, -extra)
         if count < -extra:
@@ -485,13 +490,42 @@ def _matrix(
     return adj, [len(nb) - 2 for nb in adj], source.edge_count - source.order
 
 
-@lru_cache(maxsize=1)
+_Record = tuple[tuple[int, ...], int, dict[int, int], bool]
+
+
+def _spectral_record(g: Graph) -> _Record:
+    """(factor, extra, multiplicities, split): the spectral record of
+    `g`, built on the first call and kept in `g._record`, so every
+    spectral answer about one graph object computes the factor once.
+
+    `factor` and `extra` are `_factor`'s det(xI - M) and e - nu. The
+    factor's integer roots lie in [lowest, Delta], lowest its Gershgorin
+    floor and Delta the largest degree of `g` (no eigenvalue exceeds
+    it), so one scan from Delta down divides each out as often as it
+    divides (`_deflate`). The extra -2s are then added to the count of
+    -2, here and nowhere else, and `multiplicities` maps every integer
+    eigenvalue of `g` to its multiplicity, descending. `split` tells
+    whether nothing was left of the factor: whether `g` is integral.
+    For a line graph the floor is -2 even when Delta(L) < 2: the factor
+    of a single edge, Delta(L) = 0, has the root -2, which its extra
+    count of -1 cancels. Two threads that fill the slot at once write
+    equal records, so either write may win.
+    """
+    source = _source(g)  # first, so that a wrong type raises InputError
+    if g._record is None:
+        factor, extra, lowest = _factor(source)
+        quotient, counts = factor, {}
+        for t in range(g.max_degree(), lowest - 1, -1):
+            quotient, counts[t] = _deflate(quotient, t)
+        counts[-2] = counts.get(-2, 0) + extra  # -2 is the floor whenever extra != 0
+        g._record = factor, extra, {t: c for t, c in counts.items() if c}, len(quotient) == 1
+    return g._record
+
+
 def _factor(source: Union[Graph, BipartiteGraph]) -> tuple[tuple[int, ...], int, int]:
     """(det(xI - M), extra, lowest) for `_matrix(source)`, lowest the
-    Gershgorin floor min(M_ii - deg_i) of M's eigenvalues. The last
-    factor is kept, so the answers asked of one graph in turn (the
-    polynomial and roots of `exact_spectrum`, a verdict's roots and
-    multiplicities) compute it once.
+    Gershgorin floor min(M_ii - deg_i) of M's eigenvalues. Computed
+    afresh on every call; `_spectral_record` keeps the one of each graph.
 
     A base graph whose classes are each regular, m vertices of degree a
     (the smaller class) and n >= m of degree b, takes a smaller route.
@@ -603,53 +637,25 @@ def _char_poly(
 
 def exact_spectrum(g: Graph) -> ExactSpectrum:
     """Characteristic polynomial (`char_poly_exact`) plus integer roots
-    (`integer_spectrum`); the roots are read from the factor, not from
-    the polynomial."""
+    (`integer_spectrum`); the roots are read from the graph's spectral
+    record, not from the polynomial."""
     return ExactSpectrum(char_poly_exact(g), integer_spectrum(g))
 
 
 def integer_spectrum(g: Graph) -> Optional[tuple[tuple[int, int], ...]]:
-    """Root multiset when the graph is integral, else None.
-
-    Only the factor det(xI - M) of the graph's spectral description is
-    searched, from the largest degree (no eigenvalue exceeds it) down to
-    M's Gershgorin floor, each candidate divided out as often as it
-    divides (`_deflate`); the extra -2s are then added to the
-    multiplicity of -2. The full polynomial is never built. For a line
-    graph the floor is -2 even when Delta(L) < 2: the factor of a single
-    edge, Delta(L) = 0, has the root -2, which its extra count of -1
-    cancels.
-    """
-    factor, extra, lowest = _factor(_source(g))
-    roots = _integer_roots(factor, g.max_degree(), lowest)
-    if roots is not None and extra:
-        counts = dict(roots)  # descending, and -2 is the least root
-        counts[-2] = counts.get(-2, 0) + extra
-        roots = tuple((t, c) for t, c in counts.items() if c)
-    return roots
+    """Root multiset when the graph is integral, else None: the
+    multiplicities of the graph's spectral record (`_spectral_record`)
+    when its factor det(xI - M) split. The full polynomial is never
+    built."""
+    _, _, counts, split = _spectral_record(g)
+    return tuple(counts.items()) if split else None
 
 
 def _multiplicity(g: Graph, t: int) -> int:
-    """Multiplicity of the integer t as an eigenvalue of `g`, read from
-    the factor det(xI - M): its `_deflate` count there, plus the extra
-    count e - nu when t = -2. That count is negative for a forest or a
-    base graph with isolated vertices, whose factor holds at least
-    nu - e copies of -2."""
-    factor, extra, _ = _factor(_source(g))
-    return _deflate(factor, t)[1] + (extra if t == -2 else 0)
-
-
-def _integer_roots(
-    coeffs: Sequence[int], top: int, bottom: int
-) -> Optional[tuple[tuple[int, int], ...]]:
-    """The integer roots of the polynomial when every root is an integer
-    in [bottom, top], descending with multiplicities; else None."""
-    roots = []
-    for t in range(top, bottom - 1, -1):
-        coeffs, count = _deflate(coeffs, t)
-        if count:
-            roots.append((t, count))
-    return tuple(roots) if len(coeffs) == 1 else None
+    """Multiplicity of the integer t as an eigenvalue of `g`, 0 when t is
+    not one: a lookup in the graph's spectral record, which holds the
+    multiplicity of every integer eigenvalue, integral graph or not."""
+    return _spectral_record(g)[2].get(t, 0)
 
 
 def _deflate(

@@ -305,10 +305,11 @@ def ramanujan_verdict(g: Graph, *, tol: Optional[float] = DEFAULT_TOL) -> Ramanu
     on a numeric spectrum; None means DEFAULT_TOL, and it must be a real
     number on every graph.
 
-    The verdict reads only the factor det(xI - M) of the graph's spectral
-    description (`integer_spectrum`, `_multiplicity`); for a line graph
-    made by `line_graph(bg)` that has degree nu, and the characteristic
-    polynomial of degree e is never built.
+    The verdict reads only the graph's spectral record: the integer
+    multiplicities found on the factor det(xI - M) (`integer_spectrum`,
+    `_multiplicity`), which the graph builds once and keeps. For a line
+    graph made by `line_graph(bg)` that factor has degree nu, and the
+    characteristic polynomial of degree e is never built.
     """
     if not isinstance(g, Graph):
         require_type(Graph, g=g)
@@ -339,7 +340,8 @@ def _verdict(g: Graph, k: int, eigs: list, tol: float = DEFAULT_TOL) -> Ramanuja
     `eigs`; each reading applies the same test to its eigenvalues.
 
     The graph is bipartite exactly when -k has the same multiplicity as
-    k, both read from the factor (`_multiplicity`). Each component is
+    k, both looked up in the graph's spectral record (`_multiplicity`),
+    so the test costs no division. Each component is
     k-regular and connected, so k is a simple eigenvalue of it (Perron-
     Frobenius), and -k is one exactly when the component is bipartite:
     flipping the sign on one colour class maps A to -A, and an
@@ -455,9 +457,10 @@ def analyze_line_graph(bg: BipartiteGraph, include_p_set: bool = False) -> Spect
     membership check needs it, and for a non-integral one only when
     `include_p_set` is true. A regular line graph's Ramanujan verdict
     reads the spectrum computed here: integral roots or the numeric one.
-    The -2 multiplicity and the verdict's bipartiteness are read from
-    the degree-nu factor (`_multiplicity`); only the report's `char_poly`
-    is the expanded polynomial.
+    The -2 multiplicity and the verdict's bipartiteness are looked up in
+    the line graph's spectral record, which holds the multiplicities
+    found on the degree-nu factor (`_multiplicity`); only the report's
+    `char_poly` is the expanded polynomial.
     """
     if not isinstance(bg, BipartiteGraph):
         require_type(BipartiteGraph, bg=bg)

@@ -390,10 +390,9 @@ def test_line_graph_char_poly_rejects_an_inexact_division(monkeypatch):
         char_poly_exact(lg)
 
 
-def test_factor_cache_tells_a_line_graph_from_its_plain_copy(monkeypatch):
-    # the kept factor is keyed on the graph that `_source` picks: the base
-    # graph for a line graph, the graph itself for its equal plain copy.
-    # K_{3,4} is semiregular, so its factor comes from the 3 x 3 Gram matrix
+def _counted_char_poly(monkeypatch):
+    """The orders of the matrices that `_char_poly` runs on from now on,
+    in a list that grows with each run."""
     rows = []
     real = graphs._char_poly
 
@@ -402,20 +401,55 @@ def test_factor_cache_tells_a_line_graph_from_its_plain_copy(monkeypatch):
         return real(neighbours, *rest)
 
     monkeypatch.setattr(graphs, "_char_poly", counting)
+    return rows
+
+
+def test_factor_cache_tells_a_line_graph_from_its_plain_copy(monkeypatch):
+    # each graph keeps its own spectral record, built from the graph that
+    # `_source` picks: the base graph for a line graph, the graph itself
+    # for its equal plain copy. K_{3,4} is semiregular, so the line
+    # graph's factor comes from the 3 x 3 Gram matrix, and the copy's from
+    # its 12 x 12 adjacency
+    rows = _counted_char_poly(monkeypatch)
     lg = line_graph(complete_bipartite(3, 4))[0]
     plain = Graph(lg.order, lg.edges())
     assert plain == lg and plain._base is None
-    # lg == plain, so the expected row counts go by position, not by key
-    for order, expected in (((lg, plain), [3, 12]), ((plain, lg), [12, 3])):
-        graphs._factor.cache_clear()
-        rows.clear()
-        (poly, spec, numeric), (poly2, spec2, numeric2) = [
-            (char_poly_exact(g), exact_spectrum(g), numeric_spectrum(g)) for g in order
-        ]
-        assert poly == poly2 and spec == spec2
-        assert numeric2 == pytest.approx(numeric, abs=1e-9)
-        assert rows == expected
+    (poly, spec, numeric), (poly2, spec2, numeric2) = [
+        (char_poly_exact(g), exact_spectrum(g), numeric_spectrum(g)) for g in (lg, plain)
+    ]
+    assert poly == poly2 and spec == spec2
+    assert numeric2 == pytest.approx(numeric, abs=1e-9)
+    assert rows == [3, 12]
     assert exact_spectrum(lg).integer_roots == ((5, 1), (2, 2), (1, 3), (-2, 6))
+    assert exact_spectrum(plain) == spec
+    assert rows == [3, 12]  # equal graphs, and each reads its own record
+
+
+def test_spectral_answers_build_each_graphs_factor_once(monkeypatch):
+    # answers that alternate between graphs build each graph's factor on
+    # the first of them, and a repeat on the same graph object builds
+    # none: L(K_{3,4}) from its 3 x 3 Gram matrix, L(K_{1,3}), a forest's
+    # line graph with e - nu = -1, from its 1 x 1 one, and C_5 from its
+    # adjacency
+    def fresh():
+        return [
+            line_graph(complete_bipartite(3, 4))[0],
+            line_graph(complete_bipartite(1, 3))[0],
+            _cycle_graph(5),
+        ]
+
+    queries = (exact_spectrum, ramanujan_verdict, integer_spectrum)
+    alone = [[query(g) for query in queries] for g in fresh()]  # one graph at a time
+    rows = _counted_char_poly(monkeypatch)
+    cases = fresh()
+    for _ in range(2):
+        answers = [[None] * len(queries) for _ in cases]
+        for q, query in enumerate(queries):
+            for i, g in enumerate(cases):
+                answers[i][q] = query(g)
+        assert answers == alone
+        assert rows == [3, 1, 5]  # the first pass builds each factor, the repeat none
+    assert integer_spectrum(cases[1]) == ((2, 1), (-1, 2))  # the triangle
 
 
 def _semiregular(rng, m, n, a, swaps):
@@ -456,19 +490,11 @@ def test_gram_factor_matches_the_full_matrix_route():
     for bg in bases:
         assert _gram_sides(bg) is not None, bg
         neighbours, diagonal, extra = _matrix(bg)
-        graphs._factor.cache_clear()
         assert _factor(bg) == (tuple(_char_poly(neighbours, diagonal)), extra, -2), bg
 
 
 def test_only_semiregular_bases_take_the_gram_route(monkeypatch):
-    rows = []
-    real = graphs._char_poly
-
-    def counting(neighbours, *rest):
-        rows.append(len(neighbours))
-        return real(neighbours, *rest)
-
-    monkeypatch.setattr(graphs, "_char_poly", counting)
+    rows = _counted_char_poly(monkeypatch)
     cases = [
         (complete_bipartite(5, 3), 3),  # the smaller class, here Y
         (_path(3), 4),  # degrees 1, 2 | 2, 1: nu x nu
@@ -477,7 +503,6 @@ def test_only_semiregular_bases_take_the_gram_route(monkeypatch):
         (complete_bipartite(3, 3).as_graph(), 6),  # a plain graph: its adjacency
     ]
     for source, expected in cases:
-        graphs._factor.cache_clear()
         rows.clear()
         _factor(source)
         assert rows == [expected], source
@@ -492,7 +517,6 @@ def test_gram_factor_of_large_complete_bipartite_graphs():
         for root, mult in ((s - 2, t - 1), (t - 2, s - 1), (-2, 1)):
             for _ in range(mult):
                 expected = poly_mul(expected, [1, -root])
-        graphs._factor.cache_clear()
         assert _factor(complete_bipartite(s, t))[0] == tuple(expected), (s, t)
 
 
@@ -617,7 +641,7 @@ def test_multiplicity_reads_the_factor():
         top = lg.max_degree()
         for t in range(-top - 2, top + 2):
             assert _multiplicity(lg, t) == root_multiplicity(poly, t), (lg, t)
-        checked[_factor(graphs._source(lg))[1] < 0] += 1
+        checked[graphs._spectral_record(lg)[1] < 0] += 1
     assert checked[True] >= 20 and checked[False] >= 200
 
 

@@ -710,18 +710,21 @@ def test_char_poly_computed_once_per_graph(monkeypatch):
         return real(neighbours, *rest)
 
     monkeypatch.setattr(graphs, "_char_poly", counting)
-    # the last factor det(xI - (Q - 2I)) is kept; start each count without it
-    graphs._factor.cache_clear()
     report = analyze_line_graph(complete_bipartite(3, 3))
     assert report.ramanujan is not None
     assert calls == [3]  # the Gram matrix of K_{3,3}, not the 9 x 9 adjacency
     calls.clear()
-    graphs._factor.cache_clear()
     assert classify_regular_ramanujan_case(complete_bipartite(3, 3)) == "lambda0"
     assert calls == [3]  # the line graph only; lambda_2 is read off its spectrum
     calls.clear()
-    exact_spectrum(line_graph(complete_bipartite(3, 3))[0])
-    assert calls == []  # the kept factor serves a repeated query
+    lg = line_graph(complete_bipartite(3, 3))[0]
+    plain = Graph(lg.order, lg.edges())
+    assert exact_spectrum(lg) == exact_spectrum(plain)
+    assert calls == [3, 9]  # each graph builds its own factor: the Gram matrix, the adjacency
+    calls.clear()
+    assert ramanujan_verdict(lg) == ramanujan_verdict(plain)
+    exact_spectrum(lg)
+    assert calls == []  # each graph's kept record serves its repeated queries
 
 
 def test_analyze_reads_one_numeric_spectrum(monkeypatch):
