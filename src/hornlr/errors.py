@@ -1,6 +1,7 @@
 """Exception types shared across the package, `brief`, which every
-error message uses to show a caller's value, and `require_type`, which
-turns a wrong argument type into an InputError.
+error message uses to show a caller's value, `require_type`, which
+turns a wrong argument type into an InputError, and `as_int`, the one
+rule for an integer argument.
 
 The CLI maps these onto exit codes: bad input or unmet preconditions exit
 with 2, a theorem violation (a check that is mathematically guaranteed to
@@ -8,6 +9,7 @@ pass reported a failure, signalling a bug) exits with 1, I/O problems
 exit with 3.
 """
 
+import operator
 import reprlib
 
 
@@ -47,3 +49,21 @@ def require_type(kind: type, **values) -> None:
     for name, value in values.items():
         if not isinstance(value, kind):
             raise InputError(f"{name} must be a {kind.__name__}, got {brief(value)}")
+
+
+def as_int(value, name: str, least: int | None = None) -> int:
+    """`value` as a Python int, the package's one rule for an integer
+    argument: whatever `operator.index` accepts (an int, a numpy integer),
+    except a bool, Python's or numpy's. Otherwise, or when `least` is given
+    and the value is below it, raise InputError naming the argument."""
+    try:
+        # numpy's bool by its dtype: numpy 2 refuses it in operator.index,
+        # numpy 1 only warns
+        if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {brief(value)}") from None
+    if least is not None and value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {brief(value)}")
+    return value

@@ -80,14 +80,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import FormatError, InputError, brief, require_type
+from .errors import FormatError, InputError, as_int, brief, require_type
 from .partitions import Partition
-
-
-def _is_int(value) -> bool:
-    # a genuine int: JSON true/false arrive as bool, a subclass of int.
-    # The constructors' edge loops inline this test, once per endpoint.
-    return type(value) is int
 
 
 class Graph:
@@ -108,13 +102,13 @@ class Graph:
     __slots__ = ("_adj", "_base", "_record")
 
     def __init__(self, order: int, edges: Iterable[tuple[int, int]] = ()):
-        if not _is_int(order) or order < 1:
-            raise InputError(f"graph order must be a positive integer, got {brief(order)}")
+        if type(order) is not int or order < 1:  # a plain int skips the call to as_int
+            order = as_int(order, "graph order", 1)
         adj: list[set[int]] = [set() for _ in range(order)]
         try:
             for u, v in edges:
                 if not (type(u) is int and type(v) is int):
-                    raise InputError(f"edge {brief((u, v))} has non-integer endpoints")
+                    u, v = as_int(u, "an endpoint in edges"), as_int(v, "an endpoint in edges")
                 if not (0 <= u < order and 0 <= v < order):
                     raise InputError(f"edge {brief((u, v))} out of range for order {order}")
                 if u == v:
@@ -135,10 +129,15 @@ class Graph:
         return source.edge_count if isinstance(source, BipartiteGraph) else len(self._adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return _adjacency(self)[v]
+        adj = _adjacency(self)
+        if type(v) is not int or not 0 <= v < len(adj):
+            v = as_int(v, "vertex v", 0)
+            if v >= len(adj):
+                raise InputError(f"vertex v must be below the order {len(adj)}, got {brief(v)}")
+        return adj[v]
 
     def degree(self, v: int) -> int:
-        return len(_adjacency(self)[v])
+        return len(self.neighbors(v))
 
     def degrees(self) -> list[int]:
         """Degrees by vertex; for a line graph, deg x + deg y - 2 for the
@@ -185,15 +184,14 @@ class BipartiteGraph:
     __slots__ = ("_m", "_adj")
 
     def __init__(self, x_size: int, y_size: int, edges: Iterable[tuple[int, int]] = ()):
-        if not (_is_int(x_size) and _is_int(y_size)) or x_size < 1 or y_size < 1:
-            raise InputError(
-                f"colour class sizes must be positive integers, got {brief((x_size, y_size))}"
-            )
+        if not (type(x_size) is int and type(y_size) is int) or x_size < 1 or y_size < 1:
+            x_size = as_int(x_size, "class size x_size", 1)
+            y_size = as_int(y_size, "class size y_size", 1)
         adj: list[set[int]] = [set() for _ in range(x_size + y_size)]
         try:
             for x, y in edges:
                 if not (type(x) is int and type(y) is int):
-                    raise InputError(f"edge {brief((x, y))} has non-integer endpoints")
+                    x, y = as_int(x, "an endpoint in edges"), as_int(y, "an endpoint in edges")
                 if not (0 <= x < x_size and 0 <= y < y_size):
                     raise InputError(
                         f"edge {brief((x, y))} out of range for classes {brief((x_size, y_size))}"
@@ -340,15 +338,15 @@ def bipartite_complement(bg: BipartiteGraph) -> BipartiteGraph:
 
 
 def complete_bipartite(s: int, t: int) -> BipartiteGraph:
-    if not (_is_int(s) and _is_int(t)):
-        raise InputError(f"class sizes must be integers, got {brief((s, t))}")
+    s, t = as_int(s, "class size s", 1), as_int(t, "class size t", 1)
     return BipartiteGraph(s, t, [(i, j) for i in range(s) for j in range(t)])
 
 
 def even_cycle(length: int) -> BipartiteGraph:
     """C_length as a bipartite graph; length must be even and >= 4."""
-    if not _is_int(length) or length < 4 or length % 2:
-        raise InputError(f"cycle length must be an even integer >= 4, got {brief(length)}")
+    length = as_int(length, "cycle length", 4)
+    if length % 2:
+        raise InputError(f"cycle length must be even, got {brief(length)}")
     k = length // 2
     edges = [(i, i) for i in range(k)] + [((i + 1) % k, i) for i in range(k)]
     return BipartiteGraph(k, k, edges)
@@ -356,8 +354,7 @@ def even_cycle(length: int) -> BipartiteGraph:
 
 def matching(n: int) -> BipartiteGraph:
     """n disjoint edges (the graph nK_2 drawn across two classes)."""
-    if not _is_int(n) or n < 1:
-        raise InputError(f"matching needs an integer n >= 1, got {brief(n)}")
+    n = as_int(n, "matching size n", 1)
     return BipartiteGraph(n, n, [(i, i) for i in range(n)])
 
 
@@ -935,17 +932,13 @@ def parse_graph_json(text: str) -> BipartiteGraph:
         raise FormatError(f"graph JSON missing key {exc}") from None
     if not isinstance(raw_edges, list):
         raise FormatError(f"graph JSON edges must be a list, got {brief(raw_edges)}")
-    edges = []
-    for item in raw_edges:
-        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_int, item))):
-            raise FormatError(f"bad edge entry {brief(item)}, expected [xi, yj]")
-        edges.append(tuple(item))
-    if len(set(edges)) != len(edges):
-        raise FormatError("duplicate edge in JSON edge list")
-    try:
-        return BipartiteGraph(x_size, y_size, edges)
+    try:  # BipartiteGraph refuses an entry that is not a pair of integers
+        bg = BipartiteGraph(x_size, y_size, raw_edges)
     except InputError as exc:
         raise FormatError(str(exc)) from None
+    if bg.edge_count != len(raw_edges):
+        raise FormatError("duplicate edge in JSON edge list")
+    return bg
 
 
 def load_graph(path) -> BipartiteGraph:
@@ -980,8 +973,7 @@ def connected_bipartite_graphs(
     emitted graphs is kept (orderly generation; Read, "Every one a
     winner", 1978).
     """
-    if not (_is_int(max_order) and _is_int(min_order)):
-        raise InputError(f"orders must be integers, got {brief((max_order, min_order))}")
+    max_order, min_order = as_int(max_order, "max_order"), as_int(min_order, "min_order")
     for order in range(min_order, max_order + 1):
         for m in range(1, order // 2 + 1):
             n = order - m

@@ -13,8 +13,9 @@ recursion, and it is built that way: a triple is kept when its shapes,
 l(I) = (i_r - r, ..., i_1 - 1) and so on, satisfy the inequalities of
 T(r). By saturation (Knutson and Tao, JAMS 1999; Fulton, Bull. AMS 2000)
 these are the triples with c^{l(K)}_{l(I), l(J)} > 0; the tests check
-both routes. Only T(n, r) with 2r <= n, and T(n, n), are filtered that
-way: for n/2 < r < n, T(n, r) is the image of T(n, n - r) under
+both routes. Only T(n, r) with 2r <= n is filtered that way. T(n, n) is
+U(n, n), its one triple ({1..n}, {1..n}, {1..n}) having zero shapes, and
+for n/2 < r < n, T(n, r) is the image of T(n, n - r) under
 I -> {n + 1 - j : j not in I}, which sends l(I) to its conjugate, as
 c^{nu}_{lambda mu} = c^{nu'}_{lambda' mu'}. Generated triples are valid
 by construction and skip IndexTriple's validation; the public
@@ -59,8 +60,9 @@ with rounding, so a mirrored row is decided exactly as well. Numpy integer
 entries are summed as Python ints, so they never wrap, and keep the
 tolerance of inexact input. Spectrum entries and tolerances that are not
 real numbers raise InputError, and so do tolerances beyond the float
-range and ints and Fractions too large to be added to the floats of the
-same call.
+range, and floats, and ints and Fractions mixed with floats, too large
+for the sums of the same call to stay within it. Integer arguments (n,
+r, k, trials, seed, the fields of IndexTriple) follow `errors.as_int`.
 
 |U(n, r)| grows combinatorially; n <= 8 stays comfortable on a desk
 machine and nothing larger is refused, it just costs time.
@@ -81,7 +83,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import InputError, brief
+from .errors import InputError, as_int, brief
 
 Number = Union[int, float, Fraction]
 
@@ -98,19 +100,19 @@ class IndexTriple:
     n: int
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise InputError(f"n must be an integer, got {brief(self.n)}")
-        for seq in (self.i, self.j, self.k):
+        n = as_int(self.n, "n")
+        _set(self, "n", n)  # the fields hold the ints that as_int returns
+        for name in "ijk":
+            seq = getattr(self, name)
             if type(seq) is not tuple:
                 raise InputError(f"index sets must be tuples, got {brief(seq)}")
+            seq = tuple(as_int(v, f"an index in {name}", 1) for v in seq)
+            if any(seq[t] >= seq[t + 1] for t in range(len(seq) - 1)) or (seq and seq[-1] > n):
+                raise InputError(f"index sets must increase strictly within 1..{brief(n)}: {brief(seq)}")
+            _set(self, name, seq)
         r = len(self.i)
-        if not (1 <= r <= self.n) or len(self.j) != r or len(self.k) != r:
-            raise InputError(f"index sets must share a cardinality in 1..{brief(self.n)}")
-        for seq in (self.i, self.j, self.k):
-            if any(type(v) is not int or not 1 <= v <= self.n for v in seq):
-                raise InputError(f"indices must be integers in 1..{brief(self.n)}: {brief(seq)}")
-            if any(seq[t] >= seq[t + 1] for t in range(r - 1)):
-                raise InputError(f"index sets must be strictly increasing: {brief(seq)}")
+        if not (1 <= r <= n) or len(self.j) != r or len(self.k) != r:
+            raise InputError(f"index sets must share a cardinality in 1..{brief(n)}")
 
     @property
     def r(self) -> int:
@@ -121,15 +123,17 @@ class IndexTriple:
         return f"I={fmt(self.i)} J={fmt(self.j)} K={fmt(self.k)}"
 
 
-def _check_dimensions(n, r) -> None:
-    if type(n) is not int or type(r) is not int or not 1 <= r <= n:
-        raise InputError(f"need integers 1 <= r <= n, got n={brief(n)}, r={brief(r)}")
+def _check_dimensions(n, r) -> tuple[int, int]:
+    """(n, r) as ints (`as_int`), which must satisfy 1 <= r <= n."""
+    n, r = as_int(n, "n", 1), as_int(r, "r", 1)
+    if r > n:
+        raise InputError(f"need 1 <= r <= n, got n={brief(n)}, r={brief(r)}")
+    return n, r
 
 
 def _u_sets(n: int, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The index sets (I, J, K) of U(n, r), as tuples of ints, in
-    lexicographic (I, J, K) order."""
-    _check_dimensions(n, r)
+    lexicographic (I, J, K) order; 1 <= r <= n."""
     by_sum: dict[int, list[tuple[int, ...]]] = {}
     for k_set in combinations(range(1, n + 1), r):
         by_sum.setdefault(sum(k_set), []).append(k_set)
@@ -162,15 +166,17 @@ def generate_u(n: int, r: int) -> tuple[IndexTriple, ...]:
     each made an IndexTriple, without re-validation, from the tuples that
     `_u_sets` yields.
     """
+    n, r = _check_dimensions(n, r)
     return tuple(_trusted(i, j, k, n) for i, j, k in _u_sets(n, r))
 
 
 def generate_t(n: int, r: int) -> tuple[IndexTriple, ...]:
     """Horn's family T(n, r), in the order of generate_u(n, r).
 
-    For 2r <= n and for r = n, the triples of U(n, r) whose shapes
-    (l(I), l(J), l(K)) satisfy every row of the cached matrix of T(r);
-    generate_u's sum condition is their trace. For n/2 < r < n, the
+    For 2r <= n, the triples of U(n, r) whose shapes (l(I), l(J), l(K))
+    satisfy every row of the cached matrix of T(r); generate_u's sum
+    condition is their trace. For r = n, U(n, n): its one triple has zero
+    shapes, so no row of T(n) is read. For n/2 < r < n, the
     conjugates of T(n, n - r): I -> {n + 1 - j : j not in I} sends l(I) to
     its conjugate partition, and c^{nu}_{lambda mu} = c^{nu'}_{lambda' mu'}
     (Fulton, Bull. AMS 2000), so by saturation the map is a bijection from
@@ -179,8 +185,7 @@ def generate_t(n: int, r: int) -> tuple[IndexTriple, ...]:
     checked first, as the cache would hash a list before the check could
     reject it.
     """
-    _check_dimensions(n, r)
-    return _t_family(n, r)[0]
+    return _t_family(*_check_dimensions(n, r))[0]
 
 
 @lru_cache(maxsize=None)
@@ -191,10 +196,11 @@ def _t_family(n: int, r: int) -> tuple[tuple[IndexTriple, ...], np.ndarray]:
     0..3n - 1 of the matrix of T(n).
 
     For 2r <= n and r = n (T(n, 0) does not exist), one np.fromiter reads
-    the tuples of _u_sets(n, r) into an array, and the rows of T(r) are
-    applied to the float64 shapes, its blocks of r columns reversed, less
-    (r, ..., 1). Shape entries are integers in 0..n - r, summed 3r at a
-    time, so float64 is exact. T(1) has no rows, so T(n, 1) = U(n, 1).
+    the tuples of _u_sets(n, r) into an array. For 2r <= n the rows of T(r)
+    are applied to the float64 shapes, its blocks of r columns reversed,
+    less (r, ..., 1). Shape entries are integers in 0..n - r, summed 3r at
+    a time, so float64 is exact. T(1) has no rows, so T(n, 1) = U(n, 1);
+    T(n, n) = U(n, n) is not filtered, as its shapes are zero.
     The kept triples reuse U's tuples. For n/2 < r < n, the array is the
     conjugate of T(n, n - r)'s (`_conjugate_sets`), its rows sorted
     lexicographically, and equal index sets share one tuple. Every triple
@@ -216,7 +222,9 @@ def _t_family(n: int, r: int) -> tuple[tuple[IndexTriple, ...], np.ndarray]:
         shapes = np.subtract(sets.reshape(-1, 3, r)[:, :, ::-1], np.arange(r, 0, -1), dtype=np.float64)
         shapes = shapes.reshape(-1, 3 * r)
         keep = np.ones(len(sets), dtype=bool)
-        for row in _horn_system(r)[1]:  # not one product: |U(n, r)| x |T(r)|
+        # T(n, n) = U(n, n) is not filtered; T(n, r) row by row, not as one
+        # product of |U(n, r)| x |T(r)|
+        for row in _horn_system(r)[1] if r < n else ():
             keep &= shapes @ row <= 0
         family = tuple(_trusted(i, j, k, n) for (i, j, k), ok in zip(u_sets, keep) if ok)
         sets = sets[keep]
@@ -367,13 +375,15 @@ def _inspect(vectors, tol=0.0):
     without wrapping; they still count as inexact, so the tolerance
     applies to them as before. Entries must be finite real numbers.
 
-    When some entries are inexact, the ints and Fractions among the
-    entries and `tol` are added to floats, and each must stay within the
-    float range in any sum of them: one larger than the largest float
-    over (number of entries + 1) raises InputError, where the sum would
-    raise OverflowError."""
+    Any sum of floats among the entries and `tol` must stay within the
+    float range, where it would overflow to inf or raise OverflowError: a
+    float entry larger than the largest float over (number of entries + 1)
+    in magnitude raises InputError, and so, when some entries are inexact,
+    does an int or Fraction among the entries and `tol`."""
     inexact = 0
     widen = False
+    terms = sum(map(len, vectors)) + 1
+    limit = sys.float_info.max / terms
     for vec in vectors:
         for v in vec:
             if isinstance(v, (int, Fraction)):
@@ -384,15 +394,15 @@ def _inspect(vectors, tol=0.0):
                 continue
             if not isinstance(v, (float, Real)):
                 raise InputError(f"spectrum entries must be real numbers, got {brief(v)}")
-            if v != v or v in (math.inf, -math.inf):
-                raise InputError(f"spectrum entries must be finite real numbers, got {brief(v)}")
+            if not abs(float(v)) <= limit:  # NaN fails the comparison too
+                raise InputError(
+                    f"spectrum entries must be finite and at most {limit:.3g} in magnitude, got {brief(v)}"
+                )
     if widen:
         vectors = tuple([int(v) if isinstance(v, np.integer) else v for v in vec] for vec in vectors)
-    terms = sum(map(len, vectors)) + 1
     # no pass when every entry is inexact and so is tol: numpy integers,
     # now ints, stay far below the limit
     if inexact and (inexact < terms - 1 or isinstance(tol, (int, Fraction))):
-        limit = sys.float_info.max / terms
         for v in (*(v for vec in vectors for v in vec), tol):
             if isinstance(v, (int, Fraction)) and abs(v) > limit:
                 raise InputError(
@@ -454,8 +464,9 @@ def weyl_bounds(
     i = 1..k, so neither is empty.
     """
     n = _common_length(alpha, beta)
-    if type(k) is not int or not 1 <= k <= n:
-        raise InputError(f"need an integer 1 <= k <= n, got k={brief(k)}, n={n}")
+    k = as_int(k, "k", 1)
+    if k > n:
+        raise InputError(f"need 1 <= k <= n, got k={brief(k)}, n={n}")
     _, (alpha, beta) = _inspect((alpha, beta))
     lower = max(alpha[i - 1] + beta[n + k - i - 1] for i in range(k, n + 1))
     upper = min(alpha[i - 1] + beta[k - i] for i in range(1, k + 1))
@@ -505,14 +516,9 @@ def sample_necessity(
     row (`_screen_block`) with the rounding margin of find_horn_violation;
     the rows it flags in a trial are decided by the scalar comparison.
     Any nonzero count in the returned report falsifies a theorem and
-    means a bug. `seed` must be an int >= 0.
+    means a bug. `seed` must be an integer >= 0.
     """
-    if type(n) is not int or type(trials) is not int or n < 1 or trials < 0:
-        raise InputError(
-            f"need integers n >= 1 and trials >= 0, got n={brief(n)}, trials={brief(trials)}"
-        )
-    if type(seed) is not int or seed < 0:
-        raise InputError(f"seed must be an integer >= 0, got {brief(seed)}")
+    n, trials, seed = as_int(n, "n", 1), as_int(trials, "trials", 0), as_int(seed, "seed", 0)
     tol = _tolerance(tol)
     rng = random.Random(seed)
     triples, matrix = _horn_system(n)

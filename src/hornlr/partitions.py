@@ -11,19 +11,17 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
-from .errors import FormatError, InputError, brief
+from .errors import FormatError, InputError, as_int, brief
 
 
 class Partition:
     """Canonical immutable partition.
 
     Parts may be given in any order and may include zeros; the stored
-    value is the sorted, zero-stripped tuple. Each part must equal an
-    integer, and a bool, Python's or numpy's, is not taken for one. Parts
-    are stored as plain Python integers, so sizes and downstream moment
-    formulas never overflow.
+    value is the sorted, zero-stripped tuple. Each part must be an integer
+    by the rule of `as_int`: a numpy integer is one; a bool, a float or a
+    Fraction is not, even when whole. Parts are stored as plain Python
+    integers, so sizes and downstream moment formulas never overflow.
     """
 
     __slots__ = ("_parts",)
@@ -32,16 +30,8 @@ class Partition:
         cleaned = []
         try:
             for p in parts:
-                if type(p) is not int:  # a bool, numpy scalar, float or other value
-                    try:
-                        whole = p == int(p) and not isinstance(p, (bool, np.bool_))
-                    except (TypeError, ValueError, OverflowError):
-                        whole = False
-                    if not whole:
-                        raise InputError(f"partition parts must be integers, got {brief(p)}")
-                    p = int(p)
-                if p < 0:
-                    raise InputError(f"partition parts must be non-negative, got {brief(p)}")
+                if type(p) is not int or p < 0:
+                    p = as_int(p, "a part in parts", 0)
                 if p > 0:
                     cleaned.append(p)
         except TypeError:  # `parts` is not iterable
@@ -73,7 +63,7 @@ class Partition:
     def part(self, i: int) -> int:
         """1-based part access; indices past the length read as 0."""
         if type(i) is not int or i < 1:
-            raise InputError(f"part index must be an integer >= 1, got {brief(i)}")
+            i = as_int(i, "part index i", 1)
         return self._parts[i - 1] if i <= len(self._parts) else 0
 
     def contains(self, inner: "Partition") -> bool:
@@ -84,12 +74,8 @@ class Partition:
 
     def padded(self, n: int) -> tuple[int, ...]:
         """Parts extended with zeros to length n; n must fit the partition."""
-        if type(n) is not int:
-            raise InputError(f"padded length must be an integer, got {brief(n)}")
-        if n < len(self._parts):
-            raise InputError(
-                f"cannot pad a partition of length {len(self._parts)} to {brief(n)}"
-            )
+        if type(n) is not int or n < len(self._parts):
+            n = as_int(n, "padded length n", len(self._parts))
         return self._parts + (0,) * (n - len(self._parts))
 
     @classmethod
@@ -138,13 +124,12 @@ def enumerate_partitions(
     and first part at most `max_first_part`, in descending lexicographic order.
 
     Streamed so callers can stop early; yields nothing when the constraints
-    are unsatisfiable. The arguments must be ints; others raise InputError
-    on iteration.
+    are unsatisfiable. The arguments must be integers (`as_int`); others
+    raise InputError on iteration.
     """
-    if not all(type(v) is int for v in (total, exact_length, max_first_part)):
-        raise InputError(
-            f"need integer arguments, got {brief((total, exact_length, max_first_part))}"
-        )
+    total = as_int(total, "total")
+    exact_length = as_int(exact_length, "exact_length")
+    max_first_part = as_int(max_first_part, "max_first_part")
     if total < 0 or exact_length < 1 or max_first_part < 1:
         if total == 0 and exact_length == 0:
             yield Partition()

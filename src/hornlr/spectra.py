@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import InputError, TheoremViolation, brief, require_type
+from .errors import InputError, TheoremViolation, as_int, require_type
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -53,7 +53,6 @@ from .graphs import (
     integer_spectrum,
     line_graph,
     numeric_spectrum,
-    _is_int,
     _multiplicity,
 )
 from .horn import DEFAULT_TOL, _tolerance
@@ -86,8 +85,7 @@ def _moment(
     types are checked."""
     if not all(isinstance(p, Partition) for p in (gamma, alpha, beta)):
         require_type(Partition, gamma=gamma, alpha=alpha, beta=beta)
-    if not (_is_int(e) and _is_int(nu)):
-        raise InputError(f"e and nu must be integers, got {brief((e, nu))}")
+    e, nu = as_int(e, "e"), as_int(nu, "nu")
     target = _moment_targets(alpha, beta, e, nu)[power - 2]
     return _shifted_power_sum(gamma, nu - 1, power) == target
 

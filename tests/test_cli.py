@@ -364,6 +364,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "finite" in err
     code, _, err = run(capsys, "horn", "weyl", "--alpha", "1,0", "--beta", "1", "--k", "1")
     assert code == 2 and "equal length" in err
+    # a float whose sums overflow: refused, not answered "incompatible"
+    code, _, err = run(capsys, "horn", "check", "--alpha", "1e308,0", "--beta", "1e308,0", "--gamma", "1e308,1e308")
+    assert code == 2 and "magnitude" in err
     # --n below 1 is named as such, not reported as empty spectra
     code, _, err = run(capsys, "horn", "check", "--n", "0", "--alpha", "1", "--beta", "1", "--gamma", "2")
     assert code == 2 and "--n" in err

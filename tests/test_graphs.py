@@ -145,8 +145,8 @@ HUGE = 10**5000  # more digits than Python converts to a decimal string
     "build, message",
     [
         (lambda: Graph(-HUGE), "graph order"),
-        (lambda: BipartiteGraph(-HUGE, 1), "colour class sizes"),
-        (lambda: complete_bipartite(1.5, HUGE), "class sizes"),
+        (lambda: BipartiteGraph(-HUGE, 1), "class size x_size"),
+        (lambda: complete_bipartite(1.5, HUGE), "class size s"),
         (lambda: even_cycle(HUGE + 1), "cycle length"),
         (lambda: matching(-HUGE), "matching"),
         (lambda: Graph(3, [(0, HUGE)]), "out of range"),

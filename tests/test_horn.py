@@ -124,7 +124,7 @@ def test_t_family_matches_filtering_every_r():
 
 def test_generated_triples_pass_the_public_constructor():
     # generated triples skip IndexTriple's validation; each must equal the
-    # triple its public constructor builds (which rejects numpy integers)
+    # triple its public constructor builds (which stores plain ints)
     for n in range(1, 9):
         for r in range(1, n + 1):
             for t in (*generate_u(n, r), *generate_t(n, r)):
@@ -133,6 +133,19 @@ def test_generated_triples_pass_the_public_constructor():
     family = generate_t(8, 5)
     sets = {s for t in family for s in (t.i, t.j, t.k)}
     assert len({id(s) for t in family for s in (t.i, t.j, t.k)}) == len(sets)
+
+
+def test_t_n_n_without_the_matrix_of_t_n(monkeypatch):
+    # T(n, n) is U(n, n): one triple, whose shapes are all zero, so no row
+    # of T(n) is needed to keep it
+    def refuse(n):
+        raise AssertionError(f"_horn_system({n}) built")
+
+    _t_family.cache_clear()
+    monkeypatch.setattr(hornlr.horn, "_horn_system", refuse)
+    for n in range(1, 13):
+        full = tuple(range(1, n + 1))
+        assert generate_t(n, n) == (IndexTriple(full, full, full, n),), n
 
 
 def test_generation_skips_the_validator(monkeypatch):
@@ -550,9 +563,10 @@ def test_sample_necessity_rejects_bad_args():
 
 
 def test_sample_necessity_rejects_bad_seeds():
-    for seed in (-1, 1.5, "x", None, True, np.int64(3)):
+    for seed in (-1, 1.5, "x", None, True, np.True_):
         with pytest.raises(InputError, match="seed"):
             sample_necessity(2, 1, seed=seed)
+    assert sample_necessity(2, 3, seed=np.int64(3)) == sample_necessity(2, 3, seed=3)
     assert sample_necessity(2, 1, seed=2**70).trials == 1
 
 
@@ -612,6 +626,25 @@ def test_numpy_integers_sum_without_wrapping():
                 with np.errstate(over="raise"):
                     assert find_horn_violation(*as_numpy) == find_horn_violation(*triple)
                     assert horn_compatible(*as_numpy) == horn_compatible(*triple)
+
+
+def test_floats_whose_sums_overflow_rejected():
+    # diag(1e308, 0) + diag(0, 1e308) realises this triple, and its int
+    # copy is compatible, but the float sums overflow to inf: a float
+    # entry is bounded like an int mixed with floats
+    huge = (1e308, 0.0), (1e308, 0.0), (1e308, 1e308)
+    assert find_horn_violation(*([int(v) for v in vec] for vec in huge)) is None
+    calls = (
+        lambda: find_horn_violation(*huge),
+        lambda: horn_compatible(*huge),
+        lambda: weyl_bounds((1e308, 1e308), (1e308, 1e308), 1),
+    )
+    for call in calls:
+        with pytest.raises(InputError, match="magnitude"):
+            call()
+    # the largest float over (entries + 1) is still taken
+    edge = sys.float_info.max / 7
+    assert find_horn_violation((edge, 0.0), (edge, 0.0), (edge, edge)) is None
 
 
 def test_huge_exact_entries_mixed_with_floats_rejected():

@@ -1,4 +1,6 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,7 +55,12 @@ def test_invalid_parts_rejected():
     for bad in (3, None, True, np.int64(3), 3.0):
         with pytest.raises(InputError, match="iterable"):
             Partition(bad)
-    assert Partition([np.int64(3), 2.0]).parts == (3, 2)
+    assert Partition([np.int64(3), np.int32(2)]).parts == (3, 2)
+    assert all(type(p) is int for p in Partition([np.int64(3), np.uint8(2)]))
+    # whole numbers of other kinds are not integers
+    for bad in (2.0, Fraction(2), Decimal(2)):
+        with pytest.raises(InputError, match="parts"):
+            Partition([3, bad])
 
 
 def test_part_access_and_padding():

@@ -145,8 +145,8 @@ def test_enumerate_p_rejects_wrong_argument_types(wrong):
         for args in ((wrong, alpha, beta), (gamma, wrong, beta), (gamma, alpha, wrong)):
             with pytest.raises(InputError, match="must be a Partition"):
                 moment(*args, 3, 4)
-        for e, nu in (("3", 4), (3, 4.0), (True, 4), (3, wrong)):
-            with pytest.raises(InputError, match="e and nu must be integers"):
+        for e, nu, name in (("3", 4, "e"), (3, 4.0, "nu"), (True, 4, "e"), (3, wrong, "nu")):
+            with pytest.raises(InputError, match=f"^{name} must be an integer"):
                 moment(gamma, alpha, beta, e, nu)
 
 
