@@ -24,7 +24,6 @@ from .graphs import (
 )
 from .horn import (
     DEFAULT_TOL,
-    as_spectrum,
     find_horn_violation,
     generate_t,
     generate_u,
@@ -100,8 +99,7 @@ def _cmd_horn_check(args) -> int:
     n = args.n if args.n is not None else max(len(v) for v in vectors)
     if n < 1:
         raise InputError("spectra must not all be empty")
-    alpha, beta, gamma = (as_spectrum(_pad(v, n), args.tol) for v in vectors)
-    witness = find_horn_violation(alpha, beta, gamma, args.tol)
+    witness = find_horn_violation(*(_pad(v, n) for v in vectors), args.tol)
     if witness is None:
         print("compatible")
     else:
@@ -111,11 +109,7 @@ def _cmd_horn_check(args) -> int:
 
 
 def _cmd_horn_weyl(args) -> int:
-    if len(args.alpha) != len(args.beta):
-        raise InputError("alpha and beta must have equal length")
-    alpha = as_spectrum(tuple(args.alpha), args.tol)
-    beta = as_spectrum(tuple(args.beta), args.tol)
-    lower, upper = weyl_bounds(alpha, beta, args.k)
+    lower, upper = weyl_bounds(args.alpha, args.beta, args.k)
     print(f"{_fmt(lower)} <= gamma_{args.k} <= {_fmt(upper)}")
     return 0
 
@@ -311,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_weyl.add_argument("--alpha", type=spectrum, required=True)
     p_weyl.add_argument("--beta", type=spectrum, required=True)
     p_weyl.add_argument("--k", type=int, required=True)
-    p_weyl.add_argument("--tol", type=float, default=None)
     p_weyl.set_defaults(func=_cmd_horn_weyl)
 
     p_sample = horn_sub.add_parser(

@@ -1,7 +1,8 @@
 """Exception types shared across the package, `brief`, which every
 error message uses to show a caller's value, `require_type`, which
-turns a wrong argument type into an InputError, and `as_int`, the one
-rule for an integer argument.
+turns a wrong argument type into an InputError, `as_int`, the one rule
+for an integer argument, `as_real`, the one rule for a real-valued one
+(a spectrum entry or a tolerance), and `as_tolerance` with DEFAULT_TOL.
 
 The CLI maps these onto exit codes: bad input or unmet preconditions exit
 with 2, a theorem violation (a check that is mathematically guaranteed to
@@ -11,6 +12,11 @@ exit with 3.
 
 import operator
 import reprlib
+import sys
+from fractions import Fraction
+from numbers import Integral, Real
+
+DEFAULT_TOL = 1e-9
 
 
 class InputError(ValueError):
@@ -51,15 +57,19 @@ def require_type(kind: type, **values) -> None:
             raise InputError(f"{name} must be a {kind.__name__}, got {brief(value)}")
 
 
+def _is_bool(value) -> bool:
+    # numpy's bool by its dtype: numpy 2 refuses it in operator.index,
+    # numpy 1 only warns
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
+
+
 def as_int(value, name: str, least: int | None = None) -> int:
     """`value` as a Python int, the package's one rule for an integer
     argument: whatever `operator.index` accepts (an int, a numpy integer),
     except a bool, Python's or numpy's. Otherwise, or when `least` is given
     and the value is below it, raise InputError naming the argument."""
     try:
-        # numpy's bool by its dtype: numpy 2 refuses it in operator.index,
-        # numpy 1 only warns
-        if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+        if _is_bool(value):
             raise TypeError
         value = operator.index(value)
     except TypeError:
@@ -67,3 +77,32 @@ def as_int(value, name: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise InputError(f"{name} must be an integer >= {least}, got {brief(value)}")
     return value
+
+
+def as_real(value, name: str):
+    """`value` under the package's one rule for a real-valued argument. An
+    int, a Fraction or a numpy integer is exact, and a numpy integer is
+    returned as a Python int, so it sums without wrapping; any other
+    `numbers.Real` is returned as it is and keeps its own arithmetic (an
+    np.float32 computes in single precision). A bool, Python's or numpy's,
+    and anything else raise InputError naming the argument."""
+    if isinstance(value, (float, Fraction)):
+        return value
+    if not _is_bool(value):
+        if isinstance(value, Integral):
+            return operator.index(value)
+        if isinstance(value, Real):
+            return value
+    raise InputError(f"{name} must be a real number, got {brief(value)}")
+
+
+def as_tolerance(tol):
+    """`tol` by `as_real`, or DEFAULT_TOL for None. It must lie within the
+    float range, as callers add it to floats, on exact input too. (NaN
+    fails `<=`; ints and Fractions compare exactly, unconverted.)"""
+    if tol is None:
+        return DEFAULT_TOL
+    tol = as_real(tol, "tolerance")
+    if not abs(tol if isinstance(tol, (int, Fraction)) else float(tol)) <= sys.float_info.max:
+        raise InputError(f"tolerance must be within the float range, got {brief(tol)}")
+    return tol

@@ -45,24 +45,28 @@ his lower bounds gamma_k >= alpha_i + beta_j with i + j = n + k. The
 sampler checks the windows of `weyl_bounds` that way, through the same
 screen as the rows of T(n).
 
-Exact and floating inputs are both supported: when every entry is an
-`int` or `Fraction` the comparisons are exact and the tolerance is
-ignored, otherwise comparisons allow the caller-supplied tolerance
-(default 1e-9). Exact input is scaled to integers by its common
-denominator and multiplied in float64 while 3n times its largest entry
-is at most 2**53, so that every partial sum is an integer float64 holds
-exactly. Larger integers, and other input, are multiplied in float64
-only to screen, with a margin that bounds the rounding; each row it
-flags is then decided, in order, by the scalar comparison, so answers at
-the tolerance are exactly those of comparing the sums directly.
-Magnitudes too large to screen are compared row by row; negation commutes
-with rounding, so a mirrored row is decided exactly as well. Numpy integer
-entries are summed as Python ints, so they never wrap, and keep the
-tolerance of inexact input. Spectrum entries and tolerances that are not
-real numbers raise InputError, and so do tolerances beyond the float
-range, and floats, and ints and Fractions mixed with floats, too large
-for the sums of the same call to stay within it. Integer arguments (n,
-r, k, trials, seed, the fields of IndexTriple) follow `errors.as_int`.
+Spectra enter through one gate, which find_horn_violation,
+horn_compatible and weyl_bounds share. Each spectrum must be weakly
+decreasing, as Horn's inequalities are stated for such spectra, and its
+entries follow `errors.as_real`: a bool of either kind, or anything that
+is not a real number, raises InputError. When every entry is an `int`,
+a `Fraction` or a numpy integer (read as a Python int, which never
+wraps), the comparisons are exact and the tolerance is ignored;
+otherwise comparisons allow the caller-supplied tolerance
+(`errors.as_tolerance`, default 1e-9), and so does the order check. Exact
+input is scaled to integers by its common denominator and multiplied in
+float64 while 3n times its largest entry is at most 2**53, so that every
+partial sum is an integer float64 holds exactly. Larger integers, and
+other input, are multiplied in float64 only to screen, with a margin
+that bounds the rounding; each row it flags is then decided, in order,
+by the scalar comparison, so answers at the tolerance are exactly those
+of comparing the sums directly. Magnitudes too large to screen are
+compared row by row; negation commutes with rounding, so a mirrored row
+is decided exactly as well. Tolerances beyond the float range raise
+InputError, and so do floats, and ints and Fractions mixed with floats,
+too large for the sums of the same call to stay within it. Integer
+arguments (n, r, k, trials, seed, the fields of IndexTriple) follow
+`errors.as_int`.
 
 |U(n, r)| grows combinatorially; n <= 8 stays comfortable on a desk
 machine and nothing larger is refused, it just costs time.
@@ -71,6 +75,7 @@ machine and nothing larger is refused, it just costs time.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from collections.abc import Sequence
@@ -78,16 +83,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from numbers import Real
 from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import InputError, as_int, brief
+from .errors import DEFAULT_TOL, InputError, as_int, as_real, as_tolerance, brief
 
 Number = Union[int, float, Fraction]
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -279,7 +281,7 @@ def _holds(t: IndexTriple, alpha, beta, gamma, slack) -> bool:
 # takes part, so _screen_margin bounds its rounding. Entries of other real
 # types (np.float32 computes in single precision) and magnitudes from
 # _SCREEN_LIMIT / 3n on are checked row by row. Numpy integers arrive here
-# as Python ints (see _inspect).
+# as Python ints (see _spectra).
 _SCREENED = (int, Fraction, float)
 _SCREEN_LIMIT = 2.0**62
 
@@ -336,87 +338,67 @@ def _first_violation(alpha, beta, gamma, exact: bool, slack) -> Optional[IndexTr
     return _first_confirmed(triples, rows, alpha, beta, gamma, slack)
 
 
-def _common_length(*vectors) -> int:
-    """The length shared by the spectra `vectors`. Each must be a
-    sequence, a numpy array of one dimension included: None, numbers,
-    iterators and sets raise InputError, as do unequal lengths."""
+def _trace_holds(alpha, beta, gamma, slack) -> bool:
+    return abs(sum(gamma) - sum(alpha) - sum(beta)) <= slack
+
+
+def _spectra(vectors, tol):
+    """(exact, vectors, slack): the spectra `vectors`, checked once as they
+    enter the library, with their entries in lists; whether every entry is
+    exact; and the slack of their comparisons, 0 on exact input, else
+    `as_tolerance(tol)`.
+
+    Each spectrum must be a sequence, a numpy array of one dimension
+    included, all of one length, and weakly decreasing within
+    max(slack, 0). Entries follow `as_real`, and must be finite. Any sum of
+    floats among the entries and the slack must stay within the float
+    range, where it would overflow to inf or raise OverflowError: a float
+    entry larger than the largest float over (number of entries + 1) in
+    magnitude raises InputError, and so, when some entries are inexact,
+    does an int or Fraction among the entries and the tolerance."""
+    tol = as_tolerance(tol)
     for vec in vectors:
         sequence = isinstance(vec, (list, tuple, Sequence))  # list and tuple first: the ABC is slower
         if not sequence and not (isinstance(vec, np.ndarray) and vec.ndim == 1):
             raise InputError(f"a spectrum must be a sequence of numbers, got {brief(vec)}")
     n = len(vectors[0])
-    for vec in vectors:
-        if len(vec) != n:
-            raise InputError("spectra must have equal length")
-    return n
-
-
-def _trace_holds(alpha, beta, gamma, slack) -> bool:
-    return abs(sum(gamma) - sum(alpha) - sum(beta)) <= slack
-
-
-def _tolerance(tol: Optional[float]):
-    """`tol`, or DEFAULT_TOL for None; anything else must be a real number
-    within the float range, as callers add it to floats, on exact input
-    too. (NaN fails `<=`; ints and Fractions compare exactly, unconverted.)"""
-    if tol is None:
-        return DEFAULT_TOL
-    exact = isinstance(tol, (int, Fraction))
-    if not isinstance(tol, Real) or not abs(tol if exact else float(tol)) <= sys.float_info.max:
-        raise InputError(
-            f"tolerance must be a real number within the float range or None, got {brief(tol)}"
-        )
-    return tol
-
-
-def _inspect(vectors, tol=0.0):
-    """(exact, vectors): whether every entry is an int or a Fraction, and
-    the vectors with numpy integers turned into Python ints, which sum
-    without wrapping; they still count as inexact, so the tolerance
-    applies to them as before. Entries must be finite real numbers.
-
-    Any sum of floats among the entries and `tol` must stay within the
-    float range, where it would overflow to inf or raise OverflowError: a
-    float entry larger than the largest float over (number of entries + 1)
-    in magnitude raises InputError, and so, when some entries are inexact,
-    does an int or Fraction among the entries and `tol`."""
-    inexact = 0
-    widen = False
-    terms = sum(map(len, vectors)) + 1
+    terms = len(vectors) * n + 1
     limit = sys.float_info.max / terms
+    inexact = 0
+    checked = []
     for vec in vectors:
-        for v in vec:
-            if isinstance(v, (int, Fraction)):
-                continue
-            inexact += 1
-            if isinstance(v, np.integer):
-                widen = True
-                continue
-            if not isinstance(v, (float, Real)):
-                raise InputError(f"spectrum entries must be real numbers, got {brief(v)}")
-            if not abs(float(v)) <= limit:  # NaN fails the comparison too
-                raise InputError(
-                    f"spectrum entries must be finite and at most {limit:.3g} in magnitude, got {brief(v)}"
-                )
-    if widen:
-        vectors = tuple([int(v) if isinstance(v, np.integer) else v for v in vec] for vec in vectors)
-    # no pass when every entry is inexact and so is tol: numpy integers,
-    # now ints, stay far below the limit
+        entries = list(vec)
+        if len(entries) != n:
+            raise InputError("spectra must have equal length")
+        converted = False
+        for v in entries:
+            if type(v) is not int:
+                real = as_real(v, "a spectrum entry")
+                converted |= real is not v
+                if not isinstance(real, (int, Fraction)):
+                    inexact += 1
+                    if not abs(float(real)) <= limit:  # NaN fails the comparison too
+                        raise InputError(
+                            f"spectrum entries must be finite and at most {limit:.3g} in magnitude, got {brief(v)}"
+                        )
+        if converted:  # numpy integers, as Python ints
+            entries = [v if type(v) is int else as_real(v, "a spectrum entry") for v in entries]
+        checked.append(entries)
+    # no pass when every entry is inexact and so is tol
     if inexact and (inexact < terms - 1 or isinstance(tol, (int, Fraction))):
-        for v in (*(v for vec in vectors for v in vec), tol):
+        for v in (*chain.from_iterable(checked), tol):
             if isinstance(v, (int, Fraction)) and abs(v) > limit:
                 raise InputError(
                     f"an int or Fraction above {limit:.3g} in magnitude cannot be mixed with floats"
                 )
-    return not inexact, vectors
-
-
-def _prepared(vectors, tol: Optional[float]):
-    """(exact, vectors, slack): `_inspect`'s answer, and 0 when every
-    entry is an int or Fraction, else the tolerance."""
-    tol = _tolerance(tol)
-    exact, vectors = _inspect(vectors, tol)
-    return exact, vectors, (0 if exact else tol)
+    slack = tol if inexact else 0
+    for vec in checked:
+        # a strict inversion first, at C speed, then one beyond the slack
+        if any(map(operator.lt, vec, vec[1:])):
+            step = max(slack, 0)
+            if any(vec[i] + step < vec[i + 1] for i in range(n - 1)):
+                raise InputError(f"a spectrum must be weakly decreasing, got {brief(vec)}")
+    return not inexact, checked, slack
 
 
 def find_horn_violation(
@@ -436,8 +418,7 @@ def find_horn_violation(
     the sums directly, so the witness is the one the row-by-row scan
     finds (see the module docstring).
     """
-    _common_length(alpha, beta, gamma)
-    exact, (alpha, beta, gamma), slack = _prepared((alpha, beta, gamma), tol)
+    exact, (alpha, beta, gamma), slack = _spectra((alpha, beta, gamma), tol)
     if not _trace_holds(alpha, beta, gamma, slack):
         return "trace"
     return _first_violation(alpha, beta, gamma, exact, slack)
@@ -463,11 +444,11 @@ def weyl_bounds(
     For 1 <= k <= n the lower window is i = k..n and the upper one
     i = 1..k, so neither is empty.
     """
-    n = _common_length(alpha, beta)
+    _, (alpha, beta), _ = _spectra((alpha, beta), None)
+    n = len(alpha)
     k = as_int(k, "k", 1)
     if k > n:
         raise InputError(f"need 1 <= k <= n, got k={brief(k)}, n={n}")
-    _, (alpha, beta) = _inspect((alpha, beta))
     lower = max(alpha[i - 1] + beta[n + k - i - 1] for i in range(k, n + 1))
     upper = min(alpha[i - 1] + beta[k - i] for i in range(1, k + 1))
     return lower, upper
@@ -519,7 +500,7 @@ def sample_necessity(
     means a bug. `seed` must be an integer >= 0.
     """
     n, trials, seed = as_int(n, "n", 1), as_int(trials, "trials", 0), as_int(seed, "seed", 0)
-    tol = _tolerance(tol)
+    tol = as_tolerance(tol)
     rng = random.Random(seed)
     triples, matrix = _horn_system(n)
     weyl = _t_family(n, 1)[0]
@@ -577,12 +558,3 @@ def _screen_block(spectra: np.ndarray, matrix: np.ndarray, n: int, tol):
     flagged = np.hstack([excess > bound for excess in (spectra @ matrix.T, *weyl)])
     alpha, beta, gamma = spectra.reshape(-1, 3, n).sum(axis=2).T
     return flagged, flagged.any(axis=1) | (np.abs(gamma - alpha - beta) > bound[:, 0])
-
-
-def as_spectrum(values: Sequence[Number], tol: Optional[float] = None) -> tuple[Number, ...]:
-    """Validate and freeze a weakly decreasing spectrum vector."""
-    vec = tuple(values)
-    _, (checked,), slack = _prepared((vec,), tol)
-    if not all(checked[i] + slack >= checked[i + 1] for i in range(len(checked) - 1)):
-        raise InputError(f"spectrum must be weakly decreasing: {brief(vec)}")
-    return vec

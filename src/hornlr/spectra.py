@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import InputError, TheoremViolation, as_int, require_type
+from .errors import DEFAULT_TOL, InputError, TheoremViolation, as_int, as_tolerance, require_type
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -55,7 +55,6 @@ from .graphs import (
     numeric_spectrum,
     _multiplicity,
 )
-from .horn import DEFAULT_TOL, _tolerance
 from .lr import lr_positive
 from .partitions import Partition, _descending_parts
 
@@ -311,7 +310,7 @@ def ramanujan_verdict(g: Graph, *, tol: Optional[float] = DEFAULT_TOL) -> Ramanu
     """
     if not isinstance(g, Graph):
         require_type(Graph, g=g)
-    tol = _tolerance(tol)
+    tol = as_tolerance(tol)
     k = g.regular_degree()
     if k is None:
         raise InputError("Ramanujan verdicts require a regular graph")

@@ -548,14 +548,14 @@ def scan_first_violation(alpha, beta, gamma, tol=None):
     """find_horn_violation by a scan: "trace" when the traces differ by
     more than the slack, else the first triple of T(n, 1), ...,
     T(n, n - 1), in that order, whose inequality fails by more than the
-    slack, else None. The slack is 0 when every entry is an int or a
-    Fraction, else `tol` (None means 1e-9). Numpy integer entries are
-    summed as Python ints, so sums past 2**63 do not wrap."""
-    exact = all(isinstance(v, (int, Fraction)) for vec in (alpha, beta, gamma) for v in vec)
-    slack = 0 if exact else (1e-9 if tol is None else tol)
+    slack, else None. Numpy integer entries are read as Python ints, so
+    sums past 2**63 do not wrap. The slack is 0 when every entry is then an
+    int or a Fraction, else `tol` (None means 1e-9)."""
     alpha, beta, gamma = (
         [int(v) if isinstance(v, np.integer) else v for v in vec] for vec in (alpha, beta, gamma)
     )
+    exact = all(isinstance(v, (int, Fraction)) for vec in (alpha, beta, gamma) for v in vec)
+    slack = 0 if exact else (1e-9 if tol is None else tol)
     if not trace_within(alpha, beta, gamma, slack):
         return "trace"
     return _first_rejected(alpha, beta, gamma, slack)

@@ -1,10 +1,12 @@
+import argparse
 import dataclasses
 import json
 
 import pytest
 
+import hornlr
 from hornlr import FormatError
-from hornlr.cli import build_parser, main
+from hornlr.cli import build_parser, main, partition, spectrum
 from hornlr.graphs import graph_to_text, complete_bipartite, even_cycle, load_graph, matching
 from hornlr.horn import DEFAULT_TOL, SampleReport
 from hornlr.spectra import analyze_line_graph
@@ -21,6 +23,13 @@ def k13_file(tmp_path):
 def k22_file(tmp_path):
     path = tmp_path / "k22.txt"
     path.write_text(graph_to_text(complete_bipartite(2, 2)))
+    return path
+
+
+@pytest.fixture
+def k23_file(tmp_path):
+    path = tmp_path / "k23.txt"
+    path.write_text(graph_to_text(complete_bipartite(2, 3)))
     return path
 
 
@@ -89,6 +98,17 @@ def test_horn_check_incompatible_names_witness(capsys):
     assert out.splitlines()[1].startswith("violated: ")
 
 
+def test_horn_check_orders_within_the_tolerance(capsys):
+    # a negative tolerance does not refuse equal entries; it widens nothing
+    argv = ["horn", "check", "--alpha", "1.0,1.0", "--beta", "0,0", "--gamma", "1.0,1.0"]
+    assert run(capsys, *argv, "--tol", "-0.5") == (0, "incompatible\nviolated: trace\n", "")
+    assert run(capsys, *argv)[:2] == (0, "compatible\n")
+    # inexact entries inverted by less than the tolerance are accepted
+    argv = ["horn", "check", "--alpha", "1.0,1.5", "--beta", "0,0", "--gamma", "1.0,1.5"]
+    assert run(capsys, *argv, "--tol", "1")[:2] == (0, "compatible\n")
+    assert run(capsys, *argv)[0] == 2
+
+
 def test_horn_weyl(capsys):
     code, out, _ = run(capsys, "horn", "weyl", "--alpha", "1,0", "--beta", "1,0", "--k", "1")
     assert code == 0
@@ -102,7 +122,9 @@ def test_horn_sample(capsys):
 
 
 def test_tol_defaults_are_the_library_default():
-    # the very object, not an equal literal: the tolerance policy lives in hornlr.horn
+    # the very object, not an equal literal: the tolerance rule lives in
+    # hornlr.errors (as_tolerance), and hornlr.horn re-exports its default
+    assert DEFAULT_TOL is hornlr.errors.DEFAULT_TOL
     parser = build_parser()
     for argv in (["horn", "sample", "--n", "2"], ["spectra", "ramanujan", "--file", "g.txt"]):
         assert parser.parse_args(argv).tol is DEFAULT_TOL
@@ -364,6 +386,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "finite" in err
     code, _, err = run(capsys, "horn", "weyl", "--alpha", "1,0", "--beta", "1", "--k", "1")
     assert code == 2 and "equal length" in err
+    code, _, err = run(capsys, "horn", "weyl", "--alpha", "0,1", "--beta", "0,0", "--k", "1")
+    assert code == 2 and "weakly decreasing" in err
+    # weyl_bounds takes no tolerance, so neither does its command
+    code, _, err = run(capsys, "horn", "weyl", "--alpha", "1,0", "--beta", "1,0", "--k", "1", "--tol", "1")
+    assert code == 2 and "--tol" in err
     # a float whose sums overflow: refused, not answered "incompatible"
     code, _, err = run(capsys, "horn", "check", "--alpha", "1e308,0", "--beta", "1e308,0", "--gamma", "1e308,1e308")
     assert code == 2 and "magnitude" in err
@@ -400,3 +427,66 @@ def test_disconnected_analyze_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "spectra", "analyze", "--file", str(path))
     assert code == 2
     assert "connected" in err
+
+
+# every numeric or partition slot of every subcommand: a valid command
+# line ("{file}" stands for a graph file), and its flags whose values are
+# replaced in turn by each of HOSTILE_VALUES
+CLI_SLOTS = [
+    (["lr", "--alpha", "3", "--beta", "1,1,1", "--gamma", "4,1,1"], ["--alpha", "--beta", "--gamma"]),
+    (["horn", "triples", "--n", "4", "--r", "2"], ["--n", "--r"]),
+    (
+        ["horn", "check", "--alpha", "3", "--beta", "1,1,1", "--gamma", "4,1,1", "--n", "4", "--tol", "1e-9"],
+        ["--alpha", "--beta", "--gamma", "--n", "--tol"],
+    ),
+    (["horn", "weyl", "--alpha", "1,0", "--beta", "1,0", "--k", "1"], ["--alpha", "--beta", "--k"]),
+    (
+        ["horn", "sample", "--n", "2", "--trials", "5", "--tol", "1e-9", "--seed", "0"],
+        ["--n", "--trials", "--tol", "--seed"],
+    ),
+    (["spectra", "enum-p", "--alpha", "3", "--beta", "1,1,1"], ["--alpha", "--beta"]),
+    (["spectra", "ramanujan", "--file", "{file}", "--tol", "1e-9"], ["--tol"]),
+]
+
+# none starts a long run: sizes past the machine's memory are left out
+HOSTILE_VALUES = ["9" * 5000, "True", "nan", "-1", "1e400", "0", "-"]
+
+
+SLOTS = [(argv, flag) for argv, flags in CLI_SLOTS for flag in flags]
+
+
+def _command(argv):
+    return " ".join(argv[:1] if argv[0] == "lr" else argv[:2])
+
+
+def _subcommands(parser, prefix=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, (*prefix, name))
+            return
+    yield prefix, parser
+
+
+def test_cli_table_covers_every_numeric_slot():
+    # an option parsed as a number, a partition or a spectrum
+    kinds = (int, float, partition, spectrum)
+    found = {
+        (" ".join(prefix), action.option_strings[0])
+        for prefix, sub in _subcommands(build_parser())
+        for action in sub._actions
+        if action.type in kinds
+    }
+    assert found == {(_command(argv), flag) for argv, flag in SLOTS}
+
+
+@pytest.mark.parametrize("argv, flag", SLOTS, ids=[f"{_command(argv)} {flag}" for argv, flag in SLOTS])
+def test_hostile_values_exit_cleanly(capsys, k23_file, argv, flag):
+    """Each subcommand, with one numeric or partition value replaced by a
+    hostile one, exits 0, 1 or 2 with no traceback."""
+    argv = [a.replace("{file}", str(k23_file)) for a in argv]
+    assert run(capsys, *argv)[0] == 0
+    at = argv.index(flag)
+    for value in HOSTILE_VALUES:
+        code, _, err = run(capsys, *argv[:at], f"{flag}={value}", *argv[at + 2 :])
+        assert code in (0, 1, 2) and "Traceback" not in err, (flag, value[:20], code, err)

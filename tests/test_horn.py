@@ -28,7 +28,6 @@ from hornlr.horn import (
     _screen_block,
     _t_family,
     _u_sets,
-    as_spectrum,
 )
 
 from oracles import (
@@ -392,7 +391,13 @@ def test_find_horn_violation_fractions_and_number_kinds():
         for n in range(0, 8):
             for _ in range(12):
                 alpha, beta, gamma = _int_triple(rng, n)
-                triples.append(tuple([convert(v, i) for i, v in enumerate(vec)] for vec in (alpha, beta, gamma)))
+                # sorted again: converting entry by entry may break the order
+                triples.append(
+                    tuple(
+                        sorted((convert(v, i) for i, v in enumerate(vec)), reverse=True)
+                        for vec in (alpha, beta, gamma)
+                    )
+                )
         with np.errstate(over="raise"):
             found = _assert_same_witnesses(triples)
         assert any(isinstance(w, IndexTriple) for w in found), name
@@ -577,6 +582,30 @@ def test_exact_mode_ignores_tolerance():
     assert find_horn_violation((1, 0), (1, 0), (3, -1), tol=10.0) == t
 
 
+def test_spectra_must_decrease_weakly():
+    # diag(1, 0) + 0 realises ((1, 0), (0, 0), (1, 0)); listed in increasing
+    # order, the triple read "incompatible" and gave the window (1, 0)
+    for call in (
+        lambda: horn_compatible((0, 1), (0, 0), (0, 1)),
+        lambda: find_horn_violation((1, 0), (0, 0), (0, 1)),
+        lambda: weyl_bounds((0, 1), (0, 0), 1),
+        lambda: weyl_bounds((1.0, 0.0), (0.0, 0.5), 1),
+        # exact entries are ordered exactly, whatever the tolerance
+        lambda: find_horn_violation((1, 2), (0, 0), (1, 2), tol=10.0),
+    ):
+        with pytest.raises(InputError, match="weakly decreasing"):
+            call()
+    assert horn_compatible((1, 0), (0, 0), (1, 0))
+    # inexact entries inverted by less than the tolerance are accepted,
+    # and equal entries under a negative one
+    assert horn_compatible((1.0, 1.0 + 1e-10), (0.0, 0.0), (1.0, 1.0 + 1e-10))
+    assert find_horn_violation((1.0, 1.5), (0.0, 0.0), (1.0, 1.5), tol=1.0) is None
+    assert weyl_bounds((1.0, 1.0 + 1e-10), (0.0, 0.0), 2) == (1.0 + 1e-10, 1.0)
+    assert find_horn_violation((1.0, 1.0), (0, 0), (1.0, 1.0), tol=-0.5) == "trace"
+    with pytest.raises(InputError, match="weakly decreasing"):
+        find_horn_violation((1.0, 1.5), (0.0, 0.0), (1.0, 1.5), tol=0.25)
+
+
 def test_non_real_entries_and_tolerances_rejected():
     non_finite = [math.inf, -math.inf, math.nan, np.float32("inf")]
     for bad in ["a", None, 1j, Decimal(1), [1], *non_finite]:
@@ -596,7 +625,7 @@ def test_non_real_entries_and_tolerances_rejected():
         with pytest.raises(InputError, match="finite"):
             find_horn_violation((bad, 0.0), (1.0, 0.0), (bad, 1.0))
         with pytest.raises(InputError, match="finite"):
-            as_spectrum((bad, 0.0))
+            find_horn_violation((bad, 0.0), (0.0, 0.0), (0.0, 0.0))
     for tol in ["x", 1j, [1e-9], math.nan, math.inf, -math.inf, np.float64("nan")]:
         with pytest.raises(InputError):
             horn_compatible((1, 0), (1, 0), (2, 0), tol=tol)
@@ -656,10 +685,11 @@ def test_huge_exact_entries_mixed_with_floats_rejected():
         find_horn_violation(*huge)
     with pytest.raises(InputError):
         weyl_bounds(huge[0], huge[1], 1)
-    with pytest.raises(InputError):
-        as_spectrum((10**400, 0.5))
-    with pytest.raises(InputError):
-        as_spectrum((Fraction(10**400, 3), 0.5))
+    for big in (10**400, Fraction(10**400, 3)):
+        with pytest.raises(InputError):
+            find_horn_violation((big, 0.5), (0, 0), (big, 0.5))
+        with pytest.raises(InputError):
+            weyl_bounds((big, 0.5), (0, 0), 1)
     with pytest.raises(InputError):
         horn_compatible((0.5, 0.5), (0.5, 0.5), (1.0, 1.0), tol=10**400)
     # a tolerance beyond the float range, which the sampler adds to
@@ -689,7 +719,7 @@ def test_huge_exact_entries_mixed_with_floats_rejected():
         horn_compatible((10**308, 10**308), (0.5, -0.5), (10**308, 10**308))
     # without floats the arithmetic is exact, whatever the size
     assert horn_compatible((10**400, 0), (1, -1), (10**400 + 1, -1))
-    assert as_spectrum((10**400, 0)) == (10**400, 0)
+    assert weyl_bounds((10**400, 0), (0, 0), 1) == (10**400, 10**400)
     assert horn_compatible((10**300, 0), (0.5, -0.5), (10**300, 0))
 
 

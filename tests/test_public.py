@@ -1,6 +1,6 @@
 """The public surface of hornlr: what `from hornlr import *` binds, what
 every public callable does with an argument of the wrong kind, and the
-one rule for an integer argument."""
+one rule each for an integer and a real-valued argument."""
 
 import inspect
 import math
@@ -26,8 +26,10 @@ from hornlr import (
     enumerate_partitions,
     even_cycle,
     exact_spectrum,
+    find_horn_violation,
     generate_t,
     generate_u,
+    horn_compatible,
     line_graph,
     matching,
     moment_c,
@@ -236,3 +238,70 @@ def test_one_integer_rule(key):
         with pytest.raises(InputError) as info:
             _answer(build, bad)
         assert re.search(rf"\b{key[1]}\b", str(info.value)), (bad, str(info.value))
+
+
+TOLERANCES = (None, 10.0, -0.5)
+# the triple (3, 0, 0), (1, 1, 0), (5, 0, 0) fails gamma_1 <= alpha_1 + beta_1
+# by 1, exactly, whatever the tolerance; read as floats, it holds at
+# tol = 10.0, and its trace fails at tol = -0.5
+TRIPLE = ((3, 0, 0), (1, 1, 0), (5, 0, 0))
+
+
+def _horn(func, position, slot):
+    """Answers of func on TRIPLE with the entry at (vector, slot) replaced,
+    at each of TOLERANCES."""
+
+    def build(v):
+        triple = [list(vec) for vec in TRIPLE]
+        triple[position][slot] = v
+        return [func(*triple, tol) for tol in TOLERANCES]
+
+    return build, TRIPLE[position][slot]
+
+
+# every real-valued argument of every public callable, by (callable,
+# argument): a call with the value v in that argument's place (in one
+# entry of a spectrum), and v. Lists are compared as they are.
+REAL_ARGUMENTS = {
+    ("find_horn_violation", "alpha"): _horn(find_horn_violation, 0, 0),
+    ("find_horn_violation", "beta"): _horn(find_horn_violation, 1, 1),
+    ("find_horn_violation", "gamma"): _horn(find_horn_violation, 2, 0),
+    ("find_horn_violation", "tol"): (lambda v: find_horn_violation((3.0, 0.0), (1.0, 0.0), (5.0, -1.0), v), 1),
+    ("horn_compatible", "alpha"): _horn(horn_compatible, 0, 0),
+    ("horn_compatible", "beta"): _horn(horn_compatible, 1, 1),
+    ("horn_compatible", "gamma"): _horn(horn_compatible, 2, 0),
+    ("horn_compatible", "tol"): (lambda v: horn_compatible((3.0, 0.0), (1.0, 0.0), (5.0, -1.0), v), 1),
+    ("weyl_bounds", "alpha"): (lambda v: weyl_bounds((v, 1, 0), (2, 2, 1), 2), 3),
+    ("weyl_bounds", "beta"): (lambda v: weyl_bounds((3, 1, 0), (2, v, 1), 2), 2),
+    ("sample_necessity", "tol"): (lambda v: sample_necessity(3, 5, v), 0),
+    ("ramanujan_verdict", "tol"): (lambda v: ramanujan_verdict(L23, tol=v), 0),
+}
+
+NOT_REALS = [True, np.True_, "1", 1j, math.nan, math.inf]
+
+
+def test_real_table_covers_every_real_argument():
+    # a parameter named tol, or annotated with the spectrum type Number
+    found = set()
+    for name in hornlr.__all__:
+        obj = getattr(hornlr, name)
+        if callable(obj) and not isinstance(obj, type):
+            for p in inspect.signature(obj).parameters.values():
+                if p.name == "tol" or "Number" in str(p.annotation):
+                    found.add((name, p.name))
+    assert found == set(REAL_ARGUMENTS)
+
+
+@pytest.mark.parametrize("key", sorted(REAL_ARGUMENTS), ids=".".join)
+def test_one_real_number_rule(key):
+    """A numpy integer gives the answer its int gives, down to the repr:
+    it is exact, so the tolerance does not apply to it, and no numpy
+    scalar is kept. A bool of either kind, a string, a complex number,
+    NaN and inf raise InputError."""
+    build, v = REAL_ARGUMENTS[key]
+    expected = build(v)
+    answer = build(np.int64(v))
+    assert answer == expected and repr(answer) == repr(expected)
+    for bad in NOT_REALS:
+        with pytest.raises(InputError):
+            build(bad)
