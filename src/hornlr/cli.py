@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import FormatError, InputError, TheoremViolation, brief
+from .errors import InputError, TheoremViolation, as_int, brief, from_text
 from .graphs import (
     bipartite_complement,
     graph_to_text,
@@ -45,30 +45,35 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
-def partition(text: str) -> Partition:
-    return Partition.from_text(text)
+def _argument(read):
+    """An argparse type from a reader that raises InputError: argparse
+    prints the message of an ArgumentTypeError as it is, which abbreviates
+    the value, where for a ValueError it echoes the whole text."""
 
-
-def spectrum(text: str) -> tuple:
-    text = text.strip()
-    if text == "-":
-        return ()
-    values = []
-    for tok in text.split(","):
-        tok = tok.strip()
+    def convert(text: str):
         try:
-            values.append(int(tok))
-        except ValueError:
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise FormatError(f"bad spectrum entry {brief(tok)}") from None
-    return tuple(values)
+            return read(text)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def _spectrum(text: str) -> tuple:
+    """Comma-separated entries, `-` for the empty spectrum."""
+    return () if text.strip() == "-" else tuple(from_text(tok, "a spectrum entry") for tok in text.split(","))
+
+
+# every value of a numeric option is read by errors.from_text, and the
+# library's rule for its argument decides whether the number will do
+number = _argument(lambda text: from_text(text, "the value"))
+partition = _argument(Partition.from_text)
+spectrum = _argument(_spectrum)
 
 
 def _pad(vec: tuple, n: int) -> tuple:
     if len(vec) > n:
-        raise InputError(f"vector {vec} longer than n={n}")
+        raise InputError(f"vector {brief(vec)} longer than n={n}")
     return vec + (0,) * (n - len(vec))
 
 
@@ -94,9 +99,7 @@ def _cmd_horn_triples(args) -> int:
 
 def _cmd_horn_check(args) -> int:
     vectors = [args.alpha, args.beta, args.gamma]
-    if args.n is not None and args.n < 1:
-        raise InputError(f"--n must be >= 1, got {args.n}")
-    n = args.n if args.n is not None else max(len(v) for v in vectors)
+    n = max(len(v) for v in vectors) if args.n is None else as_int(args.n, "--n", 1)
     if n < 1:
         raise InputError("spectra must not all be empty")
     witness = find_horn_violation(*(_pad(v, n) for v in vectors), args.tol)
@@ -285,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     horn_sub = p_horn.add_subparsers(dest="horn_command", required=True)
 
     p_triples = horn_sub.add_parser("triples", help="list U(n,r) or T(n,r)")
-    p_triples.add_argument("--n", type=int, required=True)
-    p_triples.add_argument("--r", type=int, required=True)
+    p_triples.add_argument("--n", type=number, required=True)
+    p_triples.add_argument("--r", type=number, required=True)
     p_triples.add_argument("--u-only", action="store_true", help="skip the T filter")
     p_triples.set_defaults(func=_cmd_horn_triples)
 
@@ -294,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--alpha", type=spectrum, required=True)
     p_check.add_argument("--beta", type=spectrum, required=True)
     p_check.add_argument("--gamma", type=spectrum, required=True)
-    p_check.add_argument("--tol", type=float, default=None)
+    p_check.add_argument("--tol", type=number, default=None)
     p_check.add_argument(
-        "--n", type=int, default=None,
+        "--n", type=number, default=None,
         help="pad all three vectors with zeros to this length (default: longest)",
     )
     p_check.set_defaults(func=_cmd_horn_check)
@@ -304,16 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_weyl = horn_sub.add_parser("weyl", help="per-eigenvalue sandwich bounds")
     p_weyl.add_argument("--alpha", type=spectrum, required=True)
     p_weyl.add_argument("--beta", type=spectrum, required=True)
-    p_weyl.add_argument("--k", type=int, required=True)
+    p_weyl.add_argument("--k", type=number, required=True)
     p_weyl.set_defaults(func=_cmd_horn_weyl)
 
     p_sample = horn_sub.add_parser(
         "sample", help="random symmetric pairs vs. the necessary conditions"
     )
-    p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--trials", type=int, default=1000)
-    p_sample.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--n", type=number, required=True)
+    p_sample.add_argument("--trials", type=number, default=1000)
+    p_sample.add_argument("--tol", type=number, default=DEFAULT_TOL)
+    p_sample.add_argument("--seed", type=number, default=0)
     p_sample.set_defaults(func=_cmd_horn_sample)
 
     p_graph = sub.add_parser("graph", help="bipartite graph utilities")
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ramanujan", help="spectral-gap verdict for the line graph of the input"
     )
     p_ram.add_argument("--file", required=True)
-    p_ram.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_ram.add_argument("--tol", type=number, default=DEFAULT_TOL)
     p_ram.set_defaults(func=_cmd_spectra_ramanujan)
 
     p_corpus = sub.add_parser("corpus", help="batch verification")

@@ -1,8 +1,9 @@
 """Exception types shared across the package, `brief`, which every
 error message uses to show a caller's value, `require_type`, which
-turns a wrong argument type into an InputError, `as_int`, the one rule
-for an integer argument, `as_real`, the one rule for a real-valued one
-(a spectrum entry or a tolerance), and `as_tolerance` with DEFAULT_TOL.
+turns a wrong argument type into an InputError, `from_text`, the one
+reader of a number written as text, `as_int`, the one rule for an
+integer argument, `as_real`, the one rule for a real-valued one (a
+spectrum entry or a tolerance), and `as_tolerance` with DEFAULT_TOL.
 
 The CLI maps these onto exit codes: bad input or unmet preconditions exit
 with 2, a theorem violation (a check that is mathematically guaranteed to
@@ -55,6 +56,26 @@ def require_type(kind: type, **values) -> None:
     for name, value in values.items():
         if not isinstance(value, kind):
             raise InputError(f"{name} must be a {kind.__name__}, got {brief(value)}")
+
+
+def from_text(text: str, name: str):
+    """The number that `text` spells, the package's one reader of numbers
+    written as text (CLI values, partition parts, graph file entries): an
+    int where int() reads one, else a float where float() reads one. The
+    argument's own rule (`as_int`, `as_real`) then decides whether that
+    number will do. Anything else raises FormatError naming the argument,
+    and so does an integer literal with more digits than int() converts
+    (4300 by default), which float() would round or read as inf."""
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            raise FormatError(f"{name} must be a number, got {brief(text)}") from None
+    if text.strip().lstrip("+-").replace("_", "").isdecimal():
+        raise FormatError(f"{name} has too many digits, got {brief(text)}")
+    return value
 
 
 def _is_bool(value) -> bool:

@@ -80,7 +80,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import FormatError, InputError, as_int, brief, require_type
+from .errors import FormatError, InputError, as_int, brief, from_text, require_type
 from .partitions import Partition
 
 
@@ -883,7 +883,7 @@ def parse_graph_text(text: str) -> BipartiteGraph:
         parts = ln.split()
         if len(parts) != 2 or parts[0] != expected or not parts[1].isdecimal():
             raise FormatError(f"bad header line {brief(ln)}, expected `{expected} <size>`")
-        sizes.append(_decimal(parts[1], ln))
+        sizes.append(from_text(parts[1], "a class size"))
     edges: dict[tuple[int, int], None] = {}  # insertion-ordered, with a constant-time lookup
     for ln in lines[2:]:
         parts = ln.split()
@@ -891,7 +891,7 @@ def parse_graph_text(text: str) -> BipartiteGraph:
             raise FormatError(f"bad edge line {brief(ln)}, expected `xi yj`")
         if not (parts[0].isdecimal() and parts[1].isdecimal()):
             raise FormatError(f"bad edge line {brief(ln)}, expected integers")
-        edge = (_decimal(parts[0], ln), _decimal(parts[1], ln))
+        edge = (from_text(parts[0], "an edge endpoint"), from_text(parts[1], "an edge endpoint"))
         if edge in edges:
             raise FormatError(f"duplicate edge {brief(ln)}")
         edges[edge] = None
@@ -899,16 +899,6 @@ def parse_graph_text(text: str) -> BipartiteGraph:
         return BipartiteGraph(sizes[0], sizes[1], edges)
     except InputError as exc:
         raise FormatError(str(exc)) from None
-
-
-def _decimal(token: str, ln: str) -> int:
-    """The int that a token of decimal digits on line `ln` spells;
-    FormatError for one with more digits than int() converts (4300 by
-    default), where int() raises ValueError."""
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"number with too many digits on line {brief(ln)}") from None
 
 
 def graph_to_text(bg: BipartiteGraph) -> str:
@@ -919,9 +909,9 @@ def graph_to_text(bg: BipartiteGraph) -> str:
 
 def parse_graph_json(text: str) -> BipartiteGraph:
     """JSON format: {"x_size": m, "y_size": n, "edges": [[xi, yj], ...]}."""
-    try:
+    try:  # ValueError: malformed, or an integer with too many digits to convert
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FormatError(f"bad JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FormatError("graph JSON must be an object")
@@ -974,7 +964,7 @@ def connected_bipartite_graphs(
     winner", 1978).
     """
     max_order, min_order = as_int(max_order, "max_order"), as_int(min_order, "min_order")
-    for order in range(min_order, max_order + 1):
+    for order in range(max(min_order, 2), max_order + 1):  # no graph has order < 2
         for m in range(1, order // 2 + 1):
             n = order - m
             # relabel[p][mask]: the mask with bit i moved to bit p[i]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .errors import FormatError, InputError, as_int, brief
+from .errors import FormatError, InputError, as_int, brief, from_text
 
 
 class Partition:
@@ -85,8 +85,8 @@ class Partition:
         if text == "-":
             return cls()
         try:
-            return cls(int(tok) for tok in text.split(","))
-        except (ValueError, InputError) as exc:
+            return cls(from_text(tok, "a part") for tok in text.split(","))
+        except InputError as exc:
             raise FormatError(f"bad partition literal {brief(text)}: {exc}") from None
 
     def to_text(self) -> str:

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import DEFAULT_TOL, InputError, TheoremViolation, as_int, as_tolerance, require_type
+from .errors import DEFAULT_TOL, InputError, TheoremViolation, as_int, as_tolerance, brief, require_type
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -101,7 +101,7 @@ def _moment_targets(
 def _shifted_power_sum(gamma: Partition, length: int, power: int) -> int:
     if gamma.length > length:
         raise InputError(
-            f"gamma has {gamma.length} parts but only {length} are allowed"
+            f"gamma has {gamma.length} parts but only {brief(length)} are allowed"
         )
     return sum((g - 2) ** power for g in gamma.padded(length))
 
@@ -149,7 +149,7 @@ def enumerate_p(alpha: Partition, beta: Partition) -> CandidateSet:
         require_type(Partition, alpha=alpha, beta=beta)
     if alpha.size != beta.size:
         raise InputError(
-            f"partitions must have equal size, got {alpha.size} and {beta.size}"
+            f"partitions must have equal size, got {brief(alpha.size)} and {brief(beta.size)}"
         )
     if alpha.size == 0:
         raise InputError("the common size e must be positive")

@@ -6,7 +6,7 @@ import pytest
 
 import hornlr
 from hornlr import FormatError
-from hornlr.cli import build_parser, main, partition, spectrum
+from hornlr.cli import build_parser, main, number, partition, spectrum
 from hornlr.graphs import graph_to_text, complete_bipartite, even_cycle, load_graph, matching
 from hornlr.horn import DEFAULT_TOL, SampleReport
 from hornlr.spectra import analyze_line_graph
@@ -404,6 +404,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "horn", "check", "--alpha", "1,x", "--beta", "0,0", "--gamma", "1,0")[0] == 2
     code, _, err = run(capsys, "horn", "check", "--n", "1", "--alpha", "1,0", "--beta", "1", "--gamma", "2")
     assert code == 2 and "longer than n=1" in err
+    # the vector is abbreviated in that message
+    code, _, err = run(capsys, "horn", "check", "--n", "1", "--alpha", ",".join(["1"] * 1000), "--beta", "1", "--gamma", "2")
+    assert code == 2 and "longer than n=1" in err and len(err) < 200
+    # a whole float where an integer is asked for is refused by the library's rule
+    for argv in (["horn", "triples", "--n", "4.0", "--r", "2"], ["horn", "check", "--n", "4.0", "--alpha", "1", "--beta", "1", "--gamma", "2"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "n must be an integer, got 4.0" in err, (argv, err)
     c8 = tmp_path / "c8.txt"
     c8.write_text(graph_to_text(even_cycle(8)))
     assert run(capsys, "spectra", "ramanujan", "--file", str(c8), "--tol", "nan")[0] == 2
@@ -470,7 +477,7 @@ def _subcommands(parser, prefix=()):
 
 def test_cli_table_covers_every_numeric_slot():
     # an option parsed as a number, a partition or a spectrum
-    kinds = (int, float, partition, spectrum)
+    kinds = (number, partition, spectrum)
     found = {
         (" ".join(prefix), action.option_strings[0])
         for prefix, sub in _subcommands(build_parser())
@@ -483,10 +490,56 @@ def test_cli_table_covers_every_numeric_slot():
 @pytest.mark.parametrize("argv, flag", SLOTS, ids=[f"{_command(argv)} {flag}" for argv, flag in SLOTS])
 def test_hostile_values_exit_cleanly(capsys, k23_file, argv, flag):
     """Each subcommand, with one numeric or partition value replaced by a
-    hostile one, exits 0, 1 or 2 with no traceback."""
+    hostile one, exits 0, 1 or 2 with no traceback and a short message:
+    no value is echoed whole, and one with too many digits is named so."""
     argv = [a.replace("{file}", str(k23_file)) for a in argv]
     assert run(capsys, *argv)[0] == 0
     at = argv.index(flag)
     for value in HOSTILE_VALUES:
         code, _, err = run(capsys, *argv[:at], f"{flag}={value}", *argv[at + 2 :])
-        assert code in (0, 1, 2) and "Traceback" not in err, (flag, value[:20], code, err)
+        assert code in (0, 1, 2) and "Traceback" not in err, (flag, value[:20], code, err[:300])
+        assert len(err) < 1000, (flag, value[:20], err[:300])
+        if len(value) == 5000:
+            assert code == 2 and "too many digits" in err, (flag, err[:300])
+
+
+# a graph file with a number past int()'s digit limit where it holds a
+# class size or an endpoint (a size under the limit would be allocated),
+# and a JSON file nested past the recursion limit
+DIGITS = "9" * 5000
+HOSTILE_FILES = {
+    "size.txt": f"X {DIGITS}\nY 1\n0 0\n",
+    "endpoint.txt": f"X 1\nY 1\n0 {DIGITS}\n",
+    "size.json": f'{{"x_size": {DIGITS}, "y_size": 1, "edges": [[0, 0]]}}',
+    "endpoint.json": f'{{"x_size": 1, "y_size": 1, "edges": [[0, {DIGITS}]]}}',
+    "nested.json": "[" * 100000,
+}
+
+FILE_COMMANDS = ["graph spectrum", "graph linegraph", "graph complement", "spectra analyze", "spectra ramanujan"]
+
+
+def test_file_table_covers_every_file_command():
+    found = {
+        " ".join(prefix)
+        for prefix, sub in _subcommands(build_parser())
+        if any("--file" in action.option_strings for action in sub._actions)
+    }
+    assert found == set(FILE_COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(HOSTILE_FILES))
+def test_hostile_graph_files_exit_2(capsys, tmp_path, k22_file, name):
+    """Every command that reads a graph file exits 2 on it with a short
+    message, and corpus verify counts it as failed and goes on."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / name
+    bad.write_text(HOSTILE_FILES[name])
+    (corpus / "z_k22.txt").write_text(k22_file.read_text())
+    for command in FILE_COMMANDS:
+        code, _, err = run(capsys, *command.split(), "--file", str(bad))
+        assert code == 2 and err.startswith("error: ") and len(err) < 1000, (command, code, err[:300])
+    code, out, err = run(capsys, "corpus", "verify", "--dir", str(corpus))
+    assert code == 2 and err.startswith(f"{name}: error: ") and len(err) < 1000, err[:300]
+    assert out.startswith("z_k22.txt: integral ")
+    assert out.endswith("2 graphs: 1 integral, 0 non-integral, 0 violations, 1 failed\n")

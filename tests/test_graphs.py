@@ -1105,7 +1105,16 @@ def test_format_errors():
     ]:
         with pytest.raises(FormatError):
             parse_graph_text(bad)
-    for bad in ["{]", "[]", '{"x_size": 1}', '{"x_size":1,"y_size":1,"edges":[[0,0],[0,0]]}']:
+    for bad in [
+        "{]",
+        "[]",
+        '{"x_size": 1}',
+        '{"x_size":1,"y_size":1,"edges":[[0,0],[0,0]]}',
+        # json.loads raises a ValueError past int()'s digit limit, and a
+        # RecursionError when nested too deeply
+        f'{{"x_size": {"9" * 5000}, "y_size": 1, "edges": [[0, 0]]}}',
+        "[" * 100000,
+    ]:
         with pytest.raises(FormatError):
             parse_graph_json(bad)
 
@@ -1119,6 +1128,14 @@ def test_connected_bipartite_counts():
     expected = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
     got = Counter(bg.order for bg in connected_bipartite_graphs(8))
     assert dict(got) == expected
+
+
+def test_connected_bipartite_graphs_below_order_2():
+    # no graph has order < 2, so a lower min_order changes nothing and
+    # costs nothing: the orders below 2 are not visited one by one
+    expected = list(connected_bipartite_graphs(5))
+    for min_order in (-(10**5000), -(10**7), 0, 1):
+        assert list(connected_bipartite_graphs(5, min_order)) == expected
 
 
 def test_connected_bipartite_counts_order_9():

@@ -1,6 +1,7 @@
 """The public surface of hornlr: what `from hornlr import *` binds, what
-every public callable does with an argument of the wrong kind, and the
-one rule each for an integer and a real-valued argument."""
+every public callable does with an argument of the wrong kind, the one
+rule each for an integer and a real-valued argument, and the one reader
+of a number written as text."""
 
 import inspect
 import math
@@ -38,6 +39,7 @@ from hornlr import (
     sample_necessity,
     weyl_bounds,
 )
+from hornlr.errors import from_text
 
 # removed after 0.1.0 (see the README's "Changes since 0.1.0")
 REMOVED = ["SkewShape", "check_inequality", "trace_condition", "star_decomposition", "regular_line_spectrum_template"]
@@ -238,6 +240,44 @@ def test_one_integer_rule(key):
         with pytest.raises(InputError) as info:
             _answer(build, bad)
         assert re.search(rf"\b{key[1]}\b", str(info.value)), (bad, str(info.value))
+
+
+@pytest.mark.parametrize("key", sorted(INTEGER_ARGUMENTS), ids=".".join)
+def test_integer_arguments_past_the_digit_limit(key):
+    """-10**5000, with more digits than Python converts to a decimal
+    string, in each integer argument: the call returns, or raises an
+    InputError whose message abbreviates it. (Positive values of that size
+    ask for allocations, and are left out.)"""
+    build, _ = INTEGER_ARGUMENTS[key]
+    try:
+        _answer(build, -(10**5000))
+    except InputError as exc:
+        assert len(str(exc)) < 200, str(exc)[:200]
+
+
+def test_one_reader_of_numbers_written_as_text():
+    """errors.from_text reads an int where int() reads one, else a float
+    where float() reads one; anything else, and an integer literal with
+    more digits than int() converts, raise FormatError naming the argument
+    and abbreviating the text."""
+    for text, value in [
+        ("12", 12),
+        (" -3 ", -3),
+        ("1_000", 1000),
+        ("9" * 4300, int("9" * 4300)),
+        ("4.0", 4.0),
+        ("1e-9", 1e-9),
+        ("1e400", math.inf),
+        ("0." + "9" * 5000, 1.0),
+    ]:
+        got = from_text(text, "x")
+        assert got == value and type(got) is type(value), text[:20]
+    assert math.isnan(from_text("nan", "x"))
+    for text in ["9" * 5000, "-" + "9" * 5000, " +" + "9" * 5000, "", "-", "abc", "1,2", "True", "1__0"]:
+        with pytest.raises(FormatError, match=r"^x (must be a number|has too many digits), got ") as info:
+            from_text(text, "x")
+        assert len(str(info.value)) < 200
+        assert ("too many digits" in str(info.value)) == text.strip(" +-").isdecimal()
 
 
 TOLERANCES = (None, 10.0, -0.5)

@@ -134,6 +134,20 @@ def test_enumerate_p_validation():
         enumerate_p(P(), P())
 
 
+def test_messages_abbreviate_huge_arguments():
+    """A size or length with more digits than Python converts to a decimal
+    string is shown by its bit length, so the InputError being built is
+    the one raised, not a ValueError from str()."""
+    for call in (
+        lambda: moment_c(P([4, 1, 1]), P([3]), P([1, 1, 1]), 3, -(10**5000)),
+        lambda: moment_d(P([4, 1, 1]), P([3]), P([1, 1, 1]), 3, -(10**5000)),
+        lambda: enumerate_p(P([10**5000]), P([1])),
+    ):
+        with pytest.raises(InputError, match="bits") as info:
+            call()
+        assert len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("wrong", [[3], (1, 1, 1), None])
 def test_enumerate_p_rejects_wrong_argument_types(wrong):
     with pytest.raises(InputError, match="alpha must be a Partition"):
